@@ -407,9 +407,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_query(argv: List[str]) -> List[str]:
+    """Rewrite `--query -1/2,3/4` as `--query=-1/2,3/4`: argparse takes a
+    value that starts with '-' for an option unless it is a plain number."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] == "--query" and arg.startswith("-"):
+            out[-1] = "--query=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_query(sys.argv[1:] if argv is None else argv))
     try:
         return args.run(args)
     except InputError as exc:

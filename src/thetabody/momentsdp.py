@@ -19,6 +19,7 @@ unit-vector cells and no ring attached.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -203,6 +204,10 @@ class SdpProblem:
         for l in list(self.objective) + list(self.fixed):
             if not 0 <= l < self.y_dim:
                 raise InputError(f"unknown y-index {l}")
+        values = [c for vec in self.cells.values() for c in vec.values()]
+        values += list(self.objective.values()) + list(self.fixed.values())
+        if not all(math.isfinite(c) for c in values):
+            raise InputError("SDP coefficients must be finite (no NaN or infinity)")
 
     def to_json(self) -> dict:
         return {

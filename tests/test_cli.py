@@ -225,6 +225,19 @@ def test_th1_input_errors(files, capsys, tmp_path):
     assert code == 2
 
 
+def test_th1_negative_query(capsys, tmp_path):
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({"dim": 2, "generators": ["x1^2 + x2^2 - 1"]}))
+    reports = []
+    for argv in (["--query", "-1/2,3/4"], ["--query=-1/2,3/4"]):
+        code, report, _ = run(capsys, "th1", "--gens", circle, *argv)
+        assert code == 0
+        reports.append(report)
+    assert reports[0]["result"] == reports[1]["result"]
+    assert reports[0]["parameters"]["query"] == ["-1/2", "3/4"]
+    assert reports[0]["result"]["status"] == "Inside"
+
+
 # ------------------------------------------------------------ moment-dump
 
 def test_moment_dump_segment(files, capsys):
@@ -289,6 +302,24 @@ def test_solve_infeasible_is_conclusive(capsys, tmp_path):
     code, report, _ = run(capsys, "solve", "--sdp", path)
     assert code == 0
     assert report["result"]["status"] == "Infeasible"
+
+
+def test_solve_non_finite_data_exits_2(capsys, tmp_path):
+    for bad in (float("nan"), 1e308):
+        problem = {
+            "side": 3, "yDim": 3, "objective": {"1": 1, "2": 1}, "fixed": {"0": 1},
+            "cells": [
+                {"row": 0, "col": 0, "coeffs": {"0": 1}},
+                {"row": 1, "col": 1, "coeffs": {"0": 1}},
+                {"row": 2, "col": 2, "coeffs": {"0": 1}},
+                {"row": 0, "col": 1, "coeffs": {"1": 1}},
+                {"row": 0, "col": 2, "coeffs": {"2": bad}},
+            ],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(problem))
+        code, report, err = run(capsys, "solve", "--sdp", path)
+        assert code == 2 and report is None and "error" in err
 
 
 # ------------------------------------------------- exit codes & plumbing

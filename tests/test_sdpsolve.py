@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import corpus
 import oracles
+from thetabody.combopt import Graph, enumerate_stable_sets, moment_template
 from thetabody.errors import InputError
-from thetabody.exactalg import Monomial, buchberger_moller
+from thetabody.exactalg import Monomial, PointSet, buchberger_moller
 from thetabody.momentsdp import SdpProblem, build_moment_template, build_theta_sdp
-from thetabody.sdpsolve import SdpSolution, SolverOptions, solve
+from thetabody.sdpsolve import (
+    SdpSolution,
+    SolverOptions,
+    _centering_weight,
+    _schur,
+    _split_data,
+    solve,
+)
 
 
 def problem_from(side, y_dim, cells, objective, fixed=None):
@@ -150,3 +159,90 @@ def test_optimal_status_is_certified():
     assert sol.status == "Optimal"
     assert sol.duality_gap <= 1e-7
     assert sol.min_eig >= -1e-7
+
+
+def test_unused_free_coordinate():
+    # y_3 is free but appears in no cell: it must neither break the solve
+    # nor move when the objective ignores it, and it is unbounded otherwise
+    arrow = arrow_3x3(1.0, 1.0)
+    sol = solve(problem_from(3, 4, arrow.cells, {1: 1.0, 2: 1.0}))
+    assert sol.status == "Optimal" and sol.iterations == 6
+    assert abs(sol.objective - math.sqrt(2)) <= 1e-6
+    assert sol.y[3] == 0.0
+    sol = solve(problem_from(3, 4, arrow.cells, {3: 1.0}))
+    assert sol.status == "Unbounded"
+    assert sol.objective > 1e12
+
+
+def test_schur_blocks_match_definition():
+    # the level-2 stable-set SDP of C7, against H_ij = tr(F_i Z^-1 F_j X)
+    template = moment_template(enumerate_stable_sets(Graph(7, corpus.cycle_edges(7)), 4), 2)
+    problem = build_theta_sdp(template, {Monomial.variable(v, 7): 1 for v in range(1, 8)})
+    m = problem.side
+    free = sorted(l for l in range(problem.y_dim) if l not in problem.fixed)
+    dense = [np.zeros((m, m)) for _ in free]
+    for (i, j), vec in problem.cells.items():
+        for l, c in vec.items():
+            if l in problem.fixed:
+                continue
+            dense[free.index(l)][i, j] += c
+            if i != j:
+                dense[free.index(l)][j, i] += c
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, m, m))
+    big_z, big_x = a @ a.T + m * np.eye(m), b @ b.T + m * np.eye(m)
+    zinv = np.linalg.inv(big_z)
+    expected = np.array([[np.trace(fi @ zinv @ fj @ big_x) for fj in dense] for fi in dense])
+    _, f = _split_data(problem, free)
+    d = len(free)
+    for block in (5, d + 3):
+        got = _schur(f, zinv, big_x, block)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+# 14 rational points on the unit sphere whose level-2 theta SDP drove the
+# centering ratio (mu_aff / mu)^3 into a float overflow.
+SPHERE_OVERFLOW = [
+    (F(-18, 19), F(6, 19), F(1, 19)), (F(-4, 9), F(4, 9), F(7, 9)),
+    (F(-32, 93), F(20, 93), F(85, 93)), (F(-6, 19), F(1, 19), F(18, 19)),
+    (F(-6, 19), F(10, 19), F(15, 19)), (F(-6, 23), F(-54, 115), F(97, 115)),
+    (F(-5, 31), F(6, 31), F(30, 31)), (F(-4, 149), F(48, 149), F(141, 149)),
+    (F(6, 19), F(-6, 19), F(17, 19)), (F(6, 19), F(10, 19), F(15, 19)),
+    (F(1, 3), F(2, 15), F(14, 15)), (F(3, 7), F(2, 7), F(6, 7)),
+    (F(36, 65), F(-96, 325), F(253, 325)), (F(12, 17), F(8, 17), F(9, 17)),
+]
+
+
+def test_sphere_overflow_points_level_two():
+    weights = (-1, 3, -1)
+    ring = buchberger_moller(PointSet(3, SPHERE_OVERFLOW))
+    objective = {Monomial.variable(i + 1, 3): c for i, c in enumerate(weights)}
+    values = {}
+    for k in (1, 2):
+        sol = solve(build_theta_sdp(build_moment_template(ring, k), objective))
+        assert sol.status in ("Optimal", "NearOptimal")
+        values[k] = sol.objective
+    best = max(sum(c * x for c, x in zip(weights, p)) for p in SPHERE_OVERFLOW)
+    assert float(best) - 1e-6 <= values[2] <= values[1] + 1e-6
+
+
+def test_centering_weight_clamps_before_cubing():
+    # a gap that went negative leaves mu = 1e-300 / m: the ratio cubed overflows
+    assert _centering_weight(7.96e-10, 1e-300 / 9) == 0.999
+    assert _centering_weight(-1.0, 1.0) == 1e-10
+    assert _centering_weight(0.5, 1.0) == 0.125
+
+
+def test_non_finite_data_is_rejected():
+    arrow = arrow_3x3(1.0, 1.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputError):
+            problem_from(3, 3, {**arrow.cells, (0, 2): {2: bad}}, arrow.objective)
+        with pytest.raises(InputError):
+            problem_from(3, 3, arrow.cells, {1: bad})
+        with pytest.raises(InputError):
+            problem_from(3, 3, arrow.cells, arrow.objective, fixed={0: bad})
+    # finite coefficients whose norm overflows a float
+    huge = problem_from(3, 3, {**arrow.cells, (0, 2): {2: 1e308}}, arrow.objective)
+    with pytest.raises(InputError):
+        solve(huge)
