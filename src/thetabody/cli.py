@@ -19,8 +19,8 @@ Exit codes: 0 success (for solver-backed commands: a conclusive answer),
 2 invalid input, 3 a resource cap was hit, 4 the solver failed to converge.
 
 Defaults for tolerances and caps may be set via environment variables
-(THETA_FEAS_TOL, THETA_GAP_TOL, THETA_MAX_ITER, THETA_CAP, THETA_KMAX,
-THETA_JOBS); explicit flags win over the environment.
+(THETA_FEAS_TOL, THETA_GAP_TOL, THETA_MAX_ITER, THETA_CAP, THETA_KMAX);
+explicit flags win over the environment.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def _cmd_exactness(args) -> int:
     started = time.monotonic()
     points = PointSet.from_file(args.points)
     report_body = is_exact(points)
-    counts = facet_vertex_report(points)
+    counts = facet_vertex_report(points, report_body)
     report = _report_skeleton(
         "exactness",
         {"points": _digest(args.points)},
@@ -204,11 +204,8 @@ def _cmd_exactness(args) -> int:
 
 def _cmd_classify01(args) -> int:
     started = time.monotonic()
-    jobs = args.jobs if args.jobs is not None else _env("JOBS", int, 1)
-    classes = classify_01(args.dim, jobs=jobs)
-    report = _report_skeleton(
-        "classify01", {}, {"dim": args.dim, "jobs": jobs}
-    )
+    classes = classify_01(args.dim)
+    report = _report_skeleton("classify01", {}, {"dim": args.dim})
     exact_count = sum(1 for c in classes if c.exact)
     report["result"] = {
         "classCount": len(classes),
@@ -371,9 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "classify01", help="affine classes of full-dimensional 0/1 sets"
     )
     classify.add_argument("--dim", type=int, required=True, help="cube dimension (1-3)")
-    classify.add_argument(
-        "--jobs", type=int, default=None, help="parallel workers for class geometry"
-    )
     classify.set_defaults(run=_cmd_classify01)
 
     th1 = subs.add_parser(

@@ -3,10 +3,11 @@
 The convex hull of a finite rational point set is described here entirely in
 exact arithmetic.  Facets are found inside an affine-hull chart: pick the
 pivot coordinates of the row-reduced difference matrix, so that projecting
-onto them is an isomorphism of the affine hull, enumerate hyperplanes spanned
-by affinely independent chart subsets, keep the supporting ones, and lift
-chart normals back by scattering them into the pivot coordinates.  Normals
-are normalized to primitive integer vectors with the point set on the <= side.
+onto them is an isomorphism of the affine hull, enumerate the facets of the
+chart points by the double description method in integer arithmetic
+(Motzkin-Raiffa-Thompson-Thrall 1953; Fukuda-Prodon 1996), and lift chart
+normals back by scattering them into the pivot coordinates.  Normals are
+primitive integer vectors with the point set on the <= side.
 
 A point set is *two-level* when every facet hyperplane sees at most two
 distinct values of its linear functional on the set.  Two-level sets are
@@ -25,8 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
-from multiprocessing import Pool
+from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combopt import Graph, enumerate_stable_sets
@@ -111,55 +111,105 @@ def affine_dimension(points) -> int:
     return len(_chart(ps)[1])
 
 
-def _primitive(vector: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Scale a nonzero rational vector by a positive rational to coprime ints."""
-    den = 1
-    for v in vector:
-        den = den * v.denominator // gcd(den, v.denominator)
+def _primitive(vector: Sequence) -> Tuple[int, ...]:
+    """Scale a nonzero rational or integer vector by a positive rational to
+    coprime ints."""
+    den = lcm(*(v.denominator for v in vector))
     ints = [int(v * den) for v in vector]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = gcd(*ints)
     return tuple(v // g for v in ints)
 
 
-def _chart_normals(chart_pts: List[tuple], d: int) -> List[Tuple[int, ...]]:
-    """Candidate facet normal directions in chart coordinates.
+def _affine_rank(pts: Sequence[tuple]) -> int:
+    base = pts[0]
+    rows = [[Fraction(p[j]) - base[j] for j in range(len(base))] for p in pts[1:]]
+    return len(rational_rref(rows)[1])
 
-    One primitive integer direction (sign-canonical: first nonzero entry
-    positive) per hyperplane direction spanned by some affinely independent
-    d-subset of the chart points.  Parallel hyperplanes collapse to one
-    direction; both supporting translates are recovered later.
+
+def _affine_basis(pts: Sequence[tuple], d: int) -> List[tuple]:
+    """Greedy affinely independent subset of size d + 1."""
+    basis = [pts[0]]
+    for p in pts[1:]:
+        if _affine_rank(basis + [p]) == len(basis):
+            basis.append(p)
+        if len(basis) == d + 1:
+            break
+    return basis
+
+
+def _chart_facets(chart_pts: List[tuple], d: int) -> List[Tuple[int, ...]]:
+    """Primitive integer outward normals of the facets of conv(chart points).
+
+    Double description (beneath-beyond) in integer arithmetic.  The chart
+    points, scaled by the common denominator of their coordinates, are
+    inserted one at a time into the hull of a greedy affine basis.  A facet
+    is a row (a, b) with a . q <= b on every inserted point q, carried with
+    the bitmask of inserted points tight on it.  Inserting q keeps the rows
+    it satisfies and, for each pair (h+, h-) of a row with positive slack
+    s+ and a violated row with slack s- < 0, adds the facet
+    s+ * h- - s- * h+ through q when the pair is adjacent: their common
+    tight set C has at least d - 1 points and no other row is tight on all
+    of C (Fukuda-Prodon, Double description method revisited, 1996).
     """
-    if d == 1:
-        return [(1,)]
-    seen = set()
-    for combo in itertools.combinations(range(len(chart_pts)), d):
-        base = chart_pts[combo[0]]
-        rows = [
-            [chart_pts[c][j] - base[j] for j in range(d)] for c in combo[1:]
-        ]
-        reduced, pivots = rational_rref(rows)
-        if len(reduced) != d - 1:
-            continue  # the combo is affinely dependent
-        free = next(j for j in range(d) if j not in pivots)
-        normal = [Fraction(0)] * d
-        normal[free] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            normal[p] = -row[free]
-        key = _primitive(normal)
-        if key[next(i for i, v in enumerate(key) if v)] < 0:
-            key = tuple(-v for v in key)
-        seen.add(key)
-    return sorted(seen)
+    den = lcm(*(c.denominator for p in chart_pts for c in p))
+    pts = [tuple(int(c * den) for c in p) for p in chart_pts]
+    index = {p: i for i, p in enumerate(pts)}
+    basis = [index[p] for p in _affine_basis(pts, d)]
+
+    # simplex facets from the barycentric coordinates lam = B^-1 (x - v0),
+    # with the columns of B the edges v_k - v0: lam_k >= 0 and sum lam <= 1
+    v0 = pts[basis[0]]
+    inv = _invert_rational_matrix(
+        [[pts[k][j] - v0[j] for k in basis[1:]] for j in range(d)]
+    )
+    total = [sum(col) for col in zip(*inv)]
+    rows = [_primitive(total + [1 + sum(w * x for w, x in zip(total, v0))])]
+    rows += [
+        _primitive([-w for w in row] + [-sum(w * x for w, x in zip(row, v0))])
+        for row in inv
+    ]
+    simplex = sum(1 << k for k in basis)
+    tights = [simplex & ~(1 << k) for k in basis]
+
+    in_basis = set(basis)
+    for i, q in enumerate(pts):
+        if i in in_basis:
+            continue
+        bit = 1 << i
+        slacks = [row[d] - sum(a * x for a, x in zip(row, q)) for row in rows]
+        new_rows, new_tights = [], []
+        violated = [r for r, s in enumerate(slacks) if s < 0]
+        for r_pos, s_pos in enumerate(slacks):
+            if s_pos <= 0:
+                continue
+            for r_neg in violated:
+                common = tights[r_pos] & tights[r_neg]
+                if common.bit_count() < d - 1:
+                    continue
+                if sum(1 for t in tights if t & common == common) > 2:
+                    continue  # another facet contains the common face
+                s_neg = slacks[r_neg]
+                new_rows.append(
+                    _primitive(
+                        [s_pos * x - s_neg * y for x, y in zip(rows[r_neg], rows[r_pos])]
+                    )
+                )
+                new_tights.append(common | bit)
+        keep = [r for r, s in enumerate(slacks) if s >= 0]
+        rows = [rows[r] for r in keep] + new_rows
+        tights = [tights[r] | bit if slacks[r] == 0 else tights[r] for r in keep]
+        tights += new_tights
+
+    return [_primitive(row[:d]) for row in rows]
 
 
 def facets(points) -> List[FacetInequality]:
     """All facets of conv(S), exactly, sorted by (normal, offset).
 
-    Hyperplanes are enumerated from affinely independent chart subsets, which
-    is exhaustive but exponential in the affine dimension; inputs beyond the
-    caps (64 points, affine dimension 8, 2e6 subset candidates) are refused.
+    The facets are enumerated in the affine-hull chart by the double
+    description method (_chart_facets), and each chart normal is lifted by
+    scattering it into the pivot coordinates.  Inputs beyond the caps (64
+    points, affine dimension 8, 2e6 d-subsets of points) are refused.
     """
     ps = _coerce(points)
     if len(ps.points) < 2:
@@ -176,45 +226,28 @@ def facets(points) -> List[FacetInequality]:
         )
     if comb(len(ps.points), d) > MAX_HYPERPLANE_COMBOS:
         raise ResourceLimitError(
-            "facet enumeration would scan more than "
-            f"{MAX_HYPERPLANE_COMBOS} candidate hyperplanes"
+            f"facet enumeration capped at {MAX_HYPERPLANE_COMBOS} d-subsets of "
+            f"the points, got C({len(ps.points)}, {d})"
         )
 
-    out: Dict[Tuple[Tuple[int, ...], Fraction], FacetInequality] = {}
-    for nhat in _chart_normals(chart_pts, d):
-        ambient = [Fraction(0)] * ps.dim
+    out = []
+    for nhat in _chart_facets(chart_pts, d):
+        ambient = [0] * ps.dim
         for coeff, j in zip(nhat, pivots):
-            ambient[j] = Fraction(coeff)
-        a = _primitive(ambient)
-        raw = [sum(c * x for c, x in zip(a, p)) for p in ps.points]
-        lo, hi = min(raw), max(raw)
-        for sign in (1, -1):
-            target = hi if sign == 1 else lo
-            tight = tuple(i for i, v in enumerate(raw) if v == target)
-            if not _spans_facet(chart_pts, tight, d):
-                continue
-            normal = a if sign == 1 else tuple(-v for v in a)
-            key = (normal, sign * target)
-            if key not in out:
-                out[key] = FacetInequality(
-                    normal=normal,
-                    offset=sign * target,
-                    values=tuple(sorted({sign * v for v in raw})),
-                    tight=tight,
-                )
-    return [out[k] for k in sorted(out)]
-
-
-def _spans_facet(chart_pts, tight: Tuple[int, ...], d: int) -> bool:
-    """True when the tight points have affine dimension d - 1."""
-    if len(tight) < d:
-        return False
-    base = chart_pts[tight[0]]
-    rows = [
-        [chart_pts[i][j] - base[j] for j in range(d)] for i in tight[1:]
-    ]
-    _, pivots = rational_rref(rows)
-    return len(pivots) == d - 1
+            ambient[j] = coeff
+        normal = tuple(ambient)
+        raw = [sum(c * x for c, x in zip(normal, p)) for p in ps.points]
+        offset = max(raw)
+        out.append(
+            FacetInequality(
+                normal=normal,
+                offset=offset,
+                values=tuple(sorted(set(raw))),
+                tight=tuple(i for i, v in enumerate(raw) if v == offset),
+            )
+        )
+    out.sort(key=lambda f: (f.normal, f.offset))
+    return out
 
 
 @dataclass
@@ -302,10 +335,16 @@ class FacetVertexReport:
         }
 
 
-def facet_vertex_report(points) -> FacetVertexReport:
-    """Count facets and vertices; two-level sets must stay within 2^d each."""
+def facet_vertex_report(
+    points, report: Optional[ExactnessReport] = None
+) -> FacetVertexReport:
+    """Count facets and vertices; two-level sets must stay within 2^d each.
+
+    A report that is_exact already made for the same points is reused.
+    """
     ps = _coerce(points)
-    report = is_exact(ps)
+    if report is None:
+        report = is_exact(ps)
     vcount = len(vertex_indices(ps, report.facets))
     bound = 2 ** report.affine_dim
     return FacetVertexReport(
@@ -324,23 +363,6 @@ def facet_vertex_report(points) -> FacetVertexReport:
 
 # --------------------------------------------------------------------------
 # classification of full-dimensional 0/1 point sets up to affine equivalence
-
-
-def _affine_rank(pts: Sequence[tuple]) -> int:
-    base = pts[0]
-    rows = [[Fraction(p[j]) - base[j] for j in range(len(base))] for p in pts[1:]]
-    return len(rational_rref(rows)[1])
-
-
-def _affine_basis(pts: Sequence[tuple], d: int) -> List[tuple]:
-    """Greedy affinely independent subset of size d + 1."""
-    basis = [pts[0]]
-    for p in pts[1:]:
-        if _affine_rank(basis + [p]) == len(basis):
-            basis.append(p)
-        if len(basis) == d + 1:
-            break
-    return basis
 
 
 def _affinely_equivalent(s_pts: List[tuple], t_pts: List[tuple], d: int) -> bool:
@@ -415,7 +437,7 @@ def _class_geometry(pts: Tuple[Tuple[int, ...], ...]):
     )
 
 
-def classify_01(d: int, jobs: int = 1) -> List[ZeroOneClass]:
+def classify_01(d: int) -> List[ZeroOneClass]:
     """Affine-equivalence classes of full-dimensional subsets of {0,1}^d.
 
     Subsets are first reduced modulo the symmetries of the cube (coordinate
@@ -425,8 +447,6 @@ def classify_01(d: int, jobs: int = 1) -> List[ZeroOneClass]:
     """
     if d < 1 or d > 3:
         raise InputError("classification is supported for dimensions 1..3")
-    if jobs < 1:
-        raise InputError("jobs must be >= 1")
     verts = list(itertools.product((0, 1), repeat=d))
     vindex = {v: i for i, v in enumerate(verts)}
     group = []
@@ -462,11 +482,7 @@ def classify_01(d: int, jobs: int = 1) -> List[ZeroOneClass]:
     rep_points = [
         tuple(verts[i] for i in range(len(verts)) if mask >> i & 1) for mask in reps
     ]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            geometry = pool.map(_class_geometry, rep_points)
-    else:
-        geometry = [_class_geometry(p) for p in rep_points]
+    geometry = [_class_geometry(p) for p in rep_points]
 
     buckets: Dict[tuple, List[int]] = {}
     for idx, (pts, geo) in enumerate(zip(rep_points, geometry)):

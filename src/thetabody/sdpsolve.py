@@ -18,8 +18,10 @@ sigma = (mu_aff/mu)^3, and the corrector reuses the affine second-order term.
 The F_i are kept as flat sparse (COO) entries, so <F_i, M> for all i and
 sum_i z_i F_i are one bincount each.  The Schur complement
 H_ij = <F_i, Z^-1 F_j X> is filled a column block at a time from Z^-1, formed
-once per iteration (Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997), and solved
-by factorization with escalating diagonal jitter.  Steps use a 0.98
+once per iteration (Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997).  H is
+factored once per iteration, by Cholesky with escalating diagonal jitter, and
+the factor serves the predictor and the corrector (least squares if no jitter
+helps).  Steps use a 0.98
 fraction-to-boundary rule with a shared primal/dual step length, backtracked
 geometrically so the complementarity gap never increases across accepted
 steps.  Everything is plain numpy; given identical inputs the iterate
@@ -91,29 +93,21 @@ class SdpSolution:
         }
 
 
-def _cholesky_jittered(matrix: np.ndarray):
-    """Cholesky factor, adding escalating diagonal jitter when needed."""
-    scale = max(abs(np.trace(matrix)) / matrix.shape[0], 1.0)
+def _psd_factor(matrix: np.ndarray, jitter_base: float) -> Optional[np.ndarray]:
+    """Cholesky factor of matrix + jitter*I, or None if 12 tries fail.
+
+    The jitter starts at 0, then jitter_base times the mean diagonal
+    magnitude (at least 1), and grows 100-fold per failed try.
+    """
+    n = matrix.shape[0]
+    scale = max(abs(np.trace(matrix)) / max(n, 1), 1.0)
     jitter = 0.0
     for _ in range(12):
         try:
-            return np.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0]))
+            return np.linalg.cholesky(matrix + jitter * np.eye(n))
         except np.linalg.LinAlgError:
-            jitter = 1e-14 * scale if jitter == 0.0 else jitter * 100.0
-    raise np.linalg.LinAlgError("matrix not factorizable even with jitter")
-
-
-def _solve_psd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    scale = max(abs(np.trace(matrix)) / max(matrix.shape[0], 1), 1.0)
-    jitter = 0.0
-    for _ in range(12):
-        try:
-            low = np.linalg.cholesky(matrix + jitter * np.eye(matrix.shape[0]))
-            half = np.linalg.solve(low, rhs)
-            return np.linalg.solve(low.T, half)
-        except np.linalg.LinAlgError:
-            jitter = 1e-13 * scale if jitter == 0.0 else jitter * 100.0
-    return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+            jitter = jitter_base * scale if jitter == 0.0 else jitter * 100.0
+    return None
 
 
 def _step_to_boundary(factor: np.ndarray, direction: np.ndarray) -> float:
@@ -323,13 +317,17 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         if it == opts.max_iter:
             break
 
-        factor = _cholesky_jittered(big_z)
+        factor = _psd_factor(big_z, 1e-14)
+        x_factor = _psd_factor(big_x, 1e-14)
+        if factor is None or x_factor is None:
+            raise np.linalg.LinAlgError("matrix not factorizable even with jitter")
         mu = max(gap, 1e-300) / m
 
         inv_factor = np.linalg.inv(factor)
         zinv = inv_factor.T @ inv_factor
         schur = _schur(f, zinv, big_x, block)
         schur = 0.5 * (schur + schur.T)
+        schur_factor = _psd_factor(schur, 1e-13)
         zinv_rx = zinv @ (residual_p @ big_x)
 
         def direction(c_target):
@@ -338,7 +336,10 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             else:
                 w = zinv @ c_target - big_x - zinv_rx
             rhs = f.pair(w) - residual_d
-            dz = _solve_psd(schur, rhs)
+            if schur_factor is None:
+                dz = np.linalg.lstsq(schur, rhs, rcond=None)[0]
+            else:
+                dz = np.linalg.solve(schur_factor.T, np.linalg.solve(schur_factor, rhs))
             moved = f.combine(dz)
             d_big_z = residual_p + moved
             # sum_j dz_j K_j = Z^-1 (sum_j dz_j F_j) X
@@ -348,7 +349,6 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
 
         # predictor
         dz_aff, dzm_aff, dxm_aff = direction(None)
-        x_factor = _cholesky_jittered(big_x)
         alpha_p = min(1.0, _step_to_boundary(factor, dzm_aff))
         alpha_d = min(1.0, _step_to_boundary(x_factor, dxm_aff))
         mu_aff = float(

@@ -173,3 +173,71 @@ def grid_max_on_disk(coeffs, steps=2001):
         val = coeffs[0] * math.cos(t) + coeffs[1] * math.sin(t)
         best = max(best, val)
     return best
+
+
+def facets_by_subset_scan(points):
+    """All facets of conv(points) by the exhaustive d-subset hyperplane scan.
+
+    Works in the same affine-hull chart as geomexact (pivot coordinates of
+    the row-reduced difference matrix): every affinely independent d-subset
+    of chart points spans a hyperplane; both supporting translates of each
+    hyperplane direction are kept when their tight points span a facet.
+    Exponential in d, so only for small inputs.
+    """
+    from thetabody.exactalg import PointSet, rational_rref
+    from thetabody.geomexact import FacetInequality
+
+    ps = points if isinstance(points, PointSet) else PointSet(len(points[0]), points)
+    origin = ps.points[0]
+    diffs = [[p[j] - origin[j] for j in range(ps.dim)] for p in ps.points[1:]]
+    _, pivots = rational_rref(diffs)
+    chart = [tuple(p[j] - origin[j] for j in pivots) for p in ps.points]
+    d = len(pivots)
+
+    def affine_rank(idx):
+        base = chart[idx[0]]
+        rows = [[chart[i][j] - base[j] for j in range(d)] for i in idx[1:]]
+        return len(rational_rref(rows)[1])
+
+    def primitive(vector):
+        den = math.lcm(*(Fraction(v).denominator for v in vector))
+        ints = [int(v * den) for v in vector]
+        g = math.gcd(*ints)
+        return tuple(v // g for v in ints)
+
+    directions = set()
+    for combo in itertools.combinations(range(len(chart)), d):
+        base = chart[combo[0]]
+        rows = [[chart[c][j] - base[j] for j in range(d)] for c in combo[1:]]
+        reduced, pivs = rational_rref(rows)
+        if len(reduced) != d - 1:
+            continue  # affinely dependent
+        free = next(j for j in range(d) if j not in pivs)
+        normal = [Fraction(0)] * d
+        normal[free] = Fraction(1)
+        for row, p in zip(reduced, pivs):
+            normal[p] = -row[free]
+        key = primitive(normal)
+        if key[next(i for i, v in enumerate(key) if v)] < 0:
+            key = tuple(-v for v in key)
+        directions.add(key)
+
+    out = {}
+    for nhat in directions:
+        ambient = [0] * ps.dim
+        for coeff, j in zip(nhat, pivots):
+            ambient[j] = coeff
+        raw = [sum(c * x for c, x in zip(ambient, p)) for p in ps.points]
+        for sign in (1, -1):
+            target = max(raw) if sign == 1 else min(raw)
+            tight = tuple(i for i, v in enumerate(raw) if v == target)
+            if len(tight) < d or affine_rank(tight) != d - 1:
+                continue
+            normal = tuple(sign * c for c in ambient)
+            out[(normal, sign * target)] = FacetInequality(
+                normal=normal,
+                offset=sign * target,
+                values=tuple(sorted({sign * v for v in raw})),
+                tight=tight,
+            )
+    return [out[k] for k in sorted(out)]

@@ -97,7 +97,7 @@ def test_criterion_05_two_level_certification():
 def test_criterion_06_zero_one_classification():
     for cls in classify_01(2):
         assert cls.exact, cls
-    classes = classify_01(3, jobs=2)
+    classes = classify_01(3)
     assert len(classes) == 8, f"expected 8 affine classes, got {len(classes)}"
     split = sorted((c.size, c.exact) for c in classes)
     assert split == [

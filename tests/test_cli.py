@@ -8,8 +8,9 @@ import math
 
 import pytest
 
-from thetabody import __version__
+from thetabody import __version__, geomexact
 from thetabody.cli import main
+from thetabody.exactalg import PointSet
 from thetabody.momentsdp import SdpProblem
 
 C5_DIMACS = "c five cycle\np edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
@@ -148,6 +149,17 @@ def test_exactness_quad4(files, capsys):
     assert len(report["result"]["failingFacet"]["values"]) == 3
 
 
+def test_exactness_computes_facets_once(files, capsys, monkeypatch):
+    points = PointSet.from_file(str(files["curve14"]))
+    expected = geomexact.facet_vertex_report(points).to_json()
+    real, calls = geomexact.facets, []
+    monkeypatch.setattr(geomexact, "facets", lambda pts: calls.append(pts) or real(pts))
+    code, report, _ = run(capsys, "exactness", "--points", files["curve14"])
+    assert code == 0
+    assert len(calls) == 1
+    assert report["result"]["counts"] == expected
+
+
 # ------------------------------------------------------------- classify01
 
 def test_classify01_dim2(capsys):
@@ -158,12 +170,12 @@ def test_classify01_dim2(capsys):
     assert "2 affine classes" in err
 
 
-def test_classify01_dim3_with_jobs(capsys):
-    code, report, _ = run(capsys, "classify01", "--dim", 3, "--jobs", 2)
+def test_classify01_dim3(capsys):
+    code, report, _ = run(capsys, "classify01", "--dim", 3)
     assert code == 0
     assert report["result"]["classCount"] == 8
     assert report["result"]["exactCount"] == 5
-    assert report["parameters"]["jobs"] == 2
+    assert report["parameters"] == {"dim": 3}
 
 
 def test_classify01_bad_dim(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from thetabody.errors import InputError, ResourceLimitError
+from thetabody import geomexact
 from thetabody.exactalg import PointSet, rational_rref
 from thetabody.geomexact import (
     DownClosedReport,
@@ -86,6 +89,95 @@ def test_facets_are_valid_and_supporting():
             assert max(vals) == f.offset
             assert tuple(sorted(set(vals))) == f.values
             assert all(vals[i] == f.offset for i in f.tight)
+
+
+def random_rationals(rng, count, dim, spread=5, den=4):
+    pts = set()
+    while len(pts) < count:
+        pts.add(
+            tuple(Fraction(rng.randint(-spread, spread), rng.randint(1, den)) for _ in range(dim))
+        )
+    return sorted(pts)
+
+
+def cyclic_points(d, n):
+    """n points on the moment curve t -> (t, t^2, ..., t^d)."""
+    return [tuple(t**k for k in range(1, d + 1)) for t in range(n)]
+
+
+def test_facets_match_subset_scan_on_cube_subsets():
+    rng = random.Random(7)
+    for d, sizes in [(2, range(2, 5)), (3, range(3, 9)), (4, range(5, 13)), (5, range(6, 12))]:
+        cube_pts = list(itertools.product((0, 1), repeat=d))
+        for size in sizes:
+            pts = rng.sample(cube_pts, size)
+            assert facets(pts) == oracles.facets_by_subset_scan(pts), pts
+
+
+def test_facets_match_subset_scan_on_rational_sets():
+    rng = random.Random(11)
+    for d, counts in [(2, (3, 6, 10)), (3, (4, 7, 11)), (4, (5, 8, 10))]:
+        for count in counts:
+            pts = random_rationals(rng, count, d)
+            assert facets(pts) == oracles.facets_by_subset_scan(pts), pts
+
+
+def test_facets_match_subset_scan_on_embedded_sets():
+    # affine dimension below the ambient dimension, rational embeddings
+    rng = random.Random(13)
+    for ambient, d in [(3, 1), (3, 2), (4, 2), (4, 3), (5, 3)]:
+        base = random_rationals(rng, d + 1, ambient, spread=3, den=3)
+        while affine_dimension(base) < d:
+            base = random_rationals(rng, d + 1, ambient, spread=3, den=3)
+        pts = set()
+        for lam in random_rationals(rng, d + 5, d, spread=3, den=3):
+            pts.add(
+                tuple(
+                    base[0][j] + sum(l * (b[j] - base[0][j]) for l, b in zip(lam, base[1:]))
+                    for j in range(ambient)
+                )
+            )
+        pts = sorted(pts)
+        assert affine_dimension(pts) == d
+        assert facets(pts) == oracles.facets_by_subset_scan(pts), pts
+
+
+def test_facets_match_subset_scan_on_lines_with_interior_points():
+    rng = random.Random(17)
+    for count in (2, 3, 5, 8):
+        pts = random_rationals(rng, count, 1, spread=9, den=3)
+        rng.shuffle(pts)
+        fs = facets(pts)
+        assert fs == oracles.facets_by_subset_scan(pts), pts
+        assert len(fs) == 2
+    line = [(t, 2 * t, -t) for t in (3, -1, 0, 5, 2)]  # a line in R^3
+    assert facets(line) == oracles.facets_by_subset_scan(line)
+
+
+def test_facets_match_subset_scan_on_cyclic_polytopes():
+    for d, n in [(4, 8), (5, 9), (6, 10)]:
+        pts = cyclic_points(d, n)
+        assert facets(pts) == oracles.facets_by_subset_scan(pts), (d, n)
+
+
+def test_facet_counts_of_cube5_and_cross5():
+    assert len(facets(corpus.cube(5))) == 10
+    assert len(facets(corpus.cross_polytope(5))) == 32
+
+
+def test_facets_of_a_shuffled_input():
+    rng = random.Random(19)
+    for pts in [list(corpus.cube(4).points), random_rationals(rng, 10, 3), cyclic_points(4, 9)]:
+        perm = list(range(len(pts)))
+        rng.shuffle(perm)
+        shuffled = facets([pts[k] for k in perm])
+        expected = facets(pts)
+        assert [(f.normal, f.offset, f.values) for f in shuffled] == [
+            (f.normal, f.offset, f.values) for f in expected
+        ]
+        assert [tuple(sorted(perm[k] for k in f.tight)) for f in shuffled] == [
+            f.tight for f in expected
+        ]
 
 
 def test_degenerate_chart_octahedron():
@@ -224,10 +316,11 @@ def test_classify_01_dimension_three_frozen():
     assert all(c.rank_bound == 2 for c in classes if not c.exact)
 
 
-def test_classify_01_parallel_matches_serial():
-    serial = [c.to_json() for c in classify_01(3, jobs=1)]
-    parallel = [c.to_json() for c in classify_01(3, jobs=2)]
-    assert serial == parallel
+def test_classify_01_matches_subset_scan_facets(monkeypatch):
+    classes = [c.to_json() for c in classify_01(3)]
+    monkeypatch.setattr(geomexact, "facets", oracles.facets_by_subset_scan)
+    assert classes == [c.to_json() for c in classify_01(3)]
+    assert len(classes) == 8
 
 
 # ---------------------------------------------------------------- down-closed
