@@ -359,6 +359,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         # corrector
         c_target = sigma * mu * np.eye(m) - dzm_aff @ dxm_aff
         dz, d_big_z, d_big_x = direction(c_target)
+        # free H and its factor now rather than while the next H is formed
+        del schur, schur_factor
 
         # primal improving ray: a direction whose matrix movement is PSD while
         # the objective gains proves unboundedness outright once any feasible

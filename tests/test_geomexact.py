@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
-from thetabody.errors import InputError, ResourceLimitError
 from thetabody import geomexact
+from thetabody.errors import InputError, ResourceLimitError
 from thetabody.exactalg import PointSet, rational_rref
 from thetabody.geomexact import (
     DownClosedReport,
