@@ -19,7 +19,7 @@ Exit codes: 0 success (for solver-backed commands: a conclusive answer),
 2 invalid input, 3 a resource cap was hit, 4 the solver failed to converge.
 
 Defaults for tolerances and caps may be set via environment variables
-(THETA_FEAS_TOL, THETA_GAP_TOL, THETA_MAX_ITER, THETA_CAP, THETA_KMAX);
+(THETA_FEAS_TOL, THETA_GAP_TOL, THETA_MAX_ITER, THETA_CAP);
 explicit flags win over the environment.
 """
 
@@ -268,17 +268,13 @@ def _cmd_th1(args) -> int:
 def _cmd_moment_dump(args) -> int:
     started = time.monotonic()
     points = PointSet.from_file(args.points)
-    kmax = args.kmax if args.kmax is not None else _env("KMAX", int, args.level)
-    if kmax < args.level:
-        raise InputError("kmax must be at least the requested level")
-    ring = buchberger_moller(points, k_max=kmax)
+    ring = buchberger_moller(points)
     template = build_moment_template(ring, args.level)
     report = _report_skeleton(
         "moment-dump",
         {"points": _digest(args.points)},
         {
             "level": args.level,
-            "kmax": kmax,
             "pointCount": len(points.points),
             "ambientDim": points.dim,
         },
@@ -389,9 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dump.add_argument("--points", required=True, help="point-set JSON file")
     dump.add_argument("--level", type=int, default=1, help="template level k >= 1")
-    dump.add_argument(
-        "--kmax", type=int, default=None, help="ring truncation degree (>= level)"
-    )
     dump.set_defaults(run=_cmd_moment_dump)
 
     raw = subs.add_parser("solve", help="solve a raw SDP problem from JSON")

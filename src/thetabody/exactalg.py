@@ -263,6 +263,19 @@ class PointSet:
         return PointSet(obj["dim"], obj["points"])
 
     @staticmethod
+    def coerce(points) -> "PointSet":
+        """A PointSet from a PointSet, its JSON dict, or a sequence of rows
+        (the dimension is the length of the first row)."""
+        if isinstance(points, PointSet):
+            return points
+        if isinstance(points, dict):
+            return PointSet.from_json(points)
+        rows = [tuple(row) for row in points]
+        if not rows:
+            raise InputError("point set must be non-empty")
+        return PointSet(len(rows[0]), rows)
+
+    @staticmethod
     def from_file(path: str) -> "PointSet":
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -306,22 +319,34 @@ def rational_rref(rows) -> Tuple[List[List[Fraction]], List[int]]:
     return work[:rank], pivots
 
 
+def nullspace(rows, width: int) -> List[List[Fraction]]:
+    """Basis of {v in Q^width : row . v = 0 for every row}.
+
+    One vector per free column f of the RREF: 1 at f, minus the reduced rows'
+    entries in column f at their pivots, 0 elsewhere.  With no rows every
+    column is free.
+    """
+    reduced, pivots = rational_rref(rows)
+    out = []
+    for f in [j for j in range(width) if j not in pivots]:
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        out.append(vec)
+    return out
+
+
 def _invert_rational_matrix(matrix: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Exact Gauss-Jordan inverse of a square Fraction matrix."""
+    """Exact inverse of a square rational matrix: the RREF of [A | I] is
+    [I | A^-1] exactly when its pivots are the first n columns."""
     n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise InputError("evaluation matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    reduced, pivots = rational_rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    )
+    if pivots != list(range(n)):
+        raise InputError("evaluation matrix is singular")
+    return [row[n:] for row in reduced]
 
 
 class QuotientRing:
@@ -334,29 +359,19 @@ class QuotientRing:
       degrees      degree of each basis element
       eval_matrix  |S| x |B| Fractions, entry (s, l) = basis[l](points[s])
       leading      the minimal monomials outside the standard set
-      k_max        largest moment level the cached multiplication table will
-                   serve (products of basis elements of degree <= k_max)
     """
 
-    def __init__(
-        self,
-        points: PointSet,
-        basis: List[Monomial],
-        leading: List[Monomial],
-        k_max: int = 3,
-    ):
+    def __init__(self, points: PointSet, basis: List[Monomial], leading: List[Monomial]):
         self.points = points
         self.basis = list(basis)
         self.degrees = [m.degree for m in self.basis]
         self.leading = list(leading)
-        self.k_max = int(k_max)
         self.eval_matrix: List[List[Fraction]] = [
             [m.evaluate(p) for m in self.basis] for p in points
         ]
         self._eval_inverse = _invert_rational_matrix(self.eval_matrix)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._mul_table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        self._mul_level = -1
 
     # -- basic views ---------------------------------------------------
 
@@ -422,7 +437,7 @@ class QuotientRing:
         return self._interpolate(values)
 
     def product_normal_form(self, i: int, j: int) -> Dict[int, Fraction]:
-        """NF(basis[i] * basis[j]) as a sparse vector, from cached table."""
+        """NF(basis[i] * basis[j]) as a sparse vector, cached per pair."""
         key = (i, j) if i <= j else (j, i)
         cached = self._mul_table.get(key)
         if cached is None:
@@ -434,28 +449,8 @@ class QuotientRing:
             self._mul_table[key] = cached
         return cached
 
-    def ensure_products(self, k: int) -> None:
-        """Fill the multiplication-table cache for all pairs of basis elements
-        of degree <= k.  Raises when k exceeds the configured k_max."""
-        if k > self.k_max:
-            raise InputError(
-                f"moment level {k} exceeds k_max={self.k_max}; "
-                "rebuild the ring with a larger k_max"
-            )
-        if k <= self._mul_level:
-            return
-        rows = self.indices_up_to_degree(k)
-        for a, i in enumerate(rows):
-            for j in rows[a:]:
-                self.product_normal_form(i, j)
-        self._mul_level = k
 
-    @property
-    def mul_table(self) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
-        return self._mul_table
-
-
-def buchberger_moller(points: PointSet, k_max: int = 3) -> QuotientRing:
+def buchberger_moller(points: PointSet) -> QuotientRing:
     """Standard-monomial basis of I(S) under degrevlex, as a QuotientRing.
 
     Candidates are visited in ascending degrevlex order; a candidate whose
@@ -463,10 +458,7 @@ def buchberger_moller(points: PointSet, k_max: int = 3) -> QuotientRing:
     otherwise it is a minimal leading term and all its multiples are pruned.
     Terminates with exactly |S| basis elements.
     """
-    if not isinstance(points, PointSet):
-        points = PointSet.from_json(points) if isinstance(points, dict) else PointSet(
-            len(points[0]), points
-        )
+    points = PointSet.coerce(points)
     n = points.dim
     size = len(points)
 
@@ -510,7 +502,7 @@ def buchberger_moller(points: PointSet, k_max: int = 3) -> QuotientRing:
     basis.sort(key=display_key)
     leading.sort(key=grevlex_key)
 
-    ring = QuotientRing(points, basis, leading, k_max=k_max)
+    ring = QuotientRing(points, basis, leading)
 
     # Order-ideal sanity check: every divisor of a standard monomial is standard.
     for m in basis:

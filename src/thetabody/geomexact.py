@@ -43,15 +43,6 @@ MAX_AFFINE_DIM = 8
 MAX_HYPERPLANE_COMBOS = 2_000_000
 
 
-def _coerce(points) -> PointSet:
-    if isinstance(points, PointSet):
-        return points
-    rows = [tuple(row) for row in points]
-    if not rows:
-        raise InputError("point set must be non-empty")
-    return PointSet(len(rows[0]), rows)
-
-
 @dataclass(frozen=True)
 class FacetInequality:
     """One facet of conv(S), written normal . x <= offset with S on the <= side.
@@ -107,7 +98,7 @@ def _chart(ps: PointSet):
 
 def affine_dimension(points) -> int:
     """Dimension of the affine hull of the point set."""
-    ps = _coerce(points)
+    ps = PointSet.coerce(points)
     return len(_chart(ps)[1])
 
 
@@ -211,7 +202,7 @@ def facets(points) -> List[FacetInequality]:
     scattering it into the pivot coordinates.  Inputs beyond the caps (64
     points, affine dimension 8, 2e6 d-subsets of points) are refused.
     """
-    ps = _coerce(points)
+    ps = PointSet.coerce(points)
     if len(ps.points) < 2:
         raise InputError("facet enumeration needs at least two distinct points")
     if len(ps.points) > MAX_POINTS:
@@ -278,7 +269,7 @@ def is_exact(points) -> ExactnessReport:
     on the set; the report carries a violating facet otherwise, and in all
     cases max(levels - 1) over the facets as a bound on the closing level.
     """
-    ps = _coerce(points)
+    ps = PointSet.coerce(points)
     facet_list = facets(ps)
     failing = next((f for f in facet_list if f.level_count > 2), None)
     return ExactnessReport(
@@ -298,17 +289,24 @@ def theta_rank_upper_bound(points) -> int:
 def vertex_indices(points, facet_list: Optional[List[FacetInequality]] = None) -> List[int]:
     """Indices of the points that are vertices of the hull.
 
-    A point is a vertex exactly when the normals of the facets tight at it
-    span the affine hull's direction space.
+    The facets tight at a point cut out the smallest face containing it, and
+    a face of dimension >= 1 contains at least two points of the set.  So a
+    point is a vertex exactly when some facet is tight at it and no other
+    point is tight on every facet tight at it; this is decided on the
+    facets' tight sets alone, as bitmasks.
     """
-    ps = _coerce(points)
+    ps = PointSet.coerce(points)
     if facet_list is None:
         facet_list = facets(ps)
-    d = affine_dimension(ps)
+    masks = [sum(1 << i for i in f.tight) for f in facet_list]
     out = []
     for i in range(len(ps.points)):
-        rows = [list(map(Fraction, f.normal)) for f in facet_list if i in f.tight]
-        if rows and len(rational_rref(rows)[1]) == d:
+        bit = 1 << i
+        face = -1  # all points: the empty intersection
+        for mask in masks:
+            if mask & bit:
+                face &= mask
+        if face == bit:
             out.append(i)
     return out
 
@@ -342,7 +340,7 @@ def facet_vertex_report(
 
     A report that is_exact already made for the same points is reused.
     """
-    ps = _coerce(points)
+    ps = PointSet.coerce(points)
     if report is None:
         report = is_exact(ps)
     vcount = len(vertex_indices(ps, report.facets))
@@ -573,7 +571,7 @@ class DownClosedReport:
 
 def down_closed_analysis(points) -> DownClosedReport:
     """Analyze a 0/1 point set as a down-closed set family."""
-    ps = _coerce(points)
+    ps = PointSet.coerce(points)
     n = ps.dim
     for p in ps.points:
         if any(c not in (0, 1) for c in p):

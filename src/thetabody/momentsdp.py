@@ -100,11 +100,9 @@ def build_moment_template(ring: QuotientRing, k: int) -> MomentTemplate:
 
     Rows are the basis elements of degree <= k; y-coordinates are the basis
     elements of degree <= 2k (all of them when 2k exceeds the top degree).
-    Raises when k exceeds the ring's configured k_max.
     """
     if k < 1:
         raise InputError("moment level must be >= 1")
-    ring.ensure_products(k)
 
     row_basis = ring.indices_up_to_degree(k)
     y_basis = ring.indices_up_to_degree(2 * k)

@@ -30,6 +30,7 @@ from .exactalg import (
     PointSet,
     display_key,
     format_rational,
+    nullspace,
     parse_polynomial,
     parse_rational,
     rational_rref,
@@ -227,19 +228,10 @@ def quadric_space_from_points(points) -> QuadricSpace:
     Computed as the nullspace of the evaluation matrix of the degree-<=2
     monomials on the set, entirely in rational arithmetic.
     """
-    ps = points if isinstance(points, PointSet) else PointSet(len(points[0]), points)
+    ps = PointSet.coerce(points)
     monos = _deg2_monomials(ps.dim)
     rows = [[m.evaluate(p) for m in monos] for p in ps.points]
-    reduced, pivots = rational_rref(rows)
-    free = [j for j in range(len(monos)) if j not in pivots]
-    vectors = []
-    for f in free:
-        vec = [Fraction(0)] * len(monos)
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        vectors.append(vec)
-    return _space_from_vectors(vectors, ps.dim)
+    return _space_from_vectors(nullspace(rows, len(monos)), ps.dim)
 
 
 def quadric_space_from_generators(dim: int, generators) -> QuadricSpace:
@@ -305,24 +297,9 @@ def _is_psd_exact(a: Sequence[Sequence[Fraction]]) -> bool:
 
 def _linear_kernel(space: QuadricSpace) -> List[Quadric]:
     """Basis of the affine-linear members (quadratic part zero) of the space."""
-    k = space.dimension
-    if k == 0:
-        return []
     n = space.ambient_dim
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            rows.append([q.a[i][j] for q in space.basis])
-    reduced, pivots = rational_rref(rows)
-    free = [c for c in range(k) if c not in pivots]
-    kernel = []
-    for f in free:
-        coeffs = [Fraction(0)] * k
-        coeffs[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            coeffs[p] = -row[f]
-        kernel.append(space.member(coeffs))
-    return kernel
+    rows = [[q.a[i][j] for q in space.basis] for i in range(n) for j in range(i, n)]
+    return [space.member(c) for c in nullspace(rows, space.dimension)]
 
 
 def _trace_split(space: QuadricSpace) -> Optional[Tuple[Quadric, List[Quadric]]]:

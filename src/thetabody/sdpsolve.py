@@ -21,7 +21,8 @@ H_ij = <F_i, Z^-1 F_j X> is filled a column block at a time from Z^-1, formed
 once per iteration (Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997).  H is
 factored once per iteration, by Cholesky with escalating diagonal jitter, and
 the factor serves the predictor and the corrector (least squares if no jitter
-helps).  Steps use a 0.98
+helps).  A problem whose dense arrays would pass _MEMORY_LIMIT_BYTES is
+refused before any is allocated.  Steps use a 0.98
 fraction-to-boundary rule with a shared primal/dual step length, backtracked
 geometrically so the complementarity gap never increases across accepted
 steps.  Everything is plain numpy; given identical inputs the iterate
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .momentsdp import SdpProblem
 
 OPTIMAL = "Optimal"
@@ -144,6 +145,21 @@ def _centering_weight(mu_aff: float, mu: float) -> float:
 _SCHUR_BLOCK_BYTES = 120 * 1024
 
 
+# Byte budget of the dense float arrays one solve keeps alive at once,
+# checked before any of them is allocated.  Past it a dense interior-point
+# iteration takes minutes and one solve could exhaust a shared machine's
+# memory; the largest problem the tests and benchmark solve, cut K5 level 2
+# (side 56, 305 free coordinates), needs about 3.6 MB by the count below.
+_MEMORY_LIMIT_BYTES = 2 * 1024**3
+# m x m arrays alive at the peak of an iteration: F_0, Z, X, A(z), the primal
+# residual, the two Cholesky factors, the inverse factor, Z^-1, Z^-1 R X, the
+# predictor's two directions, the corrector target and its own w, sum z_i F_i,
+# dZ and dX, plus temporaries of the Schur block and the step-length search.
+_MXM_ARRAYS = 24
+# d x d arrays: H, its symmetrized copy, the jittered copy and its factor.
+_DXD_ARRAYS = 4
+
+
 class _SparseF:
     """The matrices F_0..F_{d-1} of the free coordinates as flat COO entries.
 
@@ -227,9 +243,16 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     """Solve an SdpProblem; see the module docstring for the algorithm."""
     opts = options or SolverOptions()
     m = problem.side
+    d = problem.y_dim - len(problem.fixed)
+    need = 8 * (_MXM_ARRAYS * m * m + _DXD_ARRAYS * d * d)
+    if need > _MEMORY_LIMIT_BYTES:
+        raise ResourceLimitError(
+            f"SDP of side {m} with {d} free coordinates needs about "
+            f"{need / 1024**3:.1f} GiB of dense arrays, over the "
+            f"{_MEMORY_LIMIT_BYTES / 1024**3:.0f} GiB limit"
+        )
 
     free = sorted(l for l in range(problem.y_dim) if l not in problem.fixed)
-    d = len(free)
 
     f_zero, f = _split_data(problem, free)
     c_vec = np.array([problem.objective.get(l, 0.0) for l in free])

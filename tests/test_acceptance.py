@@ -141,7 +141,7 @@ def test_criterion_08_quadric_certificates():
 
 
 def test_criterion_09_fourteen_point_curve_template():
-    ring = buchberger_moller(corpus.curve14(), k_max=2)
+    ring = buchberger_moller(corpus.curve14())
     expected_basis = ["1", "x1", "x2", "x1^2", "x1*x2", "x2^2"]
     got = [str(ring.basis[i]) for i in range(6)]
     assert got == expected_basis, (
@@ -175,7 +175,7 @@ def test_criterion_10_property_suites():
     sets = [corpus.segment01(), corpus.quad4(), corpus.tri3(), corpus.cube(2),
             corpus.curve14()]
     for ps in sets:
-        ring = buchberger_moller(ps, k_max=2)
+        ring = buchberger_moller(ps)
         for k in (1, 2):
             template = build_moment_template(ring, k)
             for s in range(len(ps)):
@@ -219,7 +219,7 @@ def test_criterion_10_property_suites():
     # (d) normal forms are exact: p - NF(p) vanishes on the variety
     from thetabody.exactalg import Monomial
     for ps in sets:
-        ring = buchberger_moller(ps, k_max=2)
+        ring = buchberger_moller(ps)
         x1 = Monomial.variable(1, ps.dim)
         probes = [
             {x1 * x1: Fraction(3, 2)},

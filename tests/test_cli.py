@@ -268,12 +268,6 @@ def test_moment_dump_curve(files, capsys):
     assert code == 0
     assert len(report["result"]["rows"]) == 6
     assert len(report["result"]["y"]) == 12
-    assert report["parameters"]["kmax"] == 2
-    code, report, _ = run(
-        capsys,
-        "moment-dump", "--points", files["segment"], "--level", 2, "--kmax", 1,
-    )
-    assert code == 2
 
 
 # ------------------------------------------------------------------ solve
@@ -332,6 +326,21 @@ def test_solve_non_finite_data_exits_2(capsys, tmp_path):
         path.write_text(json.dumps(problem))
         code, report, err = run(capsys, "solve", "--sdp", path)
         assert code == 2 and report is None and "error" in err
+
+
+def test_solve_memory_estimate_exits_3(capsys, tmp_path):
+    for side, y_dim in ((10**6, 2), (2, 10**6)):
+        problem = {
+            "side": side, "yDim": y_dim, "objective": {"1": 1}, "fixed": {"0": 1},
+            "cells": [
+                {"row": 0, "col": 0, "coeffs": {"0": 1}},
+                {"row": 1, "col": 1, "coeffs": {"1": 1}},
+            ],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(problem))
+        code, report, err = run(capsys, "solve", "--sdp", path)
+        assert code == 3 and report is None and "resource limit" in err
 
 
 # ------------------------------------------------- exit codes & plumbing

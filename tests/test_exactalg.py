@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,14 +16,18 @@ from thetabody.exactalg import (
     Monomial,
     PointSet,
     QuotientRing,
+    _invert_rational_matrix,
     buchberger_moller,
     display_key,
     format_rational,
     grevlex_key,
+    nullspace,
     parse_monomial,
     parse_polynomial,
     parse_rational,
 )
+from thetabody.geomexact import facets
+from thetabody.quadrics import quadric_space_from_points
 
 
 def mono(*exps):
@@ -141,7 +146,7 @@ def test_stable_set_ring_basis_is_stable_set_monomials():
 
 
 def test_curve14_low_degree_basis():
-    ring = buchberger_moller(corpus.curve14(), k_max=2)
+    ring = buchberger_moller(corpus.curve14())
     b2 = [str(ring.basis[i]) for i in ring.indices_up_to_degree(2)]
     assert b2 == ["1", "x1", "x2", "x1^2", "x1*x2", "x2^2"]
     b4 = [str(ring.basis[i]) for i in ring.indices_up_to_degree(4)]
@@ -231,8 +236,7 @@ def test_property_normal_form_idempotent(ps):
 
 def test_mul_table_matches_explicit_normal_form():
     for ps in [corpus.quad4(), corpus.curve14(), corpus.tri3()]:
-        ring = buchberger_moller(ps, k_max=2)
-        ring.ensure_products(2)
+        ring = buchberger_moller(ps)
         rows = ring.indices_up_to_degree(2)
         for i in rows:
             for j in rows:
@@ -245,13 +249,12 @@ def test_mul_table_matches_explicit_normal_form():
 
 
 def test_mul_table_respects_degree_bound():
-    ring = buchberger_moller(corpus.curve14(), k_max=2)
-    ring.ensure_products(2)
-    for (i, j), vec in ring.mul_table.items():
-        bound = ring.degrees[i] + ring.degrees[j]
-        assert all(ring.degrees[l] <= bound for l in vec)
-    with pytest.raises(InputError):
-        ring.ensure_products(3)
+    ring = buchberger_moller(corpus.curve14())
+    rows = ring.indices_up_to_degree(2)
+    for i in rows:
+        for j in rows:
+            bound = ring.degrees[i] + ring.degrees[j]
+            assert all(ring.degrees[l] <= bound for l in ring.product_normal_form(i, j))
 
 
 def test_evaluate_basis_matches_matrix_rows():
@@ -293,3 +296,65 @@ def test_parse_polynomial_rejects_garbage():
     for bad in ("", "x1 +", "x1 ** 2", "x3", "3x1", "x1^", "* x1"):
         with pytest.raises(InputError):
             parse_polynomial(bad, 2)
+
+
+# ------------------------------------------------------ exact linear algebra
+
+
+def _random_rational_matrix(rng, rows, cols):
+    return [
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def test_nullspace_matches_sympy():
+    import sympy
+
+    rng = random.Random(7)
+    cases = [_random_rational_matrix(rng, r, c) for r, c in [(1, 4), (2, 5), (3, 6), (4, 4)]]
+    dependent = _random_rational_matrix(rng, 2, 6)
+    dependent.append([a + 2 * b for a, b in zip(*dependent)])
+    cases.append(dependent)
+    cases.append([[Fraction(0)] * 4 for _ in range(3)])  # all-zero rows
+    cases.append([[1, 0, 0], [0, 2, 0], [0, 0, 3], [1, 1, 1]])  # full column rank
+    for rows in cases:
+        width = len(rows[0])
+        basis = nullspace(rows, width)
+        for vec in basis:
+            assert len(vec) == width
+            assert all(sum(Fraction(a) * x for a, x in zip(row, vec)) == 0 for row in rows)
+        expected = sympy.Matrix(rows).nullspace()
+        assert len(basis) == len(expected)
+        if basis:
+            ours = [[sympy.Rational(x.numerator, x.denominator) for x in v] for v in basis]
+            theirs = [list(v) for v in expected]
+            assert sympy.Matrix(ours).rank() == len(basis)
+            assert sympy.Matrix(ours + theirs).rank() == len(basis)
+    assert nullspace([], 3) == [
+        [Fraction(int(i == j)) for j in range(3)] for i in range(3)
+    ]
+
+
+def test_invert_rational_matrix():
+    rng = random.Random(11)
+    a = _random_rational_matrix(rng, 5, 5)
+    inv = _invert_rational_matrix(a)
+    product = [[sum(inv[i][k] * a[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
+    assert product == [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
+    singular = a[:4] + [[x - 3 * y for x, y in zip(a[0], a[2])]]
+    with pytest.raises(InputError):
+        _invert_rational_matrix(singular)
+
+
+def test_point_set_coerce_forms():
+    ps = PointSet(2, [(0, 0), (1, 0), (0, 1)])
+    assert PointSet.coerce(ps) is ps
+    assert PointSet.coerce(ps.to_json()) == ps
+    assert PointSet.coerce([[0, 0], [1, 0], [0, 1]]) == ps
+
+
+@pytest.mark.parametrize("entry", [buchberger_moller, quadric_space_from_points, facets])
+def test_empty_point_list_is_input_error(entry):
+    with pytest.raises(InputError):
+        entry([])

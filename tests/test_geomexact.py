@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,7 +67,21 @@ def test_quad4_facets_and_three_levels():
     assert report.failing is not None
 
 
+def _hull_coords(ps: PointSet):
+    """Float coordinates of the set on coordinates that are independent on
+    its affine hull, so that qhull sees a full-dimensional set."""
+    pts = np.array([[float(c) for c in p] for p in ps.points])
+    diffs = pts - pts[0]
+    keep = []
+    for j in range(ps.dim):
+        if np.linalg.matrix_rank(diffs[:, keep + [j]]) > len(keep):
+            keep.append(j)
+    return pts[:, keep].tolist()
+
+
 def test_facet_counts_match_float_hull_oracle():
+    half = Fraction(1, 2)
+    cube3 = list(corpus.cube(3).points)
     for ps in [
         corpus.quad4(),
         corpus.tri3(),
@@ -76,8 +91,25 @@ def test_facet_counts_match_float_hull_oracle():
         corpus.cross_polytope(4),
         corpus.simplex(4),
         PointSet(2, [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2)]),
+        # an interior point
+        PointSet(3, cube3 + [(half, half, half)]),
+        # points inside a 2-face and on an edge
+        PointSet(3, cube3 + [(half, half, 0), (0, half, half), (1, half, 0)]),
+        # the origin and a point inside a triangular facet
+        PointSet(
+            3,
+            list(corpus.cross_polytope(3).points)
+            + [(0, 0, 0), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))],
+        ),
+        # a 3x3 grid on the plane x3 = x1 + x2: 4 vertices, 5 other points
+        PointSet(3, [(x, y, x + y) for x in range(3) for y in range(3)]),
+        # the 3-cube and its centre on the hyperplane x4 = x1 - x2 + 1
+        PointSet(
+            4,
+            [(a, b, c, a - b + 1) for a, b, c in cube3 + [(half, half, half)]],
+        ),
     ]:
-        coords = [[float(c) for c in p] for p in ps.points]
+        coords = _hull_coords(ps)
         assert len(facets(ps)) == oracles.hull_facet_count(coords)
         assert len(vertex_indices(ps)) == oracles.hull_vertex_count(coords)
 
@@ -396,7 +428,7 @@ def level_one_max(points: PointSet, objective_vector):
     from thetabody.momentsdp import build_moment_template, build_theta_sdp
     from thetabody.sdpsolve import solve
 
-    ring = buchberger_moller(points, k_max=1)
+    ring = buchberger_moller(points)
     template = build_moment_template(ring, 1)
     objective = {
         Monomial.variable(i + 1, points.dim): c

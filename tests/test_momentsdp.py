@@ -35,7 +35,7 @@ def test_segment_level_one_template():
 
 
 def test_equal_products_share_storage():
-    ring = buchberger_moller(corpus.curve14(), k_max=2)
+    ring = buchberger_moller(corpus.curve14())
     t = build_moment_template(ring, 2)
     # rows 1..5 are x1, x2, x1^2, x1*x2, x2^2; x1 * (x1*x2) and x2 * x1^2
     # are both x1^2*x2, so the two cells must be one shared object
@@ -80,7 +80,7 @@ CURVE14_PATTERN = [
 
 
 def test_curve14_level_two_pattern():
-    ring = buchberger_moller(corpus.curve14(), k_max=2)
+    ring = buchberger_moller(corpus.curve14())
     t = build_moment_template(ring, 2)
     assert t.row_labels == CURVE14_PATTERN[0]
     assert t.y_labels[:12] == [
@@ -98,7 +98,7 @@ def test_curve14_level_two_pattern():
 
 def test_rank_one_moment_matrices_exact():
     for ps in [corpus.segment01(), corpus.quad4(), corpus.curve14()]:
-        ring = buchberger_moller(ps, k_max=2)
+        ring = buchberger_moller(ps)
         for k in (1, 2):
             t = build_moment_template(ring, k)
             for s in range(len(ps)):
@@ -122,15 +122,13 @@ def test_assemble_float_path():
 
 
 def test_level_validation():
-    ring = buchberger_moller(corpus.quad4(), k_max=1)
-    with pytest.raises(InputError):
-        build_moment_template(ring, 2)
+    ring = buchberger_moller(corpus.quad4())
     with pytest.raises(InputError):
         build_moment_template(ring, 0)
 
 
 def test_truncation_saturates_at_full_basis():
-    ring = buchberger_moller(corpus.quad4(), k_max=3)
+    ring = buchberger_moller(corpus.quad4())
     t = build_moment_template(ring, 3)  # 2k = 6 exceeds the top degree 2
     assert t.y_dim == len(ring)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import corpus
 import oracles
 from thetabody.combopt import Graph, enumerate_stable_sets, moment_template
-from thetabody.errors import InputError
+from thetabody.errors import InputError, ResourceLimitError
 from thetabody.exactalg import Monomial, PointSet, buchberger_moller
 from thetabody.momentsdp import SdpProblem, build_moment_template, build_theta_sdp
 from thetabody.sdpsolve import (
@@ -246,3 +247,18 @@ def test_non_finite_data_is_rejected():
     huge = problem_from(3, 3, {**arrow.cells, (0, 2): {2: 1e308}}, arrow.objective)
     with pytest.raises(InputError):
         solve(huge)
+
+
+@pytest.mark.parametrize("side, y_dim", [(10**6, 2), (2, 10**6)])
+def test_memory_estimate_refuses_before_allocating(side, y_dim):
+    problem = problem_from(
+        side, y_dim, {(0, 0): {0: 1.0}, (1, 1): {1: 1.0}}, {1: 1.0}
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
