@@ -272,9 +272,13 @@ def is_exact(points) -> ExactnessReport:
     ps = PointSet.coerce(points)
     facet_list = facets(ps)
     failing = next((f for f in facet_list if f.level_count > 2), None)
+    # facets() scatters the chart normals into the chart's pivot coordinates,
+    # and the facet normals of a polytope span its chart, so together they
+    # touch exactly the affine_dimension(ps) pivots
+    pivots = {j for f in facet_list for j, c in enumerate(f.normal) if c}
     return ExactnessReport(
         exact=failing is None,
-        affine_dim=affine_dimension(ps),
+        affine_dim=len(pivots),
         rank_bound=max(f.level_count - 1 for f in facet_list),
         facets=facet_list,
         failing=failing,

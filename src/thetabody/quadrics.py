@@ -356,43 +356,21 @@ def _trace_split(space: QuadricSpace) -> Optional[Tuple[Quadric, List[Quadric]]]
     return unit, rest
 
 
-def _round_quadric(a_rows, b_row, c_val, dim: int) -> Quadric:
-    """Rational snapshot of float quadric data (for readable certificates)."""
+def _combine(unit: Quadric, rest: List[Quadric], weights) -> Quadric:
+    """unit + sum_i w_i * rest_i in exact arithmetic.
 
-    def snap(x) -> Fraction:
-        return Fraction(float(x)).limit_denominator(10**9)
-
-    a = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            v = snap((a_rows[i][j] + a_rows[j][i]) / 2.0)
-            a[i][j] = v
-    # resymmetrize exactly
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            v = (a[i][j] + a[j][i]) / 2
-            a[i][j] = a[j][i] = v
+    Each float weight is snapped to a rational first, so the result is an
+    exact member of the space that unit and rest span.
+    """
+    terms = [(Fraction(1), unit)] + [
+        (Fraction(float(w)).limit_denominator(10**9), q) for w, q in zip(weights, rest)
+    ]
+    n = unit.dim
     return Quadric(
-        tuple(tuple(row) for row in a),
-        tuple(snap(v) for v in b_row),
-        snap(c_val),
+        tuple(tuple(sum(w * q.a[i][j] for w, q in terms) for j in range(n)) for i in range(n)),
+        tuple(sum(w * q.b[i] for w, q in terms) for i in range(n)),
+        sum(w * q.c for w, q in terms),
     )
-
-
-def _combine(space: QuadricSpace, unit: Quadric, rest: List[Quadric], weights) -> Quadric:
-    """unit + sum_i weights[i] * rest[i] with float weights, snapped rational."""
-    dim = space.ambient_dim
-    a = [[float(unit.a[i][j]) for j in range(dim)] for i in range(dim)]
-    b = [float(v) for v in unit.b]
-    c = float(unit.c)
-    for w, q in zip(weights, rest):
-        for i in range(dim):
-            for j in range(dim):
-                a[i][j] += w * float(q.a[i][j])
-        for i in range(dim):
-            b[i] += w * float(q.b[i])
-        c += w * float(q.c)
-    return _round_quadric(a, b, c, dim)
 
 
 def _section_problem(
@@ -514,7 +492,7 @@ def has_convex_quadric(
         raise SolverError(f"convex-quadric search ended with status {sol.status}")
     margin = sol.objective
     weights = list(sol.y[1 : base.y_dim])
-    certificate = _combine(space, unit, rest, weights) if margin >= -BOUNDARY_TOL else None
+    certificate = _combine(unit, rest, weights) if margin >= -BOUNDARY_TOL else None
     verified = bool(certificate and _is_psd_exact(certificate.a))
 
     interval = None
@@ -531,8 +509,8 @@ def has_convex_quadric(
         lo, hi = min(ends), max(ends)
         interval = (lo, hi)
         extremes = (
-            _combine(space, unit, rest, [lo]),
-            _combine(space, unit, rest, [hi]),
+            _combine(unit, rest, [lo]),
+            _combine(unit, rest, [hi]),
         )
 
     return ConvexQuadricReport(
@@ -662,14 +640,14 @@ def th1_membership(
         solver_status = sol.status
     if sup > boundary_tol:
         weights = list(sol.y[1:]) if rest else []
-        certificate = _combine(space, unit, rest, weights)
+        certificate = _combine(unit, rest, weights)
         status = OUTSIDE
     elif sup < -boundary_tol:
         certificate = None
         status = INSIDE
     else:
         weights = list(sol.y[1:]) if rest else []
-        certificate = _combine(space, unit, rest, weights)
+        certificate = _combine(unit, rest, weights)
         status = BORDERLINE
     return MembershipReport(
         status=status,

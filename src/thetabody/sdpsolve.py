@@ -18,15 +18,22 @@ sigma = (mu_aff/mu)^3, and the corrector reuses the affine second-order term.
 The F_i are kept as flat sparse (COO) entries, so <F_i, M> for all i and
 sum_i z_i F_i are one bincount each.  The Schur complement
 H_ij = <F_i, Z^-1 F_j X> is filled a column block at a time from Z^-1, formed
-once per iteration (Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997).  H is
-factored once per iteration, by Cholesky with escalating diagonal jitter, and
-the factor serves the predictor and the corrector (least squares if no jitter
-helps).  A problem whose dense arrays would pass _MEMORY_LIMIT_BYTES is
-refused before any is allocated.  Steps use a 0.98
-fraction-to-boundary rule with a shared primal/dual step length, backtracked
-geometrically so the complementarity gap never increases across accepted
-steps.  Everything is plain numpy; given identical inputs the iterate
-sequence is bitwise reproducible.
+once per iteration (Fujisawa-Kojima-Nakata, Math. Prog. 79, 1997).  F_j is
+zero outside the rows and columns S_j its entries touch (at most 6 of them
+for the graph relaxations), so Z^-1 F_j X is the low-rank product
+Z^-1[:, S_j] F_j[S_j, S_j] X[S_j, :]; the supports and the small blocks
+F_j[S_j, S_j] are laid out once per solve, padded per column block to its
+widest support.  H is factored once per iteration, by Cholesky with
+escalating diagonal jitter, and the factor serves the predictor and the
+corrector (least squares if no jitter helps) through block forward and back
+substitution.  The step-length search whitens a direction D as
+L^-1 D L^-T with the inverse Cholesky factors of Z and X, formed once per
+iteration.  A problem whose dense arrays would pass _MEMORY_LIMIT_BYTES is
+refused before any is allocated.  Steps use a 0.98 fraction-to-boundary rule
+with a shared primal/dual step length, backtracked geometrically so the
+complementarity gap never increases across accepted steps.  Everything is
+plain numpy; given identical inputs the iterate sequence is bitwise
+reproducible.
 
 Infeasibility is certified through the normalized dual iterate: whenever
 X / tr(X) annihilates every F_i but pairs negatively with F0, no z can make
@@ -111,14 +118,42 @@ def _psd_factor(matrix: np.ndarray, jitter_base: float) -> Optional[np.ndarray]:
     return None
 
 
-def _step_to_boundary(factor: np.ndarray, direction: np.ndarray) -> float:
-    """Largest step keeping M + alpha*D PSD, where factor = chol(M)."""
-    half = np.linalg.solve(factor, direction)
-    whitened = np.linalg.solve(factor, half.T).T
+def _step_to_boundary(inv_factor: np.ndarray, direction: np.ndarray) -> float:
+    """Largest step keeping M + alpha*D PSD, where inv_factor = chol(M)^-1."""
+    whitened = inv_factor @ direction @ inv_factor.T
     lam = float(np.linalg.eigvalsh(0.5 * (whitened + whitened.T))[0])
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
+
+
+# Rows of the diagonal blocks in _tri_solve.  One solve with a lower factor
+# of side 305 took 0.24 ms with 32 or 48 rows, 0.30 ms with 64, 0.43 ms with
+# 16, and 2.1 ms as one np.linalg.solve (one BLAS thread, 2-CPU Xeon).  A
+# factor of at most 32 rows is solved by one np.linalg.solve, as before.
+_TRI_BLOCK = 32
+
+
+def _tri_solve(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve L x = rhs, or L^T x = rhs if transpose, for lower-triangular L.
+
+    Block forward (back) substitution: np.linalg.solve, an LU, runs only on
+    the diagonal blocks of _TRI_BLOCK rows; the rest is matrix products.
+    """
+    n = factor.shape[0]
+    x = np.array(rhs, dtype=float)
+    starts = range(0, n, _TRI_BLOCK)
+    if transpose:
+        for s in reversed(starts):
+            e = min(s + _TRI_BLOCK, n)
+            x[s:e] = np.linalg.solve(factor[s:e, s:e].T, x[s:e])
+            x[:s] -= factor[s:e, :s].T @ x[s:e]
+    else:
+        for s in starts:
+            e = min(s + _TRI_BLOCK, n)
+            x[s:e] = np.linalg.solve(factor[s:e, s:e], x[s:e])
+            x[e:] -= factor[e:, s:e] @ x[s:e]
+    return x
 
 
 def _min_eig(matrix: np.ndarray) -> float:
@@ -134,14 +169,13 @@ def _centering_weight(mu_aff: float, mu: float) -> float:
     return float(np.clip(min(max(mu_aff, 0.0) / mu, 1.0) ** 3, 1e-10, 0.999))
 
 
-# Byte budget of one column block of the Schur formation: the dense stacks of
-# F_j and of K_j = Z^-1 F_j X for a block, and the entries gathered from
-# them, each fit in it (a block has at least one column).  It stays below
-# glibc's initial 128 KiB mmap threshold, so block buffers come from the heap
-# rather than being mapped and faulted in anew for every block.  Cut K5
-# level 2 (side 56) solved in 365 ms with it and in 559 ms with 512 KiB under
-# a fixed 128 KiB threshold, 337 and 364 ms under the adaptive default (one
-# BLAS thread on a 2-CPU Xeon).
+# Byte budget of one column block of the Schur formation: the stack of
+# K_j = Z^-1 F_j X for a block and the entries gathered from it each fit in
+# it (a block has at least one column).  It stays below glibc's initial
+# 128 KiB mmap threshold, so block buffers come from the heap rather than
+# being mapped and faulted in anew for every block.  Under a fixed 128 KiB
+# threshold, cut K5 level 2 (side 56) solved in 172-207 ms with it and in
+# 228-290 ms with 480 KiB (one BLAS thread on a 2-CPU Xeon).
 _SCHUR_BLOCK_BYTES = 120 * 1024
 
 
@@ -151,10 +185,13 @@ _SCHUR_BLOCK_BYTES = 120 * 1024
 # memory; the largest problem the tests and benchmark solve, cut K5 level 2
 # (side 56, 305 free coordinates), needs about 3.6 MB by the count below.
 _MEMORY_LIMIT_BYTES = 2 * 1024**3
-# m x m arrays alive at the peak of an iteration: F_0, Z, X, A(z), the primal
-# residual, the two Cholesky factors, the inverse factor, Z^-1, Z^-1 R X, the
-# predictor's two directions, the corrector target and its own w, sum z_i F_i,
-# dZ and dX, plus temporaries of the Schur block and the step-length search.
+# m x m arrays alive at the peak of an iteration, while direction() runs:
+# F_0, Z, X, A(z), the primal residual, the Cholesky factors of Z and X and
+# their inverses, Z^-1, Z^-1 R X, the predictor's two directions, the
+# corrector target and its own w, sum z_i F_i, dZ and dX, plus temporaries
+# of the products.  tracemalloc peaks of 23 m^2 floats (side 400 and 600,
+# 3 free coordinates) and 3.1 d^2 floats (side 30 and 45, 435 and 990 free
+# coordinates) back the count.
 _MXM_ARRAYS = 24
 # d x d arrays: H, its symmetrized copy, the jittered copy and its factor.
 _DXD_ARRAYS = 4
@@ -190,27 +227,62 @@ class _SparseF:
         """Frobenius norm of every F_i."""
         return np.sqrt(np.bincount(self.l, self.coeff**2, minlength=self.d))
 
+    def column_blocks(self, block: int) -> list:
+        """The F_j in runs of `block` coordinates, as small dense blocks.
 
-def _schur(f: _SparseF, zinv: np.ndarray, big_x: np.ndarray, block: int) -> np.ndarray:
-    """H_ij = <F_i, Z^-1 F_j X>, filled `block` columns j at a time.
+        The support S_j of F_j is the sorted set of rows its entries touch
+        (the columns too: F_j is symmetric).  Every run j0..j1-1 with entries
+        gives (j0, j1, rows, small): rows[k] is S_{j0+k} padded with row 0 to
+        the widest support r of the run, and small[k] = F_{j0+k}[S, S] as an
+        r x r block, zero on the padding.
+        """
+        m = self.m
+        row, col = np.divmod(self.pos, m)
+        key = self.l * m + row
+        sorted_key = np.sort(key)
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = sorted_key[1:] != sorted_key[:-1]
+        support = sorted_key[first]  # l*m + row for every distinct (l, row)
+        owner, support_row = np.divmod(support, m)
+        start = np.searchsorted(owner, np.arange(self.d + 1))
+        width = np.diff(start)
+        # position of an entry's row and column within the support of its F_l
+        row_rank = np.searchsorted(support, key) - start[self.l]
+        col_rank = np.searchsorted(support, self.l * m + col) - start[self.l]
+        out = []
+        for j0 in range(0, self.d, block):
+            j1 = min(j0 + block, self.d)
+            lo, hi = self.bounds[j0], self.bounds[j1]
+            if lo == hi:
+                continue
+            b, r = j1 - j0, int(width[j0:j1].max())
+            rows = np.zeros((b, r), dtype=np.intp)
+            s0, s1 = start[j0], start[j1]
+            rows[owner[s0:s1] - j0, np.arange(s0, s1) - start[owner[s0:s1]]] = support_row[s0:s1]
+            cell = ((self.l[lo:hi] - j0) * r + row_rank[lo:hi]) * r + col_rank[lo:hi]
+            small = np.bincount(cell, self.coeff[lo:hi], minlength=b * r * r)
+            out.append((j0, j1, rows, small.reshape(b, r, r)))
+        return out
 
-    Each block scatters its F_j into a dense stack, forms K_j = Z^-1 F_j X
-    with two matrix products and gathers the entries of K_j that some F_i
-    touches, summed per i.  Rows of F_i without entries stay zero.
+
+def _schur(f: _SparseF, blocks: list, zinv: np.ndarray, big_x: np.ndarray) -> np.ndarray:
+    """H_ij = <F_i, Z^-1 F_j X>, filled one run of f.column_blocks at a time.
+
+    F_j is zero off S_j x S_j, so K_j = Z^-1 F_j X is the rank-|S_j| product
+    Z^-1[:, S_j] F_j[S_j, S_j] X[S_j, :]: two small batched products per
+    run.  The entries of K_j that some F_i touches are gathered and summed
+    per i.  Rows of F_i without entries stay zero.
     """
     m, d = f.m, f.d
     schur = np.zeros((d, d))
     starts = f.bounds[:-1]
     used = np.flatnonzero(starts < f.bounds[1:])
-    for j0 in range(0, d, block):
-        j1 = min(j0 + block, d)
-        lo, hi = f.bounds[j0], f.bounds[j1]
-        if lo == hi:
-            continue
-        f_blk = np.zeros((j1 - j0, m * m))
-        f_blk[f.l[lo:hi] - j0, f.pos[lo:hi]] = f.coeff[lo:hi]
-        k_blk = (zinv @ f_blk.reshape(-1, m, m)).reshape(-1, m) @ big_x
-        gathered = k_blk.reshape(j1 - j0, m * m)[:, f.pos] * f.coeff
+    for j0, j1, rows, small in blocks:
+        # Z^-1 is symmetric, so its rows S_j are the columns S_j transposed
+        left = np.swapaxes(zinv[rows], 1, 2) @ small
+        k_blk = left @ big_x[rows]
+        gathered = np.take(k_blk.reshape(j1 - j0, m * m), f.pos, axis=1)
+        gathered *= f.coeff
         schur[used, j0:j1] = np.add.reduceat(gathered, starts[used], axis=1).T
     return schur
 
@@ -295,6 +367,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     if not np.isfinite(data_norm):
         raise InputError("SDP data too large: its norm overflows")
     block = max(1, _SCHUR_BLOCK_BYTES // (8 * max(m * m, f.coeff.size)))
+    blocks = f.column_blocks(block)
 
     z = np.zeros(d)
     big_z = (1.0 + data_norm) * np.eye(m)
@@ -347,8 +420,9 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         mu = max(gap, 1e-300) / m
 
         inv_factor = np.linalg.inv(factor)
+        x_inv_factor = np.linalg.inv(x_factor)
         zinv = inv_factor.T @ inv_factor
-        schur = _schur(f, zinv, big_x, block)
+        schur = _schur(f, blocks, zinv, big_x)
         schur = 0.5 * (schur + schur.T)
         schur_factor = _psd_factor(schur, 1e-13)
         zinv_rx = zinv @ (residual_p @ big_x)
@@ -362,7 +436,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             if schur_factor is None:
                 dz = np.linalg.lstsq(schur, rhs, rcond=None)[0]
             else:
-                dz = np.linalg.solve(schur_factor.T, np.linalg.solve(schur_factor, rhs))
+                dz = _tri_solve(schur_factor, _tri_solve(schur_factor, rhs), transpose=True)
             moved = f.combine(dz)
             d_big_z = residual_p + moved
             # sum_j dz_j K_j = Z^-1 (sum_j dz_j F_j) X
@@ -372,8 +446,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
 
         # predictor
         dz_aff, dzm_aff, dxm_aff = direction(None)
-        alpha_p = min(1.0, _step_to_boundary(factor, dzm_aff))
-        alpha_d = min(1.0, _step_to_boundary(x_factor, dxm_aff))
+        alpha_p = min(1.0, _step_to_boundary(inv_factor, dzm_aff))
+        alpha_d = min(1.0, _step_to_boundary(x_inv_factor, dxm_aff))
         mu_aff = float(
             np.sum((big_z + alpha_p * dzm_aff) * (big_x + alpha_d * dxm_aff))
         ) / m
@@ -404,8 +478,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
 
         alpha = min(
             1.0,
-            opts.step_fraction * _step_to_boundary(factor, d_big_z),
-            opts.step_fraction * _step_to_boundary(x_factor, d_big_x),
+            opts.step_fraction * _step_to_boundary(inv_factor, d_big_z),
+            opts.step_fraction * _step_to_boundary(x_inv_factor, d_big_x),
         )
         # keep the complementarity gap non-increasing across accepted steps
         for _ in range(40):

@@ -270,6 +270,13 @@ def test_moment_dump_curve(files, capsys):
     assert len(report["result"]["y"]) == 12
 
 
+def test_moment_dump_point_cap_exits_3(capsys, tmp_path):
+    path = tmp_path / "line65.json"
+    path.write_text(json.dumps({"dim": 1, "points": [[i] for i in range(65)]}))
+    code, report, err = run(capsys, "moment-dump", "--points", path, "--level", 1)
+    assert code == 3 and report is None and "resource limit" in err
+
+
 # ------------------------------------------------------------------ solve
 
 def test_solve_roundtrip(files, capsys, tmp_path):

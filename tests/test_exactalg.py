@@ -11,8 +11,9 @@ from hypothesis import given, strategies as st
 
 import corpus
 import oracles
-from thetabody.errors import InputError
+from thetabody.errors import InputError, ResourceLimitError
 from thetabody.exactalg import (
+    MAX_BM_POINTS,
     Monomial,
     PointSet,
     QuotientRing,
@@ -116,6 +117,13 @@ def test_two_point_line():
     assert [str(m) for m in ring.basis] == ["1", "x1"]
     nf = ring.normal_form({mono(2): 1})
     assert nf == {1: Fraction(1)}  # x^2 == x on {0,1}
+
+
+def test_point_cap_refuses_before_elimination():
+    cube6 = corpus.cube(6)  # exactly MAX_BM_POINTS points
+    assert len(buchberger_moller(cube6).basis) == MAX_BM_POINTS == 64
+    with pytest.raises(ResourceLimitError):
+        buchberger_moller(PointSet(6, list(cube6.points) + [(2, 0, 0, 0, 0, 0)]))
 
 
 def test_three_point_triangle():

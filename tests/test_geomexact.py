@@ -171,6 +171,7 @@ def test_facets_match_subset_scan_on_embedded_sets():
             )
         pts = sorted(pts)
         assert affine_dimension(pts) == d
+        assert is_exact(pts).affine_dim == d
         assert facets(pts) == oracles.facets_by_subset_scan(pts), pts
 
 
@@ -184,6 +185,7 @@ def test_facets_match_subset_scan_on_lines_with_interior_points():
         assert len(fs) == 2
     line = [(t, 2 * t, -t) for t in (3, -1, 0, 5, 2)]  # a line in R^3
     assert facets(line) == oracles.facets_by_subset_scan(line)
+    assert is_exact(line).affine_dim == 1
 
 
 def test_facets_match_subset_scan_on_cyclic_polytopes():

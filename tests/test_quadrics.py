@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -202,6 +203,19 @@ def test_membership_scaling_invariance():
         s1 = th1_membership(space1, q, TIGHT).status
         s2 = th1_membership(space2, tuple(3 * Fraction(str(c)) for c in q), TIGHT).status
         assert s1 == s2, q
+
+
+def test_outside_certificate_lies_in_the_ideal_exactly():
+    # the even-weight points of the 4-cube: a quadric combined from rounded
+    # float coefficients missed S by ~6e-10
+    points = [p for p in itertools.product((0, 1), repeat=4) if sum(p) % 2 == 0]
+    query = (Fraction(-1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
+    report = th1_membership(quadric_space_from_points(points), query)
+    assert report.status == "Outside"
+    q = report.certificate
+    assert all(q.evaluate(p) == 0 for p in points)
+    assert _is_psd_exact(q.a)
+    assert abs(float(q.evaluate(query)) - 0.75) <= 1e-6
 
 
 def test_two_parabola_membership_triple():

@@ -11,7 +11,13 @@ import pytest
 
 import corpus
 import oracles
-from thetabody.combopt import Graph, enumerate_stable_sets, moment_template
+from thetabody.combopt import (
+    Graph,
+    cut_theta,
+    enumerate_stable_sets,
+    moment_template,
+    stable_set_theta,
+)
 from thetabody.errors import InputError, ResourceLimitError
 from thetabody.exactalg import Monomial, PointSet, buchberger_moller
 from thetabody.momentsdp import SdpProblem, build_moment_template, build_theta_sdp
@@ -20,7 +26,9 @@ from thetabody.sdpsolve import (
     SolverOptions,
     _centering_weight,
     _schur,
+    _TRI_BLOCK,
     _split_data,
+    _tri_solve,
     solve,
 )
 
@@ -175,30 +183,75 @@ def test_unused_free_coordinate():
     assert sol.objective > 1e12
 
 
-def test_schur_blocks_match_definition():
-    # the level-2 stable-set SDP of C7, against H_ij = tr(F_i Z^-1 F_j X)
+def _stable_c7_level_two():
     template = moment_template(enumerate_stable_sets(Graph(7, corpus.cycle_edges(7)), 4), 2)
-    problem = build_theta_sdp(template, {Monomial.variable(v, 7): 1 for v in range(1, 8)})
-    m = problem.side
-    free = sorted(l for l in range(problem.y_dim) if l not in problem.fixed)
-    dense = [np.zeros((m, m)) for _ in free]
-    for (i, j), vec in problem.cells.items():
-        for l, c in vec.items():
-            if l in problem.fixed:
-                continue
-            dense[free.index(l)][i, j] += c
-            if i != j:
-                dense[free.index(l)][j, i] += c
-    rng = np.random.default_rng(7)
-    a, b = rng.standard_normal((2, m, m))
-    big_z, big_x = a @ a.T + m * np.eye(m), b @ b.T + m * np.eye(m)
-    zinv = np.linalg.inv(big_z)
-    expected = np.array([[np.trace(fi @ zinv @ fj @ big_x) for fj in dense] for fi in dense])
-    _, f = _split_data(problem, free)
-    d = len(free)
-    for block in (5, d + 3):
-        got = _schur(f, zinv, big_x, block)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    return build_theta_sdp(template, {Monomial.variable(v, 7): 1 for v in range(1, 8)})
+
+
+def _sphere_level_two():
+    ring = buchberger_moller(PointSet(3, SPHERE_OVERFLOW))
+    return build_theta_sdp(build_moment_template(ring, 2), {Monomial.variable(1, 3): 1})
+
+
+def test_schur_blocks_match_definition():
+    # against H_ij = tr(F_i Z^-1 F_j X) with dense F_i: the stable-set SDP of
+    # C7 has supports of 1 to 6 rows on side 22, the sphere's moment SDP
+    # supports as wide as its side 9
+    for problem, widest in [(_stable_c7_level_two(), 6), (_sphere_level_two(), 9)]:
+        m = problem.side
+        free = sorted(l for l in range(problem.y_dim) if l not in problem.fixed)
+        dense = [np.zeros((m, m)) for _ in free]
+        for (i, j), vec in problem.cells.items():
+            for l, c in vec.items():
+                if l in problem.fixed:
+                    continue
+                dense[free.index(l)][i, j] += c
+                if i != j:
+                    dense[free.index(l)][j, i] += c
+        widths = [int(np.count_nonzero(np.any(fi != 0, axis=0))) for fi in dense]
+        assert max(widths) == widest
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((2, m, m))
+        big_z, big_x = a @ a.T + m * np.eye(m), b @ b.T + m * np.eye(m)
+        zinv = np.linalg.inv(big_z)
+        expected = np.array([[np.trace(fi @ zinv @ fj @ big_x) for fj in dense] for fi in dense])
+        _, f = _split_data(problem, free)
+        d = len(free)
+        for block in (5, d + 3):
+            blocks = f.column_blocks(block)
+            # each run is padded to its own widest support; some run mixes widths
+            assert [rows.shape[1] for _, _, rows, _ in blocks] == [
+                max(widths[j0:j1]) for j0, j1, _, _ in blocks
+            ]
+            assert any(len(set(widths[j0:j1])) > 1 for j0, j1, _, _ in blocks)
+            got = _schur(f, blocks, zinv, big_x)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [1, _TRI_BLOCK - 1, _TRI_BLOCK + 1, 305])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_tri_solve_matches_dense_solve(n, transpose):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    factor = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    rhs = rng.standard_normal(n)
+    expected = np.linalg.solve(factor.T if transpose else factor, rhs)
+    got = _tri_solve(factor, rhs, transpose=transpose)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "run, most",
+    [
+        (lambda: stable_set_theta(Graph(9, corpus.cycle_edges(9)), 2), 10),
+        (lambda: cut_theta(Graph(5, corpus.complete_edges(5)), None, 2), 13),
+    ],
+)
+def test_largest_graph_sdps_keep_their_iteration_counts(run, most):
+    # stable C9 level 2 (side 37) and cut K5 level 2 (side 56, 305 free y)
+    result = run()
+    assert result.status == "Optimal"
+    assert result.solution.iterations <= most
 
 
 # 14 rational points on the unit sphere whose level-2 theta SDP drove the
