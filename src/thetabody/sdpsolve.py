@@ -237,18 +237,15 @@ class _SparseF:
         r x r block, zero on the padding.
         """
         m = self.m
-        row, col = np.divmod(self.pos, m)
-        key = self.l * m + row
-        sorted_key = np.sort(key)
-        first = np.ones(key.size, dtype=bool)
-        first[1:] = sorted_key[1:] != sorted_key[:-1]
-        support = sorted_key[first]  # l*m + row for every distinct (l, row)
-        owner, support_row = np.divmod(support, m)
-        start = np.searchsorted(owner, np.arange(self.d + 1))
+        row_key = self.l * m + self.pos // m
+        touched = np.zeros(self.d * m, dtype=bool)
+        touched[row_key] = True
+        support = np.flatnonzero(touched)  # l*m + i for every row i of S_l, sorted
+        start = np.searchsorted(support, np.arange(self.d + 1) * m)
         width = np.diff(start)
-        # position of an entry's row and column within the support of its F_l
-        row_rank = np.searchsorted(support, key) - start[self.l]
-        col_rank = np.searchsorted(support, self.l * m + col) - start[self.l]
+        # place of an entry's row and column within the support of its F_l
+        row_rank = np.searchsorted(support, row_key) - start[self.l]
+        col_rank = np.searchsorted(support, self.l * m + self.pos % m) - start[self.l]
         out = []
         for j0 in range(0, self.d, block):
             j1 = min(j0 + block, self.d)
@@ -258,7 +255,8 @@ class _SparseF:
             b, r = j1 - j0, int(width[j0:j1].max())
             rows = np.zeros((b, r), dtype=np.intp)
             s0, s1 = start[j0], start[j1]
-            rows[owner[s0:s1] - j0, np.arange(s0, s1) - start[owner[s0:s1]]] = support_row[s0:s1]
+            owner = support[s0:s1] // m
+            rows[owner - j0, np.arange(s0, s1) - start[owner]] = support[s0:s1] % m
             cell = ((self.l[lo:hi] - j0) * r + row_rank[lo:hi]) * r + col_rank[lo:hi]
             small = np.bincount(cell, self.coeff[lo:hi], minlength=b * r * r)
             out.append((j0, j1, rows, small.reshape(b, r, r)))
@@ -278,8 +276,7 @@ def _schur(f: _SparseF, blocks: list, zinv: np.ndarray, big_x: np.ndarray) -> np
     starts = f.bounds[:-1]
     used = np.flatnonzero(starts < f.bounds[1:])
     for j0, j1, rows, small in blocks:
-        # Z^-1 is symmetric, so its rows S_j are the columns S_j transposed
-        left = np.swapaxes(zinv[rows], 1, 2) @ small
+        left = zinv[:, rows].transpose(1, 0, 2) @ small
         k_blk = left @ big_x[rows]
         gathered = np.take(k_blk.reshape(j1 - j0, m * m), f.pos, axis=1)
         gathered *= f.coeff
