@@ -365,11 +365,16 @@ def _combine(unit: Quadric, rest: List[Quadric], weights) -> Quadric:
     terms = [(Fraction(1), unit)] + [
         (Fraction(float(w)).limit_denominator(10**9), q) for w, q in zip(weights, rest)
     ]
+
+    def total(entry) -> Fraction:
+        # most coefficients of a slice basis are zero: skip their products
+        return sum((w * entry(q) for w, q in terms if entry(q)), Fraction(0))
+
     n = unit.dim
     return Quadric(
-        tuple(tuple(sum(w * q.a[i][j] for w, q in terms) for j in range(n)) for i in range(n)),
-        tuple(sum(w * q.b[i] for w, q in terms) for i in range(n)),
-        sum(w * q.c for w, q in terms),
+        tuple(tuple(total(lambda q: q.a[i][j]) for j in range(n)) for i in range(n)),
+        tuple(total(lambda q: q.b[i]) for i in range(n)),
+        total(lambda q: q.c),
     )
 
 

@@ -130,7 +130,7 @@ def _step_to_boundary(inv_factor: np.ndarray, direction: np.ndarray) -> float:
 # Rows of the diagonal blocks in _tri_solve.  One solve with a lower factor
 # of side 305 took 0.24 ms with 32 or 48 rows, 0.30 ms with 64, 0.43 ms with
 # 16, and 2.1 ms as one np.linalg.solve (one BLAS thread, 2-CPU Xeon).  A
-# factor of at most 32 rows is solved by one np.linalg.solve, as before.
+# factor of at most 32 rows is solved by one np.linalg.solve.
 _TRI_BLOCK = 32
 
 
