@@ -183,21 +183,17 @@ def test_unused_free_coordinate():
     assert sol.objective > 1e12
 
 
-def _stable_c7_level_two():
-    template = moment_template(enumerate_stable_sets(Graph(7, corpus.cycle_edges(7)), 4), 2)
-    return build_theta_sdp(template, {Monomial.variable(v, 7): 1 for v in range(1, 8)})
-
-
-def _sphere_level_two():
-    ring = buchberger_moller(PointSet(3, SPHERE_OVERFLOW))
-    return build_theta_sdp(build_moment_template(ring, 2), {Monomial.variable(1, 3): 1})
-
-
 def test_schur_blocks_match_definition():
     # against H_ij = tr(F_i Z^-1 F_j X) with dense F_i: the stable-set SDP of
     # C7 has supports of 1 to 6 rows on side 22, the sphere's moment SDP
     # supports as wide as its side 9
-    for problem, widest in [(_stable_c7_level_two(), 6), (_sphere_level_two(), 9)]:
+    c7 = moment_template(enumerate_stable_sets(Graph(7, corpus.cycle_edges(7)), 4), 2)
+    sphere = build_moment_template(buchberger_moller(PointSet(3, SPHERE_OVERFLOW)), 2)
+    cases = [
+        (build_theta_sdp(c7, {Monomial.variable(v, 7): 1 for v in range(1, 8)}), 6),
+        (build_theta_sdp(sphere, {Monomial.variable(1, 3): 1}), 9),
+    ]
+    for problem, widest in cases:
         m = problem.side
         free = sorted(l for l in range(problem.y_dim) if l not in problem.fixed)
         dense = [np.zeros((m, m)) for _ in free]
