@@ -4,8 +4,8 @@ The package is organized as a pipeline:
 
 - ``exactalg``   exact rational groundwork: monomials, point sets, vanishing-
                  ideal quotient rings via evaluation/interpolation.
-- ``momentsdp``  symbolic moment-matrix templates over a quotient ring and
-                 their instantiation as SDP data.
+- ``momentsdp``  symbolic moment-matrix templates over a quotient ring or a
+                 combinatorial basis, and their instantiation as SDP data.
 - ``sdpsolve``   a dense primal-dual interior-point SDP solver.
 - ``combopt``    stable-set and cut relaxations of graphs, built on
                  combinatorial bases instead of a quotient ring.

@@ -13,9 +13,13 @@ are contained in some cut, i.e. edge sets whose subgraph is bipartite
 template construction applies with edges as the ground set; the union of two
 odd-cycle-free sets is dropped to zero exactly when it picks up an odd cycle.
 
-Enumerations are depth-first by last ground element, emitting sets sorted by
-size then lexicographically, and abort with a resource error when a
-configurable cap (default 20000 elements) is exceeded.
+Both families come from one enumerator that extends each set by larger
+ground elements a level at a time, keeping the extensions a predicate admits
+(no neighbour inside the set; a bipartite edge subgraph).  Sets come sorted
+by size then lexicographically, and the enumeration aborts with a resource
+error when a configurable cap (default 20000 elements) is exceeded.  The
+level-k template is momentsdp.template_from_products over the set sizes, and
+both relaxations share one solve-and-project routine.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactalg import Monomial, parse_rational
-from .momentsdp import MomentTemplate, build_theta_sdp
+from .momentsdp import MomentTemplate, build_theta_sdp, template_from_products
 from .sdpsolve import SdpSolution, SolverOptions, solve
 
 STABLE_SETS = "StableSets"
@@ -158,131 +162,64 @@ class CombBasis:
         return "*".join(f"e{u}_{v}" for u, v in (self.ground[i] for i in element))
 
 
+def _enumerate(
+    graph: Graph, kind: str, ground: List, admits, max_size: int, cap: int
+) -> CombBasis:
+    """Sets of size <= max_size in the subset-closed family over `ground`.
+
+    A set extends by a larger ground index when admits(extended set) holds;
+    sets come level by level, sorted by size then lex.
+    """
+    if max_size < 0:
+        raise InputError("max_size must be >= 0")
+    out: List[Tuple[int, ...]] = []
+    frontier: List[Tuple[int, ...]] = [()]
+    exhausted = False
+    while True:
+        out.extend(frontier)
+        if len(out) > cap:
+            raise ResourceLimitError(f"{kind} enumeration exceeded cap {cap}")
+        if len(frontier[0]) == max_size:
+            break
+        frontier = [
+            elem + (g,)
+            for elem in frontier
+            for g in range(elem[-1] + 1 if elem else 0, len(ground))
+            if admits(elem + (g,))
+        ]
+        if not frontier:
+            exhausted = True
+            break
+    return CombBasis(kind, graph, ground, out, max_size, exhausted)
+
+
 def enumerate_stable_sets(
     graph: Graph, max_size: int, cap: int = DEFAULT_CAP
 ) -> CombBasis:
     """All stable sets of size <= max_size, sorted by size then lex."""
-    if max_size < 0:
-        raise InputError("max_size must be >= 0")
-    adj = graph.adjacency()
-    out: List[Tuple[int, ...]] = []
-    frontier: List[Tuple[int, ...]] = [()]
-    size = 0
-    exhausted = False
-    while True:
-        for elem in frontier:
-            out.append(elem)
-            if len(out) > cap:
-                raise ResourceLimitError(
-                    f"stable-set enumeration exceeded cap {cap}"
-                )
-        if size == max_size:
-            break
-        nxt = []
-        for elem in frontier:
-            start = elem[-1] + 1 if elem else 0
-            members = {g + 1 for g in elem}
-            for gi in range(start, graph.n):
-                if adj[gi + 1] & members:
-                    continue
-                nxt.append(elem + (gi,))
-        if not nxt:
-            exhausted = True
-            break
-        frontier = nxt
-        size += 1
-    return CombBasis(
-        kind=STABLE_SETS,
-        graph=graph,
-        ground=list(range(1, graph.n + 1)),
-        elements=out,
-        max_size=max_size,
-        exhausted=exhausted,
+    adj = [{u - 1 for u in nbrs} for nbrs in graph.adjacency()[1:]]
+    return _enumerate(
+        graph,
+        STABLE_SETS,
+        list(range(1, graph.n + 1)),
+        lambda s: adj[s[-1]].isdisjoint(s[:-1]),
+        max_size,
+        cap,
     )
-
-
-def _parity_components(edge_pairs) -> bool:
-    """True when the edge set induces a bipartite subgraph (union-find with
-    parity; an edge closing an odd cycle joins endpoints at equal parity)."""
-    parent: Dict[int, int] = {}
-    rank: Dict[int, int] = {}
-    parity: Dict[int, int] = {}
-
-    def find(v):
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        p = 0
-        for node in reversed(path):
-            p ^= parity[node]
-            parent[node] = v
-            parity[node] = p
-        return v
-
-    def offset(v):
-        find(v)
-        return parity[v]
-
-    for u, v in edge_pairs:
-        for w in (u, v):
-            if w not in parent:
-                parent[w] = w
-                rank[w] = 0
-                parity[w] = 0
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            if offset(u) == offset(v):
-                return False
-            continue
-        if rank[ru] < rank[rv]:
-            ru, rv, u, v = rv, ru, v, u
-        parent[rv] = ru
-        parity[rv] = offset(u) ^ offset(v) ^ 1
-        if rank[ru] == rank[rv]:
-            rank[ru] += 1
-    return True
 
 
 def enumerate_odd_cycle_free(
     graph: Graph, max_size: int, cap: int = DEFAULT_CAP
 ) -> CombBasis:
     """All edge subsets of size <= max_size whose subgraph is bipartite."""
-    if max_size < 0:
-        raise InputError("max_size must be >= 0")
     edges = graph.edges
-    out: List[Tuple[int, ...]] = []
-    frontier: List[Tuple[int, ...]] = [()]
-    size = 0
-    exhausted = False
-    while True:
-        for elem in frontier:
-            out.append(elem)
-            if len(out) > cap:
-                raise ResourceLimitError(
-                    f"odd-cycle-free enumeration exceeded cap {cap}"
-                )
-        if size == max_size:
-            break
-        nxt = []
-        for elem in frontier:
-            start = elem[-1] + 1 if elem else 0
-            for e in range(start, len(edges)):
-                candidate = elem + (e,)
-                if _parity_components(edges[i] for i in candidate):
-                    nxt.append(candidate)
-        if not nxt:
-            exhausted = True
-            break
-        frontier = nxt
-        size += 1
-    return CombBasis(
-        kind=ODD_CYCLE_FREE,
-        graph=graph,
-        ground=list(edges),
-        elements=out,
-        max_size=max_size,
-        exhausted=exhausted,
+    return _enumerate(
+        graph,
+        ODD_CYCLE_FREE,
+        list(edges),
+        lambda s: is_bipartite(Graph(graph.n, [edges[e] for e in s]))[0],
+        max_size,
+        cap,
     )
 
 
@@ -327,50 +264,34 @@ def is_bipartite(graph: Graph):
 def moment_template(basis: CombBasis, k: int) -> MomentTemplate:
     """Level-k moment template over a subset-closed combinatorial basis.
 
-    Rows are the elements of size <= k; the cell of (U, U') is the unit
-    vector on U union U' when the union belongs to the family and the zero
-    vector otherwise.  Cells with equal unions share one object.
+    Rows are the elements of size <= k and y-coordinates those of size
+    <= 2k; the cell of (U, U') is the unit vector on U union U' when the
+    union belongs to the family and the zero vector otherwise.  Cells with
+    equal unions share one object.
     """
-    if k < 1:
-        raise InputError("moment level must be >= 1")
     if basis.max_size < 2 * k and not basis.exhausted:
         raise InputError(
             f"basis enumerated to size {basis.max_size}, level {k} needs "
             f"size {2 * k} (or an exhausted enumeration)"
         )
+    elements = basis.elements
     index = basis.index()
-    rows = [i for i, e in enumerate(basis.elements) if len(e) <= k]
-    assert rows == list(range(len(rows)))  # elements are sorted by size
-    y_dim = len(basis.elements)
 
-    shared: Dict[Tuple[int, ...], Dict[int, Fraction]] = {}
-    cells: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for a, i in enumerate(rows):
-        for j in rows[a:]:
-            union = tuple(sorted(set(basis.elements[i]) | set(basis.elements[j])))
-            vec = shared.get(union)
-            if vec is None:
-                l = index.get(union)
-                vec = {l: Fraction(1)} if l is not None else {}
-                shared[union] = vec
-            cells[(i, j)] = vec
+    def union(i: int, j: int) -> Tuple[int, ...]:
+        return tuple(sorted({*elements[i], *elements[j]}))
 
-    labels = [basis.label(e) for e in basis.elements]
-    linear = {}
-    for g in range(len(basis.ground)):
-        l = index.get((g,))
-        if l is not None:
-            linear[g + 1] = l
-    return MomentTemplate(
-        level=k,
-        ambient_dim=len(basis.ground),
-        row_indices=rows,
-        row_labels=[labels[i] for i in rows],
-        y_dim=y_dim,
-        y_labels=labels,
-        cells=cells,
-        ring=None,
-        linear_index=linear,
+    def cell(i: int, j: int) -> Dict[int, Fraction]:
+        l = index.get(union(i, j))
+        return {l: Fraction(1)} if l is not None else {}
+
+    return template_from_products(
+        k,
+        [len(e) for e in elements],
+        [basis.label(e) for e in elements],
+        union,
+        cell,
+        len(basis.ground),
+        {g + 1: index.get((g,)) for g in range(len(basis.ground))},
     )
 
 
@@ -398,12 +319,25 @@ class ThetaResult:
         }
 
 
-def _project(template: MomentTemplate, sol: SdpSolution) -> List[float]:
-    out = []
-    for g in range(1, template.ambient_dim + 1):
-        l = template.linear_index.get(g)
-        out.append(float(sol.y[l]) if l is not None else 0.0)
-    return out
+def _theta(
+    basis: CombBasis, k: int, objective, options: Optional[SolverOptions]
+) -> ThetaResult:
+    """Solve the level-k relaxation of a linear objective over the basis."""
+    template = moment_template(basis, k)
+    sol = solve(build_theta_sdp(template, objective), options)
+    linear = template.linear_index
+    return ThetaResult(
+        value=sol.objective,
+        x=[
+            float(sol.y[linear[g]]) if g in linear else 0.0
+            for g in range(1, template.ambient_dim + 1)
+        ],
+        status=sol.status,
+        level=k,
+        kind=basis.kind,
+        solution=sol,
+        template=template,
+    )
 
 
 def stable_set_theta(
@@ -415,20 +349,8 @@ def stable_set_theta(
     """Level-k theta relaxation of the maximum stable set of the graph."""
     if k < 1:
         raise InputError("level must be >= 1")
-    basis = enumerate_stable_sets(graph, 2 * k, cap=cap)
-    template = moment_template(basis, k)
     objective = {Monomial.variable(v, graph.n): 1 for v in range(1, graph.n + 1)}
-    problem = build_theta_sdp(template, objective)
-    sol = solve(problem, options)
-    return ThetaResult(
-        value=sol.objective,
-        x=_project(template, sol),
-        status=sol.status,
-        level=k,
-        kind=STABLE_SETS,
-        solution=sol,
-        template=template,
-    )
+    return _theta(enumerate_stable_sets(graph, 2 * k, cap=cap), k, objective, options)
 
 
 def parse_weights(raw, graph: Graph) -> List[Fraction]:
@@ -481,21 +403,9 @@ def cut_theta(
     negative = [w for w in wlist if w < 0]
     if negative:
         raise InputError("cut weights must be non-negative")
-    basis = enumerate_odd_cycle_free(graph, 2 * k, cap=cap)
-    template = moment_template(basis, k)
     objective = {
         Monomial.variable(e + 1, graph.m): wlist[e] for e in range(graph.m)
     }
     if not objective:
         raise InputError("graph has no edges")
-    problem = build_theta_sdp(template, objective)
-    sol = solve(problem, options)
-    return ThetaResult(
-        value=sol.objective,
-        x=_project(template, sol),
-        status=sol.status,
-        level=k,
-        kind=ODD_CYCLE_FREE,
-        solution=sol,
-        template=template,
-    )
+    return _theta(enumerate_odd_cycle_free(graph, 2 * k, cap=cap), k, objective, options)

@@ -32,8 +32,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 
-Rational = Fraction
-
 # Largest point set buchberger_moller accepts.  Its exact elimination grows
 # about as the fourth power of the point count: random rational points took
 # 5.1 / 5.9 / 7.9 s at 64 points in dimension 2 / 3 / 5, 31-33 s at 96 and

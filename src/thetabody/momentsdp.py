@@ -11,9 +11,12 @@ convex hull of the point set.
 
 Cells whose products reduce to the same element share one coefficient vector
 object, so the symmetry M_{b,b'} = M_{c,c'} for bb' = cc' holds by
-construction rather than by bookkeeping.  Templates built from combinatorial
-set systems (stable sets, cut-contained edge sets) use the same class with
-unit-vector cells and no ring attached.
+construction rather than by bookkeeping.  template_from_products is the one
+builder: it lays out rows and y-coordinates as degree prefixes of any
+degree-sorted basis, given how to name a product and how to expand it.
+build_moment_template feeds it a point-set quotient ring (monomial products,
+normal forms); combopt feeds it combinatorial set systems (set unions,
+unit-vector or zero cells) with no ring attached.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,53 +98,79 @@ class MomentTemplate:
         }
 
 
+def template_from_products(
+    k: int,
+    degrees: Sequence[int],
+    labels: List[str],
+    product: Callable[[int, int], Hashable],
+    cell: Callable[[int, int], Cell],
+    ambient_dim: int,
+    linear: Mapping[int, Optional[int]],
+    ring: Optional[QuotientRing] = None,
+) -> MomentTemplate:
+    """Level-k moment template over a basis sorted by degree.
+
+    degrees and labels describe the basis elements.  Rows are the elements
+    of degree <= k and y-coordinates those of degree <= 2k, both prefixes of
+    the basis.  product(i, j) names the product of rows i and j; cells with
+    equal products share the one vector cell(i, j) built at its first sight.
+    linear maps ambient variables to the basis index of their degree-one
+    element; entries that are None or beyond the y-coordinates are dropped.
+    """
+    if k < 1:
+        raise InputError("moment level must be >= 1")
+    assert list(degrees) == sorted(degrees)
+    rows = [l for l, d in enumerate(degrees) if d <= k]
+    y_dim = sum(1 for d in degrees if d <= 2 * k)
+
+    products: Dict[Hashable, Cell] = {}
+    cells: Dict[Tuple[int, int], Cell] = {}
+    for i in rows:
+        for j in rows[i:]:
+            key = product(i, j)
+            vec = products.get(key)
+            if vec is None:
+                vec = cell(i, j)
+                if any(l >= y_dim for l in vec):
+                    raise AssertionError(
+                        "normal form of a degree-<=2k product escaped B_2k"
+                    )
+                products[key] = vec
+            cells[(i, j)] = vec
+
+    return MomentTemplate(
+        level=k,
+        ambient_dim=ambient_dim,
+        row_indices=rows,
+        row_labels=labels[: len(rows)],
+        y_dim=y_dim,
+        y_labels=labels[:y_dim],
+        cells=cells,
+        ring=ring,
+        linear_index={
+            v: l for v, l in linear.items() if l is not None and l < y_dim
+        },
+    )
+
+
 def build_moment_template(ring: QuotientRing, k: int) -> MomentTemplate:
     """Level-k moment template of a point-set quotient ring.
 
     Rows are the basis elements of degree <= k; y-coordinates are the basis
     elements of degree <= 2k (all of them when 2k exceeds the top degree).
     """
-    if k < 1:
-        raise InputError("moment level must be >= 1")
-
-    row_basis = ring.indices_up_to_degree(k)
-    y_basis = ring.indices_up_to_degree(2 * k)
-    # both slices are prefixes of the degree-sorted basis
-    assert row_basis == list(range(len(row_basis)))
-    assert y_basis == list(range(len(y_basis)))
-    y_dim = len(y_basis)
-
-    products: Dict[Monomial, Cell] = {}
-    cells: Dict[Tuple[int, int], Cell] = {}
-    for a, i in enumerate(row_basis):
-        for j in row_basis[a:]:
-            product = ring.basis[i] * ring.basis[j]
-            vec = products.get(product)
-            if vec is None:
-                vec = dict(ring.product_normal_form(i, j))
-                if any(l >= y_dim for l in vec):
-                    raise AssertionError(
-                        "normal form of a degree-<=2k product escaped B_2k"
-                    )
-                products[product] = vec
-            cells[(i, j)] = vec
-
-    labels = [str(ring.basis[l]) for l in y_basis]
-    linear = {
-        v: ring.basis_index(Monomial.variable(v, ring.dim))
-        for v in range(1, ring.dim + 1)
-        if ring.basis_index(Monomial.variable(v, ring.dim)) is not None
-    }
-    return MomentTemplate(
-        level=k,
-        ambient_dim=ring.dim,
-        row_indices=row_basis,
-        row_labels=[str(ring.basis[l]) for l in row_basis],
-        y_dim=y_dim,
-        y_labels=labels,
-        cells=cells,
-        ring=ring,
-        linear_index={v: l for v, l in linear.items() if l < y_dim},
+    return template_from_products(
+        k,
+        ring.degrees,
+        [str(b) for b in ring.basis],
+        lambda i, j: ring.basis[i] * ring.basis[j],
+        lambda i, j: dict(ring.product_normal_form(i, j)),
+        ring.dim,
+        {
+            v: ring.basis_index(Monomial.variable(v, ring.dim))
+            for v in range(1, ring.dim + 1)
+        },
+        ring,
     )
 
 

@@ -40,7 +40,7 @@ X / tr(X) annihilates every F_i but pairs negatively with F0, no z can make
 A(z) PSD, and that matrix is returned as the certificate.  Unboundedness is
 declared when the objective passes 1e12 while the primal residual is tiny.
 A candidate optimum must also pass a shifted-Cholesky feasibility check
-(eigen-floor >= -psd_tol) on the assembled A(z) before it is called Optimal.
+(eigen-floor >= -PSD_TOL) on the assembled A(z) before it is called Optimal.
 """
 
 from __future__ import annotations
@@ -59,23 +59,24 @@ INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 ITER_LIMIT = "IterLimit"
 
+# Eigen-floor an Optimal A(z) must clear, fraction-to-boundary step rule and
+# the objective past which a primal-feasible iterate is called Unbounded.
+PSD_TOL = 1e-7
+STEP_FRACTION = 0.98
+UNBOUNDED_THRESHOLD = 1e12
+
 
 @dataclass
 class SolverOptions:
     feas_tol: float = 1e-8
     gap_tol: float = 1e-7
     max_iter: int = 200
-    psd_tol: float = 1e-7
-    step_fraction: float = 0.98
-    unbounded_threshold: float = 1e12
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.gap_tol <= 0:
             raise InputError("tolerances must be positive")
         if self.max_iter < 0:
             raise InputError("max_iter must be >= 0")
-        if not 0 < self.step_fraction < 1:
-            raise InputError("step_fraction must lie in (0, 1)")
 
 
 @dataclass
@@ -107,14 +108,17 @@ def _psd_factor(matrix: np.ndarray, jitter_base: float) -> Optional[np.ndarray]:
     The jitter starts at 0, then jitter_base times the mean diagonal
     magnitude (at least 1), and grows 100-fold per failed try.
     """
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        pass
     n = matrix.shape[0]
-    scale = max(abs(np.trace(matrix)) / max(n, 1), 1.0)
-    jitter = 0.0
-    for _ in range(12):
+    jitter = jitter_base * max(abs(np.trace(matrix)) / max(n, 1), 1.0)
+    for _ in range(11):
         try:
             return np.linalg.cholesky(matrix + jitter * np.eye(n))
         except np.linalg.LinAlgError:
-            jitter = jitter_base * scale if jitter == 0.0 else jitter * 100.0
+            jitter *= 100.0
     return None
 
 
@@ -193,7 +197,8 @@ _MEMORY_LIMIT_BYTES = 2 * 1024**3
 # 3 free coordinates) and 3.1 d^2 floats (side 30 and 45, 435 and 990 free
 # coordinates) back the count.
 _MXM_ARRAYS = 24
-# d x d arrays: H, its symmetrized copy, the jittered copy and its factor.
+# d x d arrays: H, its symmetrized copy, a jittered copy (made only when
+# plain Cholesky fails) and its factor.
 _DXD_ARRAYS = 4
 
 
@@ -330,7 +335,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     def finish(z, status, gap, iters, certificate=None, history=None):
         assembled = f_zero + f.combine(z)
         min_eig = _min_eig(assembled)
-        if status == OPTIMAL and min_eig < -opts.psd_tol:
+        if status == OPTIMAL and min_eig < -PSD_TOL:
             status = NEAR_OPTIMAL  # failed the certified feasibility check
         y_full = [0.0] * problem.y_dim
         for l, v in problem.fixed.items():
@@ -350,7 +355,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
 
     if d == 0:
         min_eig = _min_eig(f_zero)
-        if min_eig >= -opts.psd_tol:
+        if min_eig >= -PSD_TOL:
             return finish(np.zeros(0), OPTIMAL, 0.0, 0)
         vals, vecs = np.linalg.eigh(0.5 * (f_zero + f_zero.T))
         ray = np.outer(vecs[:, 0], vecs[:, 0])
@@ -403,7 +408,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
                 certificate = x_hat.tolist()
                 break
 
-        if p_obj > opts.unbounded_threshold and rel_p <= 1e-5:
+        if p_obj > UNBOUNDED_THRESHOLD and rel_p <= 1e-5:
             status = UNBOUNDED
             break
 
@@ -466,17 +471,17 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             if ray_gain > 1e-7 * (1.0 + norm_c):
                 ray_dir = f.combine(d_hat)
                 ray_floor = -1e-12 * (1.0 + float(np.linalg.norm(ray_dir)))
-                here_floor = -opts.psd_tol * (1.0 + norm_f0)
+                here_floor = -PSD_TOL * (1.0 + norm_f0)
                 if _min_eig(ray_dir) >= ray_floor and _min_eig(assembled) >= here_floor:
-                    t = (1.01 * opts.unbounded_threshold + abs(p_obj)) / ray_gain
+                    t = (1.01 * UNBOUNDED_THRESHOLD + abs(p_obj)) / ray_gain
                     z = z + t * d_hat
                     status = UNBOUNDED
                     break
 
         alpha = min(
             1.0,
-            opts.step_fraction * _step_to_boundary(inv_factor, d_big_z),
-            opts.step_fraction * _step_to_boundary(x_inv_factor, d_big_x),
+            STEP_FRACTION * _step_to_boundary(inv_factor, d_big_z),
+            STEP_FRACTION * _step_to_boundary(x_inv_factor, d_big_x),
         )
         # keep the complementarity gap non-increasing across accepted steps
         for _ in range(40):

@@ -150,19 +150,42 @@ def test_is_bipartite_with_witness():
 
 # ---------------------------------------------------------------- templates
 
-def test_stable_template_matches_ring_route():
-    # the combinatorial template for P3 equals the one from the quotient ring
+def _cells_by_label(t):
+    return {
+        tuple(sorted((t.row_labels[i], t.row_labels[j]))): {
+            t.y_labels[l]: c for l, c in vec.items()
+        }
+        for (i, j), vec in t.cells.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "graph, k",
+    [(Graph(3, corpus.path_edges(3)), 1), (C(5), 2), (C(6), 2), (C(7), 2)],
+    ids=["P3-1", "C5-2", "C6-2", "C7-2"],
+)
+def test_stable_template_matches_ring_route(graph, k):
+    # the combinatorial template equals the one from the quotient ring; the
+    # two routes may order rows of equal degree differently
     from thetabody.exactalg import buchberger_moller
     from thetabody.momentsdp import build_moment_template
 
-    g = Graph(3, corpus.path_edges(3))
-    comb = moment_template(enumerate_stable_sets(g, 2), 1)
-    ring = buchberger_moller(corpus.stable_set_points(3, corpus.path_edges(3)))
-    ringt = build_moment_template(ring, 1)
-    assert comb.row_labels == ringt.row_labels
-    assert comb.y_labels == ringt.y_labels
-    for key, vec in ringt.cells.items():
-        assert comb.cells[key] == vec
+    comb = moment_template(enumerate_stable_sets(graph, 2 * k), k)
+    ring = buchberger_moller(corpus.stable_set_points(graph.n, list(graph.edges)))
+    ringt = build_moment_template(ring, k)
+    assert sorted(comb.row_labels) == sorted(ringt.row_labels)
+    assert sorted(comb.y_labels) == sorted(ringt.y_labels)
+    assert _cells_by_label(comb) == _cells_by_label(ringt)
+
+
+def test_template_ignores_over_enumeration():
+    g = C(7)
+    exact = moment_template(enumerate_stable_sets(g, 2), 1)
+    over = moment_template(enumerate_stable_sets(g, 4), 1)
+    assert over.y_dim == exact.y_dim
+    assert over.y_labels == exact.y_labels
+    assert over.cells == exact.cells
+    assert over.linear_index == exact.linear_index
 
 
 def test_template_shared_cells_and_zero_cells():

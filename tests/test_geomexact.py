@@ -199,6 +199,12 @@ def test_facet_counts_of_cube5_and_cross5():
     assert len(facets(corpus.cross_polytope(5))) == 32
 
 
+def test_cube6_facets_and_exactness():
+    report = is_exact(corpus.cube(6))
+    assert len(report.facets) == 12
+    assert report.exact
+
+
 def test_facets_of_a_shuffled_input():
     rng = random.Random(19)
     for pts in [list(corpus.cube(4).points), random_rationals(rng, 10, 3), cyclic_points(4, 9)]:
@@ -231,6 +237,12 @@ def test_facet_caps():
         facets([(0, 0)])
     with pytest.raises(ResourceLimitError):
         facets([(i,) for i in range(65)])
+
+
+def test_chart_row_cap(monkeypatch):
+    monkeypatch.setattr(geomexact, "MAX_CHART_ROWS", 100)
+    with pytest.raises(ResourceLimitError):
+        facets(cyclic_points(8, 18))
 
 
 def test_affine_dim_cap_message():

@@ -158,8 +158,6 @@ def test_option_validation():
     with pytest.raises(InputError):
         SolverOptions(feas_tol=0.0)
     with pytest.raises(InputError):
-        SolverOptions(step_fraction=1.5)
-    with pytest.raises(InputError):
         SolverOptions(max_iter=-1)
 
 
