@@ -18,9 +18,8 @@ reports except for the wall time.
 Exit codes: 0 success (for solver-backed commands: a conclusive answer),
 2 invalid input, 3 a resource cap was hit, 4 the solver failed to converge.
 
-Defaults for tolerances and caps may be set via environment variables
-(THETA_FEAS_TOL, THETA_GAP_TOL, THETA_MAX_ITER, THETA_CAP);
-explicit flags win over the environment.
+Tolerances and caps are set only by flags; their defaults are the
+SolverOptions defaults and combopt.DEFAULT_CAP.
 """
 
 from __future__ import annotations
@@ -46,19 +45,6 @@ from .quadrics import (
     quadric_space_from_points,
     th1_membership,
 )
-
-_ENV_PREFIX = "THETA_"
-
-
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise InputError(f"invalid {_ENV_PREFIX}{name}={raw!r}: {exc}") from exc
-
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
@@ -93,19 +79,11 @@ def _report_skeleton(subcommand: str, digests: Dict[str, str], parameters: dict)
 
 
 def _solver_options(args) -> SolverOptions:
-    defaults = SolverOptions()
-    feas = args.feas_tol if args.feas_tol is not None else _env(
-        "FEAS_TOL", float, defaults.feas_tol
-    )
-    gap = args.gap_tol if args.gap_tol is not None else _env(
-        "GAP_TOL", float, defaults.gap_tol
-    )
-    iters = args.max_iter if args.max_iter is not None else _env(
-        "MAX_ITER", int, defaults.max_iter
-    )
-    if feas <= 0 or gap <= 0 or iters < 1:
+    if args.feas_tol <= 0 or args.gap_tol <= 0 or args.max_iter < 1:
         raise InputError("tolerances must be positive and max-iter >= 1")
-    return SolverOptions(feas_tol=feas, gap_tol=gap, max_iter=iters)
+    return SolverOptions(
+        feas_tol=args.feas_tol, gap_tol=args.gap_tol, max_iter=args.max_iter
+    )
 
 
 def _solver_diagnostics(solution) -> dict:
@@ -118,9 +96,16 @@ def _solver_diagnostics(solution) -> dict:
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--feas-tol", type=float, default=None, help="feasibility tolerance")
-    sub.add_argument("--gap-tol", type=float, default=None, help="duality-gap tolerance")
-    sub.add_argument("--max-iter", type=int, default=None, help="iteration limit")
+    defaults = SolverOptions()
+    sub.add_argument(
+        "--feas-tol", type=float, default=defaults.feas_tol, help="feasibility tolerance"
+    )
+    sub.add_argument(
+        "--gap-tol", type=float, default=defaults.gap_tol, help="duality-gap tolerance"
+    )
+    sub.add_argument(
+        "--max-iter", type=int, default=defaults.max_iter, help="iteration limit"
+    )
 
 
 # ------------------------------------------------------------------ theta
@@ -129,7 +114,6 @@ def _cmd_theta(args) -> int:
     started = time.monotonic()
     graph = Graph.from_file(args.graph)
     options = _solver_options(args)
-    cap = args.cap if args.cap is not None else _env("CAP", int, DEFAULT_CAP)
     digests = {"graph": _digest(args.graph)}
     weights = None
     weights_param: Optional[object] = None
@@ -146,9 +130,9 @@ def _cmd_theta(args) -> int:
         raise InputError("--weights only applies to the cut model")
 
     if args.model == "stable":
-        result = stable_set_theta(graph, args.level, options=options, cap=cap)
+        result = stable_set_theta(graph, args.level, options=options, cap=args.cap)
     else:
-        result = cut_theta(graph, weights, args.level, options=options, cap=cap)
+        result = cut_theta(graph, weights, args.level, options=options, cap=args.cap)
 
     report = _report_skeleton(
         "theta",
@@ -157,7 +141,7 @@ def _cmd_theta(args) -> int:
             "model": args.model,
             "level": args.level,
             "weights": weights_param,
-            "cap": cap,
+            "cap": args.cap,
             "feasTol": options.feas_tol,
             "gapTol": options.gap_tol,
             "maxIter": options.max_iter,
@@ -349,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cut model edge weights: JSON file path or inline JSON",
     )
     theta.add_argument(
-        "--cap", type=int, default=None, help="cap on enumerated basis elements"
+        "--cap", type=int, default=DEFAULT_CAP, help="cap on enumerated basis elements"
     )
     _add_solver_flags(theta)
     theta.set_defaults(run=_cmd_theta)

@@ -394,9 +394,6 @@ class QuotientRing:
     def basis_index(self, m: Monomial):
         return self._index.get(m)
 
-    def indices_up_to_degree(self, k: int) -> List[int]:
-        return [i for i, d in enumerate(self.degrees) if d <= k]
-
     def evaluate_basis(self, point_index: int) -> List[Fraction]:
         """The vector xi(s) = (b_l(s))_l for the point with this row index."""
         if not 0 <= point_index < len(self.points):

@@ -16,6 +16,11 @@ basis of the coefficient space, and directions with A = 0 (affine-linear
 members of the slice) are split off beforehand: they are the recession
 directions of the section, so the supremum of q(z) is finite exactly when all
 of them vanish at z — otherwise +-g is returned as an improving ray.
+
+A space is stored only as the row-reduced coefficient vectors of a basis over
+the monomials 1, x1..xn, x_i x_j (display order).  Every linear operation
+works on those vectors; a Quadric is built only for a result that leaves the
+module: a basis element, a member, a certificate, an extreme or a ray.
 """
 
 from __future__ import annotations
@@ -49,15 +54,10 @@ def _deg2_monomials(dim: int) -> List[Monomial]:
     """1, x1..xn, then the degree-2 monomials, in display order."""
     monos = [Monomial.unit(dim)]
     monos += [Monomial.variable(i, dim) for i in range(1, dim + 1)]
-    quads = []
-    for i in range(dim):
-        for j in range(i, dim):
-            exps = [0] * dim
-            exps[i] += 1
-            exps[j] += 1
-            quads.append(Monomial(tuple(exps)))
-    quads.sort(key=display_key)
-    return monos + quads
+    quads = [
+        monos[i] * monos[j] for i in range(1, dim + 1) for j in range(i, dim + 1)
+    ]
+    return monos + sorted(quads, key=display_key)
 
 
 @dataclass(frozen=True)
@@ -168,31 +168,65 @@ class Quadric:
         }
 
 
-def _quadric_from_vector(vec: Sequence[Fraction], monos: List[Monomial], dim: int) -> Quadric:
-    return Quadric.from_polynomial(
-        {m: v for m, v in zip(monos, vec) if v}, dim
-    )
+def _quadratic_layout(dim: int) -> List[Tuple[int, int, int, Fraction]]:
+    """(i, j, k, scale) for each entry A[i][j], i <= j, in row-major order.
+
+    A[i][j] = scale * v[k] for a coefficient vector v over _deg2_monomials:
+    k is the position of x_i x_j, and the scale halves the off-diagonal
+    entries.  From n = 3 on row-major order differs from display order;
+    the RREF pivots and the SDP cells follow row-major order.
+    """
+    monos = _deg2_monomials(dim)
+    index = {m: k for k, m in enumerate(monos)}
+    return [
+        (i, j, index[monos[i + 1] * monos[j + 1]], Fraction(1) if i == j else Fraction(1, 2))
+        for i in range(dim)
+        for j in range(i, dim)
+    ]
 
 
-def _vector_from_quadric(q: Quadric, monos: List[Monomial]) -> List[Fraction]:
-    poly = q.to_polynomial()
-    return [poly.get(m, Fraction(0)) for m in monos]
+def _quadric(vec: Sequence[Fraction], dim: int) -> Quadric:
+    """The Quadric with coefficient vector vec over _deg2_monomials(dim)."""
+    a = [[Fraction(0)] * dim for _ in range(dim)]
+    for i, j, k, scale in _quadratic_layout(dim):
+        a[i][j] = a[j][i] = scale * vec[k]
+    return Quadric(tuple(tuple(row) for row in a), tuple(vec[1 : dim + 1]), vec[0])
+
+
+def _span(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> List[Fraction]:
+    """sum_i coeffs[i] * vectors[i] for one or more vectors of equal length.
+
+    Most coefficients and entries of a slice basis are zero: skip their
+    products.
+    """
+    total = [Fraction(0)] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for k, v in enumerate(vec):
+                if v:
+                    total[k] += c * v
+    return total
 
 
 @dataclass
 class QuadricSpace:
     """A linear space of polynomials of degree <= 2 (e.g. an ideal's slice).
 
-    The basis is kept row-reduced over the monomial coordinates (display
-    order: 1, x1..xn, then degree 2), so construction is deterministic.
+    Stored as the row-reduced coefficient vectors of a basis over the
+    monomials of _deg2_monomials (display order: 1, x1..xn, then degree 2),
+    so construction is deterministic.  `basis` gives them as Quadrics.
     """
 
     ambient_dim: int
-    basis: List[Quadric] = field(default_factory=list)
+    vectors: List[List[Fraction]] = field(default_factory=list)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
+
+    @property
+    def basis(self) -> List[Quadric]:
+        return [_quadric(v, self.ambient_dim) for v in self.vectors]
 
     def member(self, coefficients: Sequence) -> Quadric:
         coeffs = [parse_rational(v) for v in coefficients]
@@ -200,12 +234,10 @@ class QuadricSpace:
             raise InputError(
                 f"{len(coeffs)} coefficients given, space has dimension {self.dimension}"
             )
-        monos = _deg2_monomials(self.ambient_dim)
-        vec = [Fraction(0)] * len(monos)
-        for c, q in zip(coeffs, self.basis):
-            for k, v in enumerate(_vector_from_quadric(q, monos)):
-                vec[k] += c * v
-        return _quadric_from_vector(vec, monos, self.ambient_dim)
+        n = self.ambient_dim
+        if not coeffs:
+            return _quadric([Fraction(0)] * len(_deg2_monomials(n)), n)
+        return _quadric(_span(coeffs, self.vectors), n)
 
     def to_json(self) -> dict:
         return {
@@ -213,13 +245,6 @@ class QuadricSpace:
             "dimension": self.dimension,
             "basis": [q.to_json() for q in self.basis],
         }
-
-
-def _space_from_vectors(vectors: List[List[Fraction]], dim: int) -> QuadricSpace:
-    monos = _deg2_monomials(dim)
-    reduced, _ = rational_rref(vectors)
-    basis = [_quadric_from_vector(v, monos, dim) for v in reduced]
-    return QuadricSpace(ambient_dim=dim, basis=basis)
 
 
 def quadric_space_from_points(points) -> QuadricSpace:
@@ -231,7 +256,7 @@ def quadric_space_from_points(points) -> QuadricSpace:
     ps = PointSet.coerce(points)
     monos = _deg2_monomials(ps.dim)
     rows = [[m.evaluate(p) for m in monos] for p in ps.points]
-    return _space_from_vectors(nullspace(rows, len(monos)), ps.dim)
+    return QuadricSpace(ps.dim, rational_rref(nullspace(rows, len(monos)))[0])
 
 
 def quadric_space_from_generators(dim: int, generators) -> QuadricSpace:
@@ -272,7 +297,7 @@ def quadric_space_from_generators(dim: int, generators) -> QuadricSpace:
             for i in range(1, dim + 1):
                 xi = Monomial.variable(i, dim)
                 add({m * xi: c for m, c in poly.items()})
-    return _space_from_vectors(vectors, dim)
+    return QuadricSpace(dim, rational_rref(vectors)[0])
 
 
 def _is_psd_exact(a: Sequence[Sequence[Fraction]]) -> bool:
@@ -295,14 +320,18 @@ def _is_psd_exact(a: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
-def _linear_kernel(space: QuadricSpace) -> List[Quadric]:
+def _linear_kernel(space: QuadricSpace) -> List[List[Fraction]]:
     """Basis of the affine-linear members (quadratic part zero) of the space."""
-    n = space.ambient_dim
-    rows = [[q.a[i][j] for q in space.basis] for i in range(n) for j in range(i, n)]
-    return [space.member(c) for c in nullspace(rows, space.dimension)]
+    rows = [
+        [scale * v[k] for v in space.vectors]
+        for _, _, k, scale in _quadratic_layout(space.ambient_dim)
+    ]
+    return [_span(c, space.vectors) for c in nullspace(rows, space.dimension)]
 
 
-def _trace_split(space: QuadricSpace) -> Optional[Tuple[Quadric, List[Quadric]]]:
+def _trace_split(
+    space: QuadricSpace,
+) -> Optional[Tuple[List[Fraction], List[List[Fraction]]]]:
     """Rewrite the space as (trace-1 element, trace-0 direction basis).
 
     Returns None when the trace functional vanishes identically, in which
@@ -314,95 +343,66 @@ def _trace_split(space: QuadricSpace) -> Optional[Tuple[Quadric, List[Quadric]]]
     zero quadratic part.  With trace pinned to 0, no direction is PSD either,
     which keeps every sweep over the section bounded.
     """
-    traces = [q.trace() for q in space.basis]
+    layout = _quadratic_layout(space.ambient_dim)
+    vectors = space.vectors
+    traces = [sum(v[k] for i, j, k, _ in layout if i == j) for v in vectors]
     lead = next((i for i, t in enumerate(traces) if t != 0), None)
     if lead is None:
         return None
-    unit_coeffs = [Fraction(0)] * space.dimension
-    unit_coeffs[lead] = 1 / traces[lead]
-    unit = space.member(unit_coeffs)
-    traceless = []
-    for i, q in enumerate(space.basis):
-        if i == lead:
-            continue
-        coeffs = [Fraction(0)] * space.dimension
-        coeffs[i] = Fraction(1)
-        coeffs[lead] = -traces[i] / traces[lead]
-        traceless.append(space.member(coeffs))
+    unit = _span([1 / traces[lead]], [vectors[lead]])
+    traceless = [
+        _span([Fraction(1), -t / traces[lead]], [v, vectors[lead]])
+        for i, (v, t) in enumerate(zip(vectors, traces))
+        if i != lead
+    ]
     if not traceless:
         return unit, []
     # quotient by the kernel: row-reduce the quadratic parts with an identity
     # tail so each surviving row keeps a preimage in span(traceless)
-    n = space.ambient_dim
-    width = n * (n + 1) // 2
-    rows = []
-    for k, q in enumerate(traceless):
-        vec = [q.a[i][j] for i in range(n) for j in range(i, n)]
-        vec += [Fraction(int(k == t)) for t in range(len(traceless))]
-        rows.append(vec)
+    width = len(layout)
+    rows = [
+        [scale * v[k] for _, _, k, scale in layout]
+        + [Fraction(int(r == t)) for t in range(len(traceless))]
+        for r, v in enumerate(traceless)
+    ]
     reduced, pivots = rational_rref(rows)
-    monos = _deg2_monomials(n)
-    traceless_vectors = [_vector_from_quadric(q, monos) for q in traceless]
-    rest = []
-    for row, pivot in zip(reduced, pivots):
-        if pivot >= width:
-            break  # pure-kernel combination; quadratic part is zero
-        total = [Fraction(0)] * len(monos)
-        for c, vec in zip(row[width:], traceless_vectors):
-            if c:
-                for idx, v in enumerate(vec):
-                    total[idx] += c * v
-        rest.append(_quadric_from_vector(total, monos, n))
+    # a pivot in the tail marks a pure-kernel combination (zero quadratic part)
+    rest = [
+        _span(row[width:], traceless)
+        for row, pivot in zip(reduced, pivots)
+        if pivot < width
+    ]
     return unit, rest
 
 
-def _combine(unit: Quadric, rest: List[Quadric], weights) -> Quadric:
+def _combine(
+    unit: List[Fraction], rest: List[List[Fraction]], weights
+) -> List[Fraction]:
     """unit + sum_i w_i * rest_i in exact arithmetic.
 
     Each float weight is snapped to a rational first, so the result is an
     exact member of the space that unit and rest span.
     """
-    terms = [(Fraction(1), unit)] + [
-        (Fraction(float(w)).limit_denominator(10**9), q) for w, q in zip(weights, rest)
-    ]
-
-    def total(entry) -> Fraction:
-        # most coefficients of a slice basis are zero: skip their products
-        return sum((w * entry(q) for w, q in terms if entry(q)), Fraction(0))
-
-    n = unit.dim
-    return Quadric(
-        tuple(tuple(total(lambda q: q.a[i][j]) for j in range(n)) for i in range(n)),
-        tuple(total(lambda q: q.b[i]) for i in range(n)),
-        total(lambda q: q.c),
-    )
+    snapped = [Fraction(float(w)).limit_denominator(10**9) for w in weights]
+    return _span([Fraction(1)] + snapped, [unit] + rest)
 
 
 def _section_problem(
-    unit: Quadric, rest: List[Quadric], objective: Dict[int, float]
+    dim: int, vectors: List[List[Fraction]], objective: Dict[int, float]
 ) -> SdpProblem:
-    """SDP data for A(u) = A(unit) + sum u_i A(rest_i) PSD, coordinate 0 pinned."""
-    n = unit.dim
-    y_dim = 1 + len(rest)
+    """SDP data for A(u) = A(v_0) + sum_k u_k A(v_k) PSD, coordinate 0 pinned."""
     cells: Dict[Tuple[int, int], Dict[int, float]] = {}
-    for i in range(n):
-        for j in range(i, n):
-            vec: Dict[int, float] = {}
-            if unit.a[i][j]:
-                vec[0] = float(unit.a[i][j])
-            for k, q in enumerate(rest, start=1):
-                if q.a[i][j]:
-                    vec[k] = float(q.a[i][j])
-            if vec:
-                cells[(i, j)] = vec
-    labels = ["traceUnit"] + [f"s{i}" for i in range(1, y_dim)]
+    for i, j, k, scale in _quadratic_layout(dim):
+        vec = {l: float(scale * v[k]) for l, v in enumerate(vectors) if v[k]}
+        if vec:
+            cells[(i, j)] = vec
     return SdpProblem(
-        side=n,
-        y_dim=y_dim,
+        side=dim,
+        y_dim=len(vectors),
         cells=cells,
         objective=objective,
         fixed={0: 1.0},
-        y_labels=labels,
+        y_labels=["traceUnit"] + [f"s{l}" for l in range(1, len(vectors))],
     )
 
 
@@ -411,14 +411,14 @@ class ConvexQuadricReport:
     """Existence of a member with PSD, nonzero quadratic part."""
 
     exists: bool
-    margin: Optional[float]
-    definite: Optional[bool]
     verified: bool
-    certificate: Optional[Quadric]
-    interval: Optional[Tuple[float, float]]
-    extremes: Optional[Tuple[Quadric, Quadric]]
     status: str
     detail: str
+    margin: Optional[float] = None
+    definite: Optional[bool] = None
+    certificate: Optional[Quadric] = None
+    interval: Optional[Tuple[float, float]] = None
+    extremes: Optional[Tuple[Quadric, Quadric]] = None
 
     def to_json(self) -> dict:
         return {
@@ -451,75 +451,58 @@ def has_convex_quadric(
     if split is None:
         return ConvexQuadricReport(
             exists=False,
-            margin=None,
-            definite=None,
             verified=True,
-            certificate=None,
-            interval=None,
-            extremes=None,
             status="Decided",
             detail="every member has a traceless (hence zero) PSD part",
         )
     unit, rest = split
+    n = space.ambient_dim
     if not rest:
-        ok = _is_psd_exact(unit.a)
+        unit_quadric = _quadric(unit, n)
+        ok = _is_psd_exact(unit_quadric.a)
         return ConvexQuadricReport(
             exists=ok,
-            margin=None,
-            definite=None,
             verified=True,
-            certificate=unit if ok else None,
-            interval=None,
-            extremes=None,
+            certificate=unit_quadric if ok else None,
             status="Decided",
             detail="zero-dimensional section decided exactly",
         )
 
-    n = space.ambient_dim
     opts = options or SolverOptions()
-    # slack coordinate s: maximize s with A(u) - s I PSD
-    base = _section_problem(unit, rest, objective={})
-    y_dim = base.y_dim + 1
-    cells = {key: dict(vec) for key, vec in base.cells.items()}
-    for i in range(n):
-        cell = cells.setdefault((i, i), {})
-        cell[y_dim - 1] = cell.get(y_dim - 1, 0.0) - 1.0
-    problem = SdpProblem(
-        side=n,
-        y_dim=y_dim,
-        cells=cells,
-        objective={y_dim - 1: 1.0},
-        fixed={0: 1.0},
-        y_labels=(base.y_labels or []) + ["slack"],
-    )
+    # slack coordinate s: maximize s with A(u) - s I PSD, i.e. one more
+    # direction whose quadratic part is -I
+    diagonal = {k for i, j, k, _ in _quadratic_layout(n) if i == j}
+    slack = [Fraction(-int(k in diagonal)) for k in range(len(unit))]
+    s = len(rest) + 1
+    problem = _section_problem(n, [unit] + rest + [slack], {s: 1.0})
+    # the solver sums each coordinate's entries in cell order: the cells only
+    # the slack touches go last, after the section's own cells
+    problem.cells = dict(sorted(problem.cells.items(), key=lambda kv: list(kv[1]) == [s]))
     sol = solve(problem, opts)
     if sol.status not in ("Optimal", "NearOptimal"):
         raise SolverError(f"convex-quadric search ended with status {sol.status}")
     margin = sol.objective
-    weights = list(sol.y[1 : base.y_dim])
-    certificate = _combine(unit, rest, weights) if margin >= -BOUNDARY_TOL else None
+    exists = margin >= -BOUNDARY_TOL
+    weights = list(sol.y[1 : len(rest) + 1])
+    certificate = _quadric(_combine(unit, rest, weights), n) if exists else None
     verified = bool(certificate and _is_psd_exact(certificate.a))
 
     interval = None
     extremes = None
-    if len(rest) == 1 and margin >= -BOUNDARY_TOL:
+    if len(rest) == 1 and exists:
         ends = []
         for direction in (-1.0, 1.0):
-            side_sol = solve(_section_problem(unit, rest, {1: direction}), opts)
+            side_sol = solve(_section_problem(n, [unit] + rest, {1: direction}), opts)
             if side_sol.status not in ("Optimal", "NearOptimal"):
                 raise SolverError(
                     f"section sweep ended with status {side_sol.status}"
                 )
             ends.append(direction * side_sol.objective)
-        lo, hi = min(ends), max(ends)
-        interval = (lo, hi)
-        extremes = (
-            _combine(unit, rest, [lo]),
-            _combine(unit, rest, [hi]),
-        )
+        interval = (min(ends), max(ends))
+        extremes = tuple(_quadric(_combine(unit, rest, [w]), n) for w in interval)
 
     return ConvexQuadricReport(
-        exists=margin >= -BOUNDARY_TOL,
+        exists=exists,
         margin=margin,
         definite=margin > BOUNDARY_TOL,
         verified=verified,
@@ -536,11 +519,11 @@ class MembershipReport:
     """Outcome of separating a query point with convex quadrics."""
 
     status: str
-    supremum: Optional[float]
-    certificate: Optional[Quadric]
-    ray: Optional[Quadric]
-    solver_status: Optional[str]
     detail: str
+    supremum: Optional[float] = None
+    certificate: Optional[Quadric] = None
+    ray: Optional[Quadric] = None
+    solver_status: Optional[str] = None
 
     def to_json(self) -> dict:
         return {
@@ -569,33 +552,25 @@ def th1_membership(
     the variety itself.
     """
     z = [parse_rational(v) for v in query]
-    if len(z) != space.ambient_dim:
-        raise InputError(
-            f"query has {len(z)} coordinates, expected {space.ambient_dim}"
-        )
+    n = space.ambient_dim
+    if len(z) != n:
+        raise InputError(f"query has {len(z)} coordinates, expected {n}")
     if space.dimension == 0:
         return MembershipReport(
-            status=INSIDE,
-            supremum=None,
-            certificate=None,
-            ray=None,
-            solver_status=None,
-            detail="the space is zero, so nothing separates",
+            status=INSIDE, detail="the space is zero, so nothing separates"
         )
+    at_z = [m.evaluate(z) for m in _deg2_monomials(n)]
+
+    def value(vec: List[Fraction]) -> Fraction:
+        return sum((c * m for c, m in zip(vec, at_z)), Fraction(0))
+
     for g in _linear_kernel(space):
-        value = g.evaluate(z)
-        if value != 0:
-            ray = g if value > 0 else Quadric(
-                tuple(tuple(-v for v in row) for row in g.a),
-                tuple(-v for v in g.b),
-                -g.c,
-            )
+        g_at_z = value(g)
+        if g_at_z != 0:
+            ray = g if g_at_z > 0 else [-c for c in g]
             return MembershipReport(
                 status=OUTSIDE,
-                supremum=None,
-                certificate=None,
-                ray=ray,
-                solver_status=None,
+                ray=_quadric(ray, n),
                 detail="an affine-linear member is nonzero at the query, "
                 "so the section supremum is +infinity",
             )
@@ -603,62 +578,40 @@ def th1_membership(
     if split is None:
         return MembershipReport(
             status=INSIDE,
-            supremum=None,
-            certificate=None,
-            ray=None,
-            solver_status=None,
             detail="no member has a nonzero PSD part and every affine-linear "
             "member vanishes at the query",
         )
     unit, rest = split
-    values = [float(q.evaluate(z)) for q in rest]
-    constant = float(unit.evaluate(z))
+    constant = float(value(unit))
     if not rest:
-        sup = constant
-        ok = _is_psd_exact(unit.a)
-        if not ok:
+        if not _is_psd_exact(_quadric(unit, n).a):
             return MembershipReport(
                 status=INSIDE,
-                supremum=None,
-                certificate=None,
-                ray=None,
-                solver_status=None,
                 detail="the only trace-1 member is not PSD; no separator exists",
             )
-        solver_status = None
+        sup, weights, solver_status = constant, [], None
     else:
+        values = [float(value(q)) for q in rest]
         objective = {k + 1: v for k, v in enumerate(values) if v}
-        problem = _section_problem(unit, rest, objective)
-        sol = solve(problem, options or SolverOptions())
+        sol = solve(_section_problem(n, [unit] + rest, objective), options or SolverOptions())
         if sol.status == "Infeasible":
             return MembershipReport(
                 status=INSIDE,
-                supremum=None,
-                certificate=None,
-                ray=None,
                 solver_status=sol.status,
                 detail="the PSD section is empty; no separator exists",
             )
         if sol.status not in ("Optimal", "NearOptimal"):
             raise SolverError(f"membership SDP ended with status {sol.status}")
-        sup = sol.objective + constant
-        solver_status = sol.status
-    if sup > boundary_tol:
-        weights = list(sol.y[1:]) if rest else []
-        certificate = _combine(unit, rest, weights)
-        status = OUTSIDE
-    elif sup < -boundary_tol:
-        certificate = None
-        status = INSIDE
-    else:
-        weights = list(sol.y[1:]) if rest else []
-        certificate = _combine(unit, rest, weights)
-        status = BORDERLINE
+        sup, weights, solver_status = sol.objective + constant, list(sol.y[1:]), sol.status
+    detail = "supremum of q(z) over members with PSD part and trace 1"
+    if sup < -boundary_tol:
+        return MembershipReport(
+            status=INSIDE, supremum=sup, solver_status=solver_status, detail=detail
+        )
     return MembershipReport(
-        status=status,
+        status=OUTSIDE if sup > boundary_tol else BORDERLINE,
         supremum=sup,
-        certificate=certificate,
-        ray=None,
+        certificate=_quadric(_combine(unit, rest, weights), n),
         solver_status=solver_status,
-        detail="supremum of q(z) over members with PSD part and trace 1",
+        detail=detail,
     )

@@ -379,22 +379,24 @@ def test_iteration_starvation_exits_4(files, capsys):
     assert report["result"]["status"] == "IterLimit"
 
 
-def test_env_overrides_and_flag_precedence(files, capsys, monkeypatch):
-    monkeypatch.setenv("THETA_CAP", "3")
-    code, _, _ = run(capsys, "theta", "--graph", files["c5"], "--level", 2)
+def test_cap_flag(files, capsys):
+    code, _, _ = run(
+        capsys, "theta", "--graph", files["c5"], "--level", 2, "--cap", 3
+    )
     assert code == 3
     code, report, _ = run(
         capsys, "theta", "--graph", files["c5"], "--level", 2, "--cap", 100
     )
     assert code == 0
     assert report["parameters"]["cap"] == 100
-    monkeypatch.delenv("THETA_CAP")
-    monkeypatch.setenv("THETA_MAX_ITER", "2")
-    code, _, _ = run(capsys, "theta", "--graph", files["c5"], "--level", 1)
-    assert code == 4
-    monkeypatch.setenv("THETA_MAX_ITER", "banana")
-    code, _, _ = run(capsys, "theta", "--graph", files["c5"], "--level", 1)
-    assert code == 2
+
+
+def test_nonpositive_solver_flags_exit_2(files, capsys):
+    for flag, value in (("--max-iter", 0), ("--feas-tol", 0), ("--gap-tol", -1)):
+        code, _, _ = run(
+            capsys, "theta", "--graph", files["c5"], "--level", 1, flag, value
+        )
+        assert code == 2, flag
 
 
 def test_reports_are_deterministic(files, capsys):

@@ -9,11 +9,15 @@ from fractions import Fraction
 import pytest
 
 import corpus
+import thetabody.quadrics as quadrics
 from thetabody.errors import InputError
-from thetabody.exactalg import Monomial, parse_polynomial
+from thetabody.exactalg import Monomial, parse_polynomial, rational_rref
 from thetabody.quadrics import (
     Quadric,
     _is_psd_exact,
+    _linear_kernel,
+    _quadric,
+    _trace_split,
     has_convex_quadric,
     quadric_space_from_generators,
     quadric_space_from_points,
@@ -280,3 +284,149 @@ def test_report_serialization():
     assert payload["exists"] is True
     json.dumps(payload)
     json.dumps(space.to_json())
+
+
+# ---------------------------------------------------------------- internals
+
+def _point_spaces():
+    sets = [corpus.cube(2), corpus.cube(3), corpus.cross_polytope(3), corpus.simplex(3),
+            corpus.quad4(), corpus.curve14(), corpus.tri3(), corpus.segment01(),
+            corpus.hypersimplex_2_4()]
+    return [(ps.points, quadric_space_from_points(ps)) for ps in sets]
+
+
+def _generator_spaces():
+    gens = [(3, ["x1^2 - x3", "x2^2 - x3"]), (2, ["x1^2 - 2*x2^2", "x1*x2"]),
+            (2, ["x2"]), (2, ["x1 - 1"]), (2, ["x1*x2"]),
+            (3, ["x1*x2 - x3", "x2*x3 - x1", "x1^2 - x2^2"]),
+            (3, ["x1^2 - x1", "x2^2 - x2", "x3^2 - x3", "x1*x2 - x3"])]
+    return [(None, quadric_space_from_generators(d, g)) for d, g in gens]
+
+
+def _quadratic_part(q):
+    return [q.a[i][j] for i in range(q.dim) for j in range(i, q.dim)]
+
+
+def test_trace_split_and_kernel_invariants():
+    for points, space in _point_spaces() + _generator_spaces():
+        n = space.ambient_dim
+        for g in (_quadric(v, n) for v in _linear_kernel(space)):
+            assert g.quadratic_is_zero() and not g.is_zero()
+            assert points is None or all(g.evaluate(p) == 0 for p in points)
+        split = _trace_split(space)
+        if split is None:
+            assert all(q.trace() == 0 for q in space.basis)
+            continue
+        unit, rest = split
+        assert _quadric(unit, n).trace() == 1
+        parts = []
+        for q in (_quadric(v, n) for v in rest):
+            assert q.trace() == 0 and not q.quadratic_is_zero()
+            assert points is None or all(q.evaluate(p) == 0 for p in points)
+            parts.append(_quadratic_part(q))
+        assert len(rational_rref(parts)[0]) == len(rest)
+
+
+def test_member_is_the_combination_of_the_basis():
+    f = Fraction
+    for _, space in _point_spaces() + _generator_spaces():
+        basis, n = space.basis, space.ambient_dim
+        for shift in range(3):
+            coeffs = [f((k + shift) % 5 - 2, 1 + k % 3) for k in range(space.dimension)]
+            q = space.member(coeffs)
+
+            def total(entry):
+                return sum((c * entry(b) for c, b in zip(coeffs, basis)), f(0))
+
+            assert q.a == tuple(
+                tuple(total(lambda b: b.a[i][j]) for j in range(n)) for i in range(n)
+            )
+            assert q.b == tuple(total(lambda b: b.b[i]) for i in range(n))
+            assert q.c == total(lambda b: b.c)
+
+
+def _sdp(side, y_dim, cells, objective):
+    """SdpProblem.to_json() without labels, from compact literals, plus the
+    cell insertion order (the solver sums each coordinate's entries in it)."""
+    return {
+        "side": side,
+        "yDim": y_dim,
+        "cells": [
+            {"row": i, "col": j, "coeffs": {str(l): c for l, c in vec.items()}}
+            for (i, j), vec in cells.items()
+        ],
+        "objective": {str(l): c for l, c in objective.items()},
+        "fixed": {"0": 1.0},
+        "cellOrder": list(cells),
+    }
+
+
+QUAD4_SECTION = {(0, 0): {0: 1.0, 1: 1.0}, (0, 1): {0: -0.25}, (1, 1): {1: -1.0}}
+
+
+def test_section_sdp_data_is_pinned(monkeypatch):
+    # the lead and the row-major RREF columns and cells decide these numbers;
+    # any change to them shows here
+    seen = []
+    real = quadrics.solve
+
+    def spy(problem, options=None):
+        payload = problem.to_json()
+        payload.pop("labels")
+        payload["cellOrder"] = list(problem.cells)
+        seen.append(payload)
+        return real(problem, options)
+
+    monkeypatch.setattr(quadrics, "solve", spy)
+
+    def captured(call):
+        seen.clear()
+        call()
+        return list(seen)
+
+    quad4 = quadric_space_from_points(corpus.quad4())
+    assert captured(lambda: th1_membership(quad4, (5, 5))) == [
+        _sdp(2, 2, QUAD4_SECTION, {})
+    ]
+    parabolas = quadric_space_from_generators(3, ["x1^2 - x3", "x2^2 - x3"])
+    assert captured(lambda: th1_membership(parabolas, (1, 0, 0))) == [
+        _sdp(3, 2, {(0, 0): {1: 1.0}, (1, 1): {0: 1.0, 1: -1.0}}, {1: 1.0})
+    ]
+    half = [p for p in itertools.product((0, 1), repeat=4) if sum(p) % 2 == 0]
+    query = (Fraction(-1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
+    half_cells = {
+        (0, 0): {1: 1.0}, (0, 1): {2: 1.0}, (0, 2): {3: 1.0}, (0, 3): {0: 1.0, 4: 1.0},
+        (1, 1): {0: 1.0, 5: 1.0}, (1, 2): {0: -1.0, 4: -1.0}, (1, 3): {3: -1.0},
+        (2, 2): {0: 1.0, 6: 1.0}, (2, 3): {2: -1.0},
+        (3, 3): {0: -1.0, 1: -1.0, 5: -1.0, 6: -1.0},
+    }
+    assert captured(lambda: th1_membership(quadric_space_from_points(half), query)) == [
+        _sdp(4, 7, half_cells, {1: 0.9375, 2: 0.375, 3: 0.375, 4: 0.375})
+    ]
+    slack_cells = {(0, 0): {0: 1.0, 1: 1.0, 2: -1.0}, (0, 1): {0: -0.25},
+                   (1, 1): {1: -1.0, 2: -1.0}}
+    assert captured(lambda: has_convex_quadric(quad4)) == [
+        _sdp(2, 3, slack_cells, {2: 1.0}),
+        _sdp(2, 2, QUAD4_SECTION, {1: -1.0}),
+        _sdp(2, 2, QUAD4_SECTION, {1: 1.0}),
+    ]
+
+
+def test_trace_split_directions_are_pinned():
+    # the SDP data depend only on the directions' quadratic parts and their
+    # values where the kernel vanishes; the traceless order picks the kernel
+    # representative, which shows in the affine parts here
+    space = quadric_space_from_points(corpus.hypersimplex_2_4())
+    unit, rest = _trace_split(space)
+    assert str(_quadric(unit, 4)) == (
+        "-1/3 + 1/3*x2^2 - 1/3*x2*x3 + 1/3*x3^2 - 1/3*x2*x4 - 1/3*x3*x4 + 1/3*x4^2"
+    )
+    assert [str(_quadric(v, 4)) for v in rest] == [
+        "-2 + x2 + x3 + 2*x4 + x1^2 - x4^2",
+        "-2 + 2*x3 + 2*x4 + 2*x1*x2 - 2*x3*x4",
+        "-2 + 2*x2 + 2*x4 + 2*x1*x3 - 2*x2*x4",
+        "-2*x4 + 2*x1*x4 + 2*x2*x4 + 2*x3*x4",
+        "-x2 + x4 + x2^2 - x4^2",
+        "2 - 2*x2 - 2*x3 - 2*x4 + 2*x2*x3 + 2*x2*x4 + 2*x3*x4",
+        "-x3 + x4 + x3^2 - x4^2",
+    ]
