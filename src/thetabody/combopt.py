@@ -20,19 +20,45 @@ by size then lexicographically, and the enumeration aborts with a resource
 error when a configurable cap (default 20000 elements) is exceeded.  The
 level-k template is momentsdp.template_from_products over the set sizes, and
 both relaxations share one solve-and-project routine.
+
+That routine solves over the orbits of the graph's automorphisms that keep
+the objective (Gatermann-Parrilo, JPAA 192, 2004): every vertex permutation
+for stable sets, those that keep each edge's exact weight for cuts.  The
+SDP, and the solver's starting point, are invariant under the group, so in
+exact arithmetic every iterate is too, and restricting y to the fixed
+subspace changes only rounding.  The group comes as a strong generating set
+over base points 1..n: for each base point, a backtracking search with
+colour (degree) refinement finds one automorphism per point missing from
+its orbit under the generators found so far.  The search stops after
+MAX_SEARCH_NODES consistency tests and keeps what it found; a subgroup has
+finer orbits, so results stay exact, only the reduced SDP is larger.
+Vertex permutations act on stable sets directly and on odd-cycle-free edge
+sets through the edges they induce; union-find over that action numbers the
+orbits of the y-coordinates by least member, so a trivial group maps every
+coordinate to itself and y_0 stays alone.  Coordinate l of orbit o enters
+as z_o / sqrt(|o|) (momentsdp.orbit_problem): the F_l of one orbit have
+disjoint supports of equal norm, so the scaling keeps the data norms the
+solver starts from and tests against, and with them its iteration counts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactalg import Monomial, parse_rational
-from .momentsdp import MomentTemplate, build_theta_sdp, template_from_products
+from .momentsdp import (
+    MomentTemplate,
+    build_theta_sdp,
+    orbit_problem,
+    template_from_products,
+)
 from .sdpsolve import SdpSolution, SolverOptions, solve
 
 STABLE_SETS = "StableSets"
@@ -295,6 +321,211 @@ def moment_template(basis: CombBasis, k: int) -> MomentTemplate:
     )
 
 
+# Consistency tests the automorphism search may make for one graph.  Past it
+# the generators found so far are kept (a subgroup: finer orbits, same
+# results, a larger SDP).
+MAX_SEARCH_NODES = 20000
+
+
+def _refined_colors(nbrs: List[Dict[int, int]]) -> List[int]:
+    """Colour refinement of a weighted graph: vertices get equal colours
+    until their multisets of (edge weight, neighbour colour) tell them apart.
+    Every weight-preserving automorphism keeps the colours."""
+    colors = [0] * len(nbrs)
+    count = 1
+    while True:
+        signatures = [
+            (colors[v], tuple(sorted((w, colors[u]) for u, w in nbrs[v].items())))
+            for v in range(len(nbrs))
+        ]
+        rank = {s: r for r, s in enumerate(sorted(set(signatures)))}
+        colors = [rank[s] for s in signatures]
+        if len(rank) == count:
+            return colors
+        count = len(rank)
+
+
+class _AutomorphismSearch:
+    """Backtracking for weight-preserving vertex permutations (0-based)."""
+
+    def __init__(self, nbrs: List[Dict[int, int]], budget: int):
+        self.nbrs = nbrs
+        self.colors = _refined_colors(nbrs)
+        self.cells: Dict[int, List[int]] = {}
+        for v, c in enumerate(self.colors):
+            self.cells.setdefault(c, []).append(v)
+        self.budget = budget
+        self.spent = False
+        self._orders: Dict[int, List[int]] = {}
+
+    def _order(self, i: int) -> List[int]:
+        """Vertices i+1..n-1 in extension order once 0..i are mapped: next
+        the one with most mapped neighbours (its image is most constrained),
+        the least such vertex on ties."""
+        if i not in self._orders:
+            hits = [0] * len(self.nbrs)
+            for v in range(i + 1):
+                for u in self.nbrs[v]:
+                    hits[u] += 1
+            rest = set(range(i + 1, len(self.nbrs)))
+            order = []
+            while rest:
+                v = max(rest, key=lambda v: (hits[v], -v))
+                rest.remove(v)
+                order.append(v)
+                for u in self.nbrs[v]:
+                    hits[u] += 1
+            self._orders[i] = order
+        return self._orders[i]
+
+    def candidates(self, v: int, image: List[int]) -> List[int]:
+        """Vertices of v's colour next to the image of v's first mapped
+        neighbour, or all of v's colour if it has none."""
+        for u in self.nbrs[v]:
+            if image[u] >= 0:
+                c = self.colors[v]
+                return sorted(x for x in self.nbrs[image[u]] if self.colors[x] == c)
+        return self.cells[self.colors[v]]
+
+    def _fits(self, v: int, w: int, image: List[int], pre: List[int]) -> bool:
+        """Can v map to the free vertex w, given the vertices mapped so far?"""
+        self.budget -= 1
+        if self.budget < 0:
+            self.spent = True
+            return False
+        mapped = 0
+        for u, weight in self.nbrs[v].items():
+            if image[u] >= 0:
+                if self.nbrs[w].get(image[u]) != weight:
+                    return False
+                mapped += 1
+        return mapped == sum(1 for x in self.nbrs[w] if pre[x] >= 0)
+
+    def find(self, i: int, j: int) -> Optional[List[int]]:
+        """An automorphism fixing 0..i-1 and mapping i to j (one of
+        candidates(i, ...) with 0..i-1 fixed), or None."""
+        n = len(self.nbrs)
+        image = list(range(i)) + [-1] * (n - i)
+        pre = list(range(i)) + [-1] * (n - i)
+        if not self._fits(i, j, image, pre):
+            return None
+        image[i], pre[j] = j, i
+        order = self._order(i)
+        tries = [iter(())] * len(order)
+        depth = 0
+        if order:
+            tries[0] = iter(self.candidates(order[0], image))
+        while depth < len(order):
+            v = order[depth]
+            w = next(
+                (w for w in tries[depth] if pre[w] < 0 and self._fits(v, w, image, pre)),
+                None,
+            )
+            if self.spent:
+                return None
+            if w is None:
+                depth -= 1
+                if depth < 0:
+                    return None
+                pre[image[order[depth]]] = -1
+                image[order[depth]] = -1
+                continue
+            image[v], pre[w] = w, v
+            depth += 1
+            if depth < len(order):
+                tries[depth] = iter(self.candidates(order[depth], image))
+        return image
+
+
+def _orbit(point: int, generators: List[List[int]]) -> set:
+    orbit, todo = {point}, [point]
+    while todo:
+        p = todo.pop()
+        for g in generators:
+            if g[p] not in orbit:
+                orbit.add(g[p])
+                todo.append(g[p])
+    return orbit
+
+
+def automorphism_group(
+    graph: Graph, weights: Optional[List[Fraction]] = None
+) -> Tuple[List[List[int]], int]:
+    """Strong generators and order of the graph's automorphism group.
+
+    With weights (parallel to graph.edges) only permutations that keep every
+    edge's exact weight count.  A generator g maps vertex v to g[v-1] + 1.
+    Base points are 1..n; the order is the product of the basic orbit
+    lengths.  Past MAX_SEARCH_NODES consistency tests the search stops: the
+    generators found so far generate a subgroup, whose order is returned.
+    """
+    weights = weights or [Fraction(1)] * graph.m
+    # equal weights get equal small ints, which hash and compare faster
+    rank = {w: r for r, w in enumerate(sorted(set(weights)))}
+    nbrs: List[Dict[int, int]] = [{} for _ in range(graph.n)]
+    for (u, v), w in zip(graph.edges, weights):
+        nbrs[u - 1][v - 1] = rank[w]
+        nbrs[v - 1][u - 1] = rank[w]
+    search = _AutomorphismSearch(nbrs, MAX_SEARCH_NODES)
+    generators: List[List[int]] = []
+    order = 1
+    for i in reversed(range(graph.n)):
+        # every generator so far fixes 0..i-1
+        orbit = _orbit(i, generators)
+        fixed = list(range(i)) + [-1] * (graph.n - i)
+        for j in search.candidates(i, fixed):
+            if j < i or j in orbit:
+                continue
+            g = search.find(i, j)
+            if g is not None:
+                generators.append(g)
+                orbit = _orbit(i, generators)
+            elif search.spent:
+                return generators, order * len(orbit)
+        order *= len(orbit)
+    return generators, order
+
+
+def coordinate_orbits(
+    basis: CombBasis, y_dim: int, generators: List[List[int]]
+) -> List[int]:
+    """Orbit number of each of the first y_dim basis elements under the
+    vertex permutations, numbered by least member in increasing order."""
+    elements = basis.elements
+    index = basis.index()
+    if basis.kind == STABLE_SETS:
+        actions = generators
+    else:
+        edge = {e: g for g, e in enumerate(basis.ground)}
+        actions = [
+            [edge[tuple(sorted((p[u - 1] + 1, p[v - 1] + 1)))] for u, v in basis.ground]
+            for p in generators
+        ]
+    parent = list(range(y_dim))
+
+    def root(l: int) -> int:
+        while parent[l] != l:
+            parent[l] = parent[parent[l]]
+            l = parent[l]
+        return l
+
+    for act in actions:
+        for l in range(y_dim):
+            a = root(l)
+            b = root(index[tuple(sorted(act[g] for g in elements[l]))])
+            parent[max(a, b)] = min(a, b)
+    orbit: List[int] = []
+    count = 0
+    for l in range(y_dim):
+        r = root(l)
+        if r == l:
+            orbit.append(count)
+            count += 1
+        else:
+            orbit.append(orbit[r])
+    return orbit
+
+
 @dataclass
 class ThetaResult:
     """Outcome of a level-k theta relaxation over a graph model."""
@@ -306,6 +537,8 @@ class ThetaResult:
     kind: str
     solution: SdpSolution
     template: MomentTemplate
+    group_order: int
+    y_orbits: int
 
     def to_json(self) -> dict:
         return {
@@ -316,15 +549,27 @@ class ThetaResult:
             "kind": self.kind,
             "matrixSide": self.template.side,
             "yDim": self.template.y_dim,
+            "groupOrder": self.group_order,
+            "yOrbits": self.y_orbits,
         }
 
 
 def _theta(
-    basis: CombBasis, k: int, objective, options: Optional[SolverOptions]
+    basis: CombBasis,
+    k: int,
+    objective,
+    weights: Optional[List[Fraction]],
+    options: Optional[SolverOptions],
 ) -> ThetaResult:
-    """Solve the level-k relaxation of a linear objective over the basis."""
+    """Solve the level-k relaxation of a linear objective over the basis,
+    over the orbits of the automorphisms that keep the edge weights."""
     template = moment_template(basis, k)
-    sol = solve(build_theta_sdp(template, objective), options)
+    generators, group_order = automorphism_group(basis.graph, weights)
+    orbit = coordinate_orbits(basis, template.y_dim, generators)
+    reduced = orbit_problem(build_theta_sdp(template, objective), orbit)
+    sol = solve(reduced, options)
+    size = Counter(orbit)
+    sol = replace(sol, y=[sol.y[o] / math.sqrt(size[o]) for o in orbit])
     linear = template.linear_index
     return ThetaResult(
         value=sol.objective,
@@ -337,6 +582,8 @@ def _theta(
         kind=basis.kind,
         solution=sol,
         template=template,
+        group_order=group_order,
+        y_orbits=reduced.y_dim - len(reduced.fixed),
     )
 
 
@@ -350,7 +597,9 @@ def stable_set_theta(
     if k < 1:
         raise InputError("level must be >= 1")
     objective = {Monomial.variable(v, graph.n): 1 for v in range(1, graph.n + 1)}
-    return _theta(enumerate_stable_sets(graph, 2 * k, cap=cap), k, objective, options)
+    return _theta(
+        enumerate_stable_sets(graph, 2 * k, cap=cap), k, objective, None, options
+    )
 
 
 def parse_weights(raw, graph: Graph) -> List[Fraction]:
@@ -408,4 +657,6 @@ def cut_theta(
     }
     if not objective:
         raise InputError("graph has no edges")
-    return _theta(enumerate_odd_cycle_free(graph, 2 * k, cap=cap), k, objective, options)
+    return _theta(
+        enumerate_odd_cycle_free(graph, 2 * k, cap=cap), k, objective, wlist, options
+    )

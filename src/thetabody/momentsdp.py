@@ -16,13 +16,16 @@ builder: it lays out rows and y-coordinates as degree prefixes of any
 degree-sorted basis, given how to name a product and how to expand it.
 build_moment_template feeds it a point-set quotient ring (monomial products,
 normal forms); combopt feeds it combinatorial set systems (set unions,
-unit-vector or zero cells) with no ring attached.
+unit-vector or zero cells) with no ring attached.  orbit_problem is the one
+linear map on the numeric SDP: it restricts y to be constant on given orbits
+of its coordinates, which combopt uses for graph symmetry.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
@@ -341,4 +344,44 @@ def build_theta_sdp(
         objective=coeffs,
         fixed={0: 1.0},
         y_labels=list(template.y_labels),
+    )
+
+
+def orbit_problem(problem: SdpProblem, orbit: Sequence[int]) -> SdpProblem:
+    """The SDP restricted to y constant on orbits of its coordinates.
+
+    orbit[l] numbers the orbit o of coordinate l (0 .. count-1).  The
+    reduced problem has one coordinate z_o per orbit, with y_l =
+    z_o / sqrt(|o|): F_o = sum_{l in o} F_l / sqrt(|o|), and likewise c_o.
+    Pinned coordinates must be alone in their orbit.  The identity map
+    (orbit[l] = l) returns the problem itself.
+    """
+    if len(orbit) != problem.y_dim:
+        raise InputError(f"{len(orbit)} orbit numbers for {problem.y_dim} coordinates")
+    if all(o == l for l, o in enumerate(orbit)):
+        return problem
+    size = Counter(orbit)
+    if any(size[orbit[l]] != 1 for l in problem.fixed):
+        raise InputError("a pinned coordinate shares its orbit")
+    scale = [1.0 / math.sqrt(size[o]) for o in orbit]
+
+    def reduce(vec: Mapping[int, float]) -> Dict[int, float]:
+        out: Dict[int, float] = {}
+        for l, c in vec.items():
+            out[orbit[l]] = out.get(orbit[l], 0.0) + c * scale[l]
+        return out
+
+    labels = None
+    if problem.y_labels is not None:
+        first = {}
+        for l, o in enumerate(orbit):
+            first.setdefault(o, problem.y_labels[l])
+        labels = [first[o] for o in range(len(size))]
+    return SdpProblem(
+        side=problem.side,
+        y_dim=len(size),
+        cells={key: reduce(vec) for key, vec in problem.cells.items()},
+        objective=reduce(problem.objective),
+        fixed={orbit[l]: v for l, v in problem.fixed.items()},
+        y_labels=labels,
     )

@@ -186,8 +186,9 @@ _SCHUR_BLOCK_BYTES = 120 * 1024
 # Byte budget of the dense float arrays one solve keeps alive at once,
 # checked before any of them is allocated.  Past it a dense interior-point
 # iteration takes minutes and one solve could exhaust a shared machine's
-# memory; the largest problem the tests and benchmark solve, cut K5 level 2
-# (side 56, 305 free coordinates), needs about 3.6 MB by the count below.
+# memory; the largest problem the tests and benchmark hand the solver, cut
+# K5 level 2 with weights no automorphism keeps (side 56, 305 free
+# coordinates), needs about 3.6 MB by the count below.
 _MEMORY_LIMIT_BYTES = 2 * 1024**3
 # m x m arrays alive at the peak of an iteration, while direction() runs:
 # F_0, Z, X, A(z), the primal residual, the Cholesky factors of Z and X and

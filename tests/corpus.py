@@ -87,3 +87,12 @@ def complete_edges(n):
 
 def complete_bipartite_edges(m, n):
     return [(i, m + j) for i in range(1, m + 1) for j in range(1, n + 1)]
+
+
+def petersen_edges():
+    """Outer 5-cycle 1..5, spokes i - i+5, inner pentagram 6..10."""
+    return (
+        cycle_edges(5)
+        + [(i, i + 5) for i in range(1, 6)]
+        + [(6 + i, 6 + (i + 2) % 5) for i in range(5)]
+    )

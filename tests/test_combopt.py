@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import corpus
 import oracles
+from thetabody import combopt
 from thetabody.errors import InputError, ResourceLimitError
 from thetabody.combopt import (
     Graph,
+    automorphism_group,
+    coordinate_orbits,
     cut_theta,
     enumerate_odd_cycle_free,
     enumerate_stable_sets,
@@ -20,7 +25,9 @@ from thetabody.combopt import (
     parse_weights,
     stable_set_theta,
 )
-from thetabody.sdpsolve import SolverOptions
+from thetabody.exactalg import Monomial
+from thetabody.momentsdp import assemble, build_theta_sdp
+from thetabody.sdpsolve import PSD_TOL, SolverOptions, solve
 
 
 def C(n):
@@ -33,6 +40,11 @@ def K(n):
 
 def Kmn(m, n):
     return Graph(m + n, corpus.complete_bipartite_edges(m, n))
+
+
+PETERSEN = Graph(10, corpus.petersen_edges())
+# the cut weights of the benchmark's K5w operation, in edge order
+K5W = [3, 1, 4, 1, 5, 2, 6, 5, 3, 5]
 
 
 # ---------------------------------------------------------------- graphs
@@ -318,4 +330,132 @@ def test_theta_result_report_shape():
     payload = r.to_json()
     assert payload["kind"] == "StableSets"
     assert payload["matrixSide"] == 4
+    assert payload["yDim"] == 4
+    # S_3 permutes the three singletons, which form one free orbit
+    assert payload["groupOrder"] == 6
+    assert payload["yOrbits"] == 1
     assert abs(payload["value"] - 1.0) <= 1e-5
+
+
+# ---------------------------------------------------------------- symmetry
+
+def _model(graph, model, weights):
+    """Basis and objective exactly as stable_set_theta / cut_theta build them."""
+    if model == "stable":
+        return enumerate_stable_sets, {
+            Monomial.variable(v, graph.n): 1 for v in range(1, graph.n + 1)
+        }, None
+    w = parse_weights(weights, graph)
+    return enumerate_odd_cycle_free, {
+        Monomial.variable(e + 1, graph.m): w[e] for e in range(graph.m)
+    }, w
+
+
+def _relax(graph, model, weights, k):
+    if model == "stable":
+        return stable_set_theta(graph, k)
+    return cut_theta(graph, weights, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "graph, model, weights",
+    [(C(n), "stable", None) for n in range(5, 12)]
+    + [
+        (PETERSEN, "stable", None),
+        (K(5), "cut", None),
+        (K(5), "cut", K5W),
+        (C(7), "cut", None),
+    ],
+    ids=[f"C{n}" for n in range(5, 12)] + ["petersen", "cutK5", "cutK5w", "cutC7"],
+)
+def test_orbit_reduction_changes_no_result(graph, model, weights, k):
+    enumerate_basis, objective, w = _model(graph, model, weights)
+    basis = enumerate_basis(graph, 2 * k)
+    template = moment_template(basis, k)
+    full = solve(build_theta_sdp(template, objective))
+    r = _relax(graph, model, weights, k)
+    assert r.status == full.status
+    assert r.solution.iterations == full.iterations
+    assert abs(r.value - full.objective) <= 1e-9 * max(1.0, abs(full.objective))
+    orbit = coordinate_orbits(basis, template.y_dim, automorphism_group(graph, w)[0])
+    assert r.y_orbits == max(orbit)
+    y = r.solution.y
+    assert len(y) == template.y_dim and y[0] == 1.0
+    first = {}
+    for l, o in enumerate(orbit):
+        assert y[l] == y[first.setdefault(o, l)]
+    assert np.linalg.eigvalsh(assemble(template, y))[0] >= -PSD_TOL
+
+
+def test_trivial_group_hands_solve_the_unreduced_problem(monkeypatch):
+    rng = random.Random(3)
+    edges = rng.sample(corpus.complete_edges(9), 14)
+    cases = [(K(5), "cut", K5W, 1), (K(5), "cut", K5W, 2), (Graph(9, edges), "stable", None, 1)]
+    seen = []
+    real_solve = combopt.solve
+    monkeypatch.setattr(
+        combopt, "solve", lambda problem, options=None: seen.append(problem) or real_solve(problem, options)
+    )
+    for graph, model, weights, k in cases:
+        enumerate_basis, objective, w = _model(graph, model, weights)
+        assert automorphism_group(graph, w) == ([], 1)
+        r = _relax(graph, model, weights, k)
+        assert r.group_order == 1 and r.y_orbits == r.template.y_dim - 1
+        expected = build_theta_sdp(moment_template(enumerate_basis(graph, 2 * k), k), objective)
+        assert seen.pop() == expected
+
+
+@pytest.mark.parametrize(
+    "graph, weights, order",
+    [(C(n), None, 2 * n) for n in range(3, 10)]
+    + [
+        (PETERSEN, None, 120),
+        (K(5), None, 120),
+        (Kmn(2, 3), None, 12),
+        (K(7), None, 5040),
+        (Graph(6, []), None, 720),
+        (K(5), K5W, 1),
+        # weights 1, 2, 1, 2 around C4 (edges (1,2), (1,4), (2,3), (3,4)):
+        # the half turn and the two reflections through edge midpoints
+        (C(4), [1, 2, 2, 1], 4),
+    ],
+    ids=[f"C{n}" for n in range(3, 10)]
+    + ["petersen", "K5", "K23", "K7", "edgeless6", "K5w", "C4w"],
+)
+def test_automorphism_group_orders(graph, weights, order):
+    w = None if weights is None else [Fraction(x) for x in weights]
+    generators, got = automorphism_group(graph, w)
+    assert got == order
+    weight = {e: (1 if w is None else w[i]) for i, e in enumerate(graph.edges)}
+    for g in generators:
+        assert sorted(g) == list(range(graph.n))
+        image = {
+            tuple(sorted((g[u - 1] + 1, g[v - 1] + 1))): x for (u, v), x in weight.items()
+        }
+        assert image == weight
+
+
+@pytest.mark.parametrize(
+    "graph, model, k",
+    [(C(9), "stable", 2), (PETERSEN, "stable", 1), (K(5), "cut", 1), (C(7), "cut", 2)],
+    ids=["C9-2", "petersen-1", "cutK5-1", "cutC7-2"],
+)
+def test_search_budget_keeps_values(monkeypatch, graph, model, k):
+    full = _relax(graph, model, None, k)
+    monkeypatch.setattr(combopt, "MAX_SEARCH_NODES", 1)
+    cut = _relax(graph, model, None, k)
+    assert cut.group_order < full.group_order
+    assert cut.y_orbits > full.y_orbits
+    assert abs(cut.value - full.value) <= 1e-9 * abs(full.value)
+
+
+def test_cut_k6_level_two_over_orbits():
+    # 1,680 free y without the reduction (3.5 s on a 2-CPU Xeon); 15 orbits
+    # with y_0's
+    r = cut_theta(K(6), None, 2)
+    assert r.status == "Optimal"
+    assert r.solution.iterations <= 15
+    assert abs(r.value - 9.0) <= 1e-6
+    assert r.group_order == 720
+    assert r.y_orbits == 14

@@ -16,6 +16,7 @@ from thetabody.momentsdp import (
     assemble,
     build_moment_template,
     build_theta_sdp,
+    orbit_problem,
 )
 
 
@@ -183,3 +184,29 @@ def test_sdp_problem_validation():
         SdpProblem(side=1, y_dim=1, cells={(0, 0): {3: 1.0}}, objective={}, fixed={0: 1.0})
     with pytest.raises(InputError):
         SdpProblem(side=1, y_dim=1, cells={(1, 0): {0: 1.0}}, objective={}, fixed={0: 1.0})
+
+
+def test_orbit_problem_scales_by_root_orbit_size():
+    # y_1, y_2 swap under the symmetry of M = [[1, y1, y2], [y1, 1, y3], [y2, y3, 1]]
+    # that exchanges rows 1 and 2 (with y_3 fixed)
+    problem = SdpProblem(
+        side=3,
+        y_dim=4,
+        cells={(0, 0): {0: 1.0}, (1, 1): {0: 1.0}, (2, 2): {0: 1.0},
+               (0, 1): {1: 1.0}, (0, 2): {2: 1.0}, (1, 2): {3: 1.0}},
+        objective={1: 1.0, 2: 1.0},
+        fixed={0: 1.0},
+        y_labels=["1", "a", "b", "c"],
+    )
+    assert orbit_problem(problem, [0, 1, 2, 3]) is problem
+    reduced = orbit_problem(problem, [0, 1, 1, 2])
+    half = 1 / np.sqrt(2)
+    assert reduced.y_dim == 3 and reduced.fixed == {0: 1.0}
+    assert reduced.cells[(0, 1)] == {1: half} and reduced.cells[(0, 2)] == {1: half}
+    assert reduced.cells[(1, 2)] == {2: 1.0}
+    assert reduced.objective == {1: 2 * half}
+    assert reduced.y_labels == ["1", "a", "c"]
+    with pytest.raises(InputError):
+        orbit_problem(problem, [0, 0, 1, 2])
+    with pytest.raises(InputError):
+        orbit_problem(problem, [0, 1, 1])

@@ -239,10 +239,19 @@ def test_tri_solve_matches_dense_solve(n, transpose):
     [
         (lambda: stable_set_theta(Graph(9, corpus.cycle_edges(9)), 2), 10),
         (lambda: cut_theta(Graph(5, corpus.complete_edges(5)), None, 2), 13),
+        (
+            lambda: cut_theta(
+                Graph(5, corpus.complete_edges(5)), [3, 1, 4, 1, 5, 2, 6, 5, 3, 5], 2
+            ),
+            12,
+        ),
     ],
 )
 def test_largest_graph_sdps_keep_their_iteration_counts(run, most):
-    # stable C9 level 2 (side 37) and cut K5 level 2 (side 56, 305 free y)
+    # stable C9 level 2 (side 37, 8 free y over the orbits of its dihedral
+    # group), cut K5 level 2 (side 56, 10 free y over the orbits of S_5) and
+    # cut K5 level 2 with weights no automorphism keeps (305 free y, the
+    # largest problem solved without reduction)
     result = run()
     assert result.status == "Optimal"
     assert result.solution.iterations <= most
