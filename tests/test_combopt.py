@@ -394,9 +394,12 @@ def test_trivial_group_hands_solve_the_unreduced_problem(monkeypatch):
     cases = [(K(5), "cut", K5W, 1), (K(5), "cut", K5W, 2), (Graph(9, edges), "stable", None, 1)]
     seen = []
     real_solve = combopt.solve
-    monkeypatch.setattr(
-        combopt, "solve", lambda problem, options=None: seen.append(problem) or real_solve(problem, options)
-    )
+
+    def capture(problem, options=None):
+        seen.append(problem)
+        return real_solve(problem, options)
+
+    monkeypatch.setattr(combopt, "solve", capture)
     for graph, model, weights, k in cases:
         enumerate_basis, objective, w = _model(graph, model, weights)
         assert automorphism_group(graph, w) == ([], 1)
