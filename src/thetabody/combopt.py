@@ -44,9 +44,7 @@ solver starts from and tests against, and with them its iteration counts.
 from __future__ import annotations
 
 import json
-import math
 import re
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -566,10 +564,9 @@ def _theta(
     template = moment_template(basis, k)
     generators, group_order = automorphism_group(basis.graph, weights)
     orbit = coordinate_orbits(basis, template.y_dim, generators)
-    reduced = orbit_problem(build_theta_sdp(template, objective), orbit)
+    reduced, expand = orbit_problem(build_theta_sdp(template, objective), orbit)
     sol = solve(reduced, options)
-    size = Counter(orbit)
-    sol = replace(sol, y=[sol.y[o] / math.sqrt(size[o]) for o in orbit])
+    sol = replace(sol, y=expand(sol.y))
     linear = template.linear_index
     return ThetaResult(
         value=sol.objective,

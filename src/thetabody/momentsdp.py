@@ -347,19 +347,21 @@ def build_theta_sdp(
     )
 
 
-def orbit_problem(problem: SdpProblem, orbit: Sequence[int]) -> SdpProblem:
-    """The SDP restricted to y constant on orbits of its coordinates.
+def orbit_problem(
+    problem: SdpProblem, orbit: Sequence[int]
+) -> Tuple[SdpProblem, Callable[[Sequence[float]], List[float]]]:
+    """The SDP restricted to y constant on orbits of its coordinates, and
+    the map from its solution back to the full y.
 
     orbit[l] numbers the orbit o of coordinate l (0 .. count-1).  The
     reduced problem has one coordinate z_o per orbit, with y_l =
     z_o / sqrt(|o|): F_o = sum_{l in o} F_l / sqrt(|o|), and likewise c_o.
-    Pinned coordinates must be alone in their orbit.  The identity map
-    (orbit[l] = l) returns the problem itself.
+    The returned function expands a reduced z to that y.  Pinned
+    coordinates must be alone in their orbit.  The identity map
+    (orbit[l] = l) gives a problem equal to the input.
     """
     if len(orbit) != problem.y_dim:
         raise InputError(f"{len(orbit)} orbit numbers for {problem.y_dim} coordinates")
-    if all(o == l for l, o in enumerate(orbit)):
-        return problem
     size = Counter(orbit)
     if any(size[orbit[l]] != 1 for l in problem.fixed):
         raise InputError("a pinned coordinate shares its orbit")
@@ -377,7 +379,7 @@ def orbit_problem(problem: SdpProblem, orbit: Sequence[int]) -> SdpProblem:
         for l, o in enumerate(orbit):
             first.setdefault(o, problem.y_labels[l])
         labels = [first[o] for o in range(len(size))]
-    return SdpProblem(
+    reduced = SdpProblem(
         side=problem.side,
         y_dim=len(size),
         cells={key: reduce(vec) for key, vec in problem.cells.items()},
@@ -385,3 +387,4 @@ def orbit_problem(problem: SdpProblem, orbit: Sequence[int]) -> SdpProblem:
         fixed={orbit[l]: v for l, v in problem.fixed.items()},
         y_labels=labels,
     )
+    return reduced, lambda z: [z[o] * scale[l] for l, o in enumerate(orbit)]

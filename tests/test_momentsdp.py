@@ -198,14 +198,16 @@ def test_orbit_problem_scales_by_root_orbit_size():
         fixed={0: 1.0},
         y_labels=["1", "a", "b", "c"],
     )
-    assert orbit_problem(problem, [0, 1, 2, 3]) is problem
-    reduced = orbit_problem(problem, [0, 1, 1, 2])
+    same, expand = orbit_problem(problem, [0, 1, 2, 3])
+    assert same == problem and expand([1.0, 2.0, 3.0, 4.0]) == [1.0, 2.0, 3.0, 4.0]
+    reduced, expand = orbit_problem(problem, [0, 1, 1, 2])
     half = 1 / np.sqrt(2)
     assert reduced.y_dim == 3 and reduced.fixed == {0: 1.0}
     assert reduced.cells[(0, 1)] == {1: half} and reduced.cells[(0, 2)] == {1: half}
     assert reduced.cells[(1, 2)] == {2: 1.0}
     assert reduced.objective == {1: 2 * half}
     assert reduced.y_labels == ["1", "a", "c"]
+    assert expand([1.0, 2.0, 3.0]) == [1.0, 2 * half, 2 * half, 3.0]
     with pytest.raises(InputError):
         orbit_problem(problem, [0, 0, 1, 2])
     with pytest.raises(InputError):
