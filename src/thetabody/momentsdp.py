@@ -18,7 +18,8 @@ build_moment_template feeds it a point-set quotient ring (monomial products,
 normal forms); combopt feeds it combinatorial set systems (set unions,
 unit-vector or zero cells) with no ring attached.  orbit_problem is the one
 linear map on the numeric SDP: it restricts y to be constant on given orbits
-of its coordinates, which combopt uses for graph symmetry.
+of its coordinates and expands the reduced solution back, which combopt uses
+for graph symmetry.
 """
 
 from __future__ import annotations
