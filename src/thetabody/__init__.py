@@ -14,127 +14,95 @@ The package is organized as a pipeline:
 - ``quadrics``   degree-two slices of vanishing ideals: convex-quadric
                  certificates and first-relaxation membership.
 - ``cli``        the ``thetabody`` command-line entry point.
+
+The names in ``__all__`` load on first access (PEP 562): ``import thetabody``
+imports no submodule, and ``thetabody.solve`` imports ``sdpsolve`` (and with
+it numpy) only when first asked for.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import InputError, ResourceLimitError, SolverError, ThetaBodyError
-from .exactalg import (
-    Monomial,
-    PointSet,
-    QuotientRing,
-    buchberger_moller,
-    format_rational,
-    parse_monomial,
-    parse_polynomial,
-    parse_rational,
-    rational_rref,
-)
-from .momentsdp import (
-    MomentTemplate,
-    SdpProblem,
-    assemble,
-    build_moment_template,
-    build_theta_sdp,
-)
-from .sdpsolve import SdpSolution, SolverOptions, solve
-from .combopt import (
-    CombBasis,
-    Graph,
-    ThetaResult,
-    cut_theta,
-    enumerate_odd_cycle_free,
-    enumerate_stable_sets,
-    is_bipartite,
-    moment_template,
-    parse_weights,
-    stable_set_theta,
-)
-from .geomexact import (
-    DownClosedReport,
-    ExactnessReport,
-    FacetInequality,
-    FacetVertexReport,
-    ZeroOneClass,
-    affine_dimension,
-    classify_01,
-    down_closed_analysis,
-    facet_vertex_report,
-    facets,
-    is_exact,
-    theta_rank_upper_bound,
-    vertex_indices,
-)
-from .quadrics import (
-    ConvexQuadricReport,
-    MembershipReport,
-    Quadric,
-    QuadricSpace,
-    has_convex_quadric,
-    quadric_space_from_generators,
-    quadric_space_from_points,
-    th1_membership,
-)
-
-__all__ = [
-    "__version__",
-    # errors
-    "ThetaBodyError",
-    "InputError",
-    "ResourceLimitError",
-    "SolverError",
+# Home module of each public name; __all__ lists the names in this order.
+_HOMES = {
+    "errors": ("ThetaBodyError", "InputError", "ResourceLimitError", "SolverError"),
     # exact rational groundwork
-    "Monomial",
-    "PointSet",
-    "QuotientRing",
-    "buchberger_moller",
-    "parse_rational",
-    "format_rational",
-    "parse_monomial",
-    "parse_polynomial",
-    "rational_rref",
+    "exactalg": (
+        "Monomial",
+        "PointSet",
+        "QuotientRing",
+        "buchberger_moller",
+        "parse_rational",
+        "format_rational",
+        "parse_monomial",
+        "parse_polynomial",
+        "rational_rref",
+    ),
     # moment templates and SDP data
-    "MomentTemplate",
-    "build_moment_template",
-    "assemble",
-    "SdpProblem",
-    "build_theta_sdp",
+    "momentsdp": (
+        "MomentTemplate",
+        "build_moment_template",
+        "assemble",
+        "SdpProblem",
+        "build_theta_sdp",
+    ),
     # solver
-    "SolverOptions",
-    "SdpSolution",
-    "solve",
+    "sdpsolve": ("SolverOptions", "SdpSolution", "solve"),
     # graph models
-    "Graph",
-    "CombBasis",
-    "enumerate_stable_sets",
-    "enumerate_odd_cycle_free",
-    "is_bipartite",
-    "moment_template",
-    "ThetaResult",
-    "stable_set_theta",
-    "cut_theta",
-    "parse_weights",
+    "combopt": (
+        "Graph",
+        "CombBasis",
+        "enumerate_stable_sets",
+        "enumerate_odd_cycle_free",
+        "is_bipartite",
+        "moment_template",
+        "ThetaResult",
+        "stable_set_theta",
+        "cut_theta",
+        "parse_weights",
+    ),
     # exact geometry
-    "FacetInequality",
-    "ExactnessReport",
-    "facets",
-    "is_exact",
-    "theta_rank_upper_bound",
-    "vertex_indices",
-    "FacetVertexReport",
-    "facet_vertex_report",
-    "ZeroOneClass",
-    "classify_01",
-    "DownClosedReport",
-    "down_closed_analysis",
-    "affine_dimension",
+    "geomexact": (
+        "FacetInequality",
+        "ExactnessReport",
+        "facets",
+        "is_exact",
+        "theta_rank_upper_bound",
+        "vertex_indices",
+        "FacetVertexReport",
+        "facet_vertex_report",
+        "ZeroOneClass",
+        "classify_01",
+        "DownClosedReport",
+        "down_closed_analysis",
+        "affine_dimension",
+    ),
     # quadric slices
-    "Quadric",
-    "QuadricSpace",
-    "quadric_space_from_points",
-    "quadric_space_from_generators",
-    "ConvexQuadricReport",
-    "has_convex_quadric",
-    "MembershipReport",
-    "th1_membership",
-]
+    "quadrics": (
+        "Quadric",
+        "QuadricSpace",
+        "quadric_space_from_points",
+        "quadric_space_from_generators",
+        "ConvexQuadricReport",
+        "has_convex_quadric",
+        "MembershipReport",
+        "th1_membership",
+    ),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = ["__version__", *_HOME_OF]
+
+
+def __getattr__(name):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Read from the home module on every access, so a name rebound there
+    # (by a test double or a tracer) is what the package hands out too.
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -18,8 +18,11 @@ reports except for the wall time.
 Exit codes: 0 success (for solver-backed commands: a conclusive answer),
 2 invalid input, 3 a resource cap was hit, 4 the solver failed to converge.
 
-Tolerances and caps are set only by flags; their defaults are the
-SolverOptions defaults and combopt.DEFAULT_CAP.
+Tolerances and caps are set only by flags.  An omitted flag parses as None,
+and the command fills it in from SolverOptions() or combopt.DEFAULT_CAP, so
+building the parser imports neither module.  Each command imports the modules
+it runs when it runs: exactness, classify01 and moment-dump never load numpy,
+and theta loads neither geomexact nor quadrics.
 """
 
 from __future__ import annotations
@@ -30,21 +33,14 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from . import __version__
 from .errors import InputError, ResourceLimitError, SolverError, ThetaBodyError
-from .exactalg import PointSet, buchberger_moller, parse_rational
-from .momentsdp import SdpProblem, build_moment_template
-from .sdpsolve import SolverOptions, solve
-from .combopt import Graph, cut_theta, parse_weights, stable_set_theta
-from .combopt import DEFAULT_CAP
-from .geomexact import classify_01, facet_vertex_report, is_exact
-from .quadrics import (
-    quadric_space_from_generators,
-    quadric_space_from_points,
-    th1_membership,
-)
+
+if TYPE_CHECKING:
+    from .sdpsolve import SolverOptions
+
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
@@ -79,11 +75,11 @@ def _report_skeleton(subcommand: str, digests: Dict[str, str], parameters: dict)
 
 
 def _solver_options(args) -> SolverOptions:
-    if args.feas_tol <= 0 or args.gap_tol <= 0 or args.max_iter < 1:
-        raise InputError("tolerances must be positive and max-iter >= 1")
-    return SolverOptions(
-        feas_tol=args.feas_tol, gap_tol=args.gap_tol, max_iter=args.max_iter
-    )
+    """SolverOptions from the solver flags; an omitted flag keeps its default."""
+    from .sdpsolve import SolverOptions
+
+    given = {"feas_tol": args.feas_tol, "gap_tol": args.gap_tol, "max_iter": args.max_iter}
+    return SolverOptions(**{k: v for k, v in given.items() if v is not None})
 
 
 def _solver_diagnostics(solution) -> dict:
@@ -96,24 +92,20 @@ def _solver_diagnostics(solution) -> dict:
 
 
 def _add_solver_flags(sub) -> None:
-    defaults = SolverOptions()
-    sub.add_argument(
-        "--feas-tol", type=float, default=defaults.feas_tol, help="feasibility tolerance"
-    )
-    sub.add_argument(
-        "--gap-tol", type=float, default=defaults.gap_tol, help="duality-gap tolerance"
-    )
-    sub.add_argument(
-        "--max-iter", type=int, default=defaults.max_iter, help="iteration limit"
-    )
+    sub.add_argument("--feas-tol", type=float, help="feasibility tolerance")
+    sub.add_argument("--gap-tol", type=float, help="duality-gap tolerance")
+    sub.add_argument("--max-iter", type=int, help="iteration limit")
 
 
 # ------------------------------------------------------------------ theta
 
 def _cmd_theta(args) -> int:
+    from .combopt import DEFAULT_CAP, Graph, cut_theta, parse_weights, stable_set_theta
+
     started = time.monotonic()
     graph = Graph.from_file(args.graph)
     options = _solver_options(args)
+    cap = DEFAULT_CAP if args.cap is None else args.cap
     digests = {"graph": _digest(args.graph)}
     weights = None
     weights_param: Optional[object] = None
@@ -130,9 +122,9 @@ def _cmd_theta(args) -> int:
         raise InputError("--weights only applies to the cut model")
 
     if args.model == "stable":
-        result = stable_set_theta(graph, args.level, options=options, cap=args.cap)
+        result = stable_set_theta(graph, args.level, options=options, cap=cap)
     else:
-        result = cut_theta(graph, weights, args.level, options=options, cap=args.cap)
+        result = cut_theta(graph, weights, args.level, options=options, cap=cap)
 
     report = _report_skeleton(
         "theta",
@@ -141,7 +133,7 @@ def _cmd_theta(args) -> int:
             "model": args.model,
             "level": args.level,
             "weights": weights_param,
-            "cap": args.cap,
+            "cap": cap,
             "feasTol": options.feas_tol,
             "gapTol": options.gap_tol,
             "maxIter": options.max_iter,
@@ -162,6 +154,9 @@ def _cmd_theta(args) -> int:
 # -------------------------------------------------------------- exactness
 
 def _cmd_exactness(args) -> int:
+    from .exactalg import PointSet
+    from .geomexact import facet_vertex_report, is_exact
+
     started = time.monotonic()
     points = PointSet.from_file(args.points)
     report_body = is_exact(points)
@@ -187,6 +182,8 @@ def _cmd_exactness(args) -> int:
 # ------------------------------------------------------------- classify01
 
 def _cmd_classify01(args) -> int:
+    from .geomexact import classify_01
+
     started = time.monotonic()
     classes = classify_01(args.dim)
     report = _report_skeleton("classify01", {}, {"dim": args.dim})
@@ -207,6 +204,13 @@ def _cmd_classify01(args) -> int:
 # -------------------------------------------------------------------- th1
 
 def _cmd_th1(args) -> int:
+    from .exactalg import PointSet, parse_rational
+    from .quadrics import (
+        quadric_space_from_generators,
+        quadric_space_from_points,
+        th1_membership,
+    )
+
     started = time.monotonic()
     digests: Dict[str, str] = {}
     if args.points is not None:
@@ -250,6 +254,9 @@ def _cmd_th1(args) -> int:
 # ------------------------------------------------------------ moment-dump
 
 def _cmd_moment_dump(args) -> int:
+    from .exactalg import PointSet, buchberger_moller
+    from .momentsdp import build_moment_template
+
     started = time.monotonic()
     points = PointSet.from_file(args.points)
     ring = buchberger_moller(points)
@@ -275,6 +282,9 @@ def _cmd_moment_dump(args) -> int:
 # ------------------------------------------------------------------ solve
 
 def _cmd_solve(args) -> int:
+    from .momentsdp import SdpProblem
+    from .sdpsolve import solve
+
     started = time.monotonic()
     problem = SdpProblem.from_file(args.sdp)
     options = _solver_options(args)
@@ -332,9 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cut model edge weights: JSON file path or inline JSON",
     )
-    theta.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP, help="cap on enumerated basis elements"
-    )
+    theta.add_argument("--cap", type=int, help="cap on enumerated basis elements")
     _add_solver_flags(theta)
     theta.set_defaults(run=_cmd_theta)
 

@@ -196,6 +196,8 @@ def _enumerate(
     """
     if max_size < 0:
         raise InputError("max_size must be >= 0")
+    if cap < 1:
+        raise InputError(f"cap must be >= 1, got {cap}")
     out: List[Tuple[int, ...]] = []
     frontier: List[Tuple[int, ...]] = [()]
     exhausted = False

@@ -27,9 +27,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .combopt import Graph, enumerate_stable_sets
 from .errors import InputError, ResourceLimitError
 from .exactalg import (
     PointSet,
@@ -37,6 +36,9 @@ from .exactalg import (
     format_rational,
     rational_rref,
 )
+
+if TYPE_CHECKING:
+    from .combopt import Graph
 
 MAX_POINTS = 64
 MAX_AFFINE_DIM = 8
@@ -582,6 +584,9 @@ class DownClosedReport:
 
 def down_closed_analysis(points) -> DownClosedReport:
     """Analyze a 0/1 point set as a down-closed set family."""
+    # combopt loads the SDP solver and numpy, which nothing else here needs.
+    from .combopt import Graph, enumerate_stable_sets
+
     ps = PointSet.coerce(points)
     n = ps.dim
     for p in ps.points:

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import InputError
 from .exactalg import (
     Monomial,
@@ -198,6 +196,8 @@ def assemble(template: MomentTemplate, y: Sequence):
             matrix[i][j] = value
             matrix[j][i] = value
         return matrix
+    import numpy as np
+
     ydense = np.asarray([float(v) for v in y])
     matrix = np.zeros((side, side))
     for (i, j), vec in template.cells.items():

@@ -45,6 +45,7 @@ A candidate optimum must also pass a shifted-Cholesky feasibility check
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -73,10 +74,10 @@ class SolverOptions:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.gap_tol <= 0:
-            raise InputError("tolerances must be positive")
-        if self.max_iter < 0:
-            raise InputError("max_iter must be >= 0")
+        if not all(math.isfinite(t) and t > 0 for t in (self.feas_tol, self.gap_tol)):
+            raise InputError("tolerances must be finite and positive")
+        if self.max_iter < 1:
+            raise InputError("max_iter must be >= 1")
 
 
 @dataclass

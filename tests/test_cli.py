@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thetabody
 from thetabody import __version__, geomexact
 from thetabody.cli import main
 from thetabody.exactalg import PointSet
@@ -392,11 +398,21 @@ def test_cap_flag(files, capsys):
 
 
 def test_nonpositive_solver_flags_exit_2(files, capsys):
-    for flag, value in (("--max-iter", 0), ("--feas-tol", 0), ("--gap-tol", -1)):
-        code, _, _ = run(
+    for flag, value in (
+        ("--max-iter", 0),
+        ("--feas-tol", 0),
+        ("--gap-tol", -1),
+        ("--feas-tol", "nan"),
+        ("--feas-tol", "inf"),
+        ("--gap-tol", "nan"),
+        ("--gap-tol", "inf"),
+        ("--cap", 0),
+        ("--cap", -1),
+    ):
+        code, report, _ = run(
             capsys, "theta", "--graph", files["c5"], "--level", 1, flag, value
         )
-        assert code == 2, flag
+        assert code == 2 and report is None, (flag, value)
 
 
 def test_reports_are_deterministic(files, capsys):
@@ -423,3 +439,53 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+# --------------------------------------------------------------- start-up
+
+# Runs main on argv (when given) with its output discarded, then prints the
+# names in sys.modules.
+_LOADED = """
+import contextlib, io, json, sys
+from thetabody.cli import main
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(sys.argv[1:])
+    if code:
+        sys.exit(f"exit {code}")
+print(json.dumps(sorted(sys.modules)))
+"""
+SOLVER_SIDE = {"numpy", "thetabody.sdpsolve", "thetabody.combopt"}
+GEOMETRY = {"thetabody.geomexact", "thetabody.quadrics"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        ((), SOLVER_SIDE | GEOMETRY),
+        (("exactness", "--points", "square"), {"numpy"}),
+        (("classify01", "--dim", "2"), {"numpy"}),
+        (("moment-dump", "--points", "square"), {"numpy"}),
+        (("theta", "--graph", "c5"), GEOMETRY),
+    ],
+    ids=["import", "exactness", "classify01", "moment-dump", "theta"],
+)
+def test_process_loads_only_what_its_subcommand_runs(files, argv, absent):
+    src = str(Path(thetabody.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, "-c", _LOADED, *(str(files.get(a, a)) for a in argv)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert absent.isdisjoint(json.loads(proc.stdout))
+
+
+def test_package_names_resolve_to_their_home_objects():
+    for name in thetabody.__all__:
+        value = getattr(thetabody, name)
+        if name != "__version__":
+            home = importlib.import_module(value.__module__)
+            assert getattr(home, name) is value, name
+    assert set(thetabody.__all__) <= set(dir(thetabody))
+    with pytest.raises(AttributeError):
+        getattr(thetabody, "no_such_name")

@@ -141,6 +141,8 @@ def test_enumeration_cap():
         enumerate_stable_sets(Kmn(8, 8), 8, cap=50)
     with pytest.raises(ResourceLimitError):
         enumerate_odd_cycle_free(Kmn(4, 4), 16, cap=100)
+    with pytest.raises(InputError):
+        enumerate_stable_sets(Kmn(2, 2), 2, cap=0)
 
 
 # ---------------------------------------------------------------- bipartite

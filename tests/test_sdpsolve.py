@@ -157,8 +157,14 @@ def test_constant_objective_after_rewrite():
 def test_option_validation():
     with pytest.raises(InputError):
         SolverOptions(feas_tol=0.0)
-    with pytest.raises(InputError):
-        SolverOptions(max_iter=-1)
+    for bad in (
+        {"max_iter": -1},
+        {"max_iter": 0},
+        {"feas_tol": math.nan},
+        {"gap_tol": math.inf},
+    ):
+        with pytest.raises(InputError):
+            SolverOptions(**bad)
 
 
 def test_optimal_status_is_certified():
