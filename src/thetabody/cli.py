@@ -226,7 +226,7 @@ def _cmd_th1(args) -> int:
         gens = payload.get("generators", [])
         if not isinstance(gens, list):
             raise InputError("\"generators\" must be a list of polynomial strings")
-        space = quadric_space_from_generators(int(payload["dim"]), gens)
+        space = quadric_space_from_generators(payload["dim"], gens)
         source = {"gens": args.gens}
     query = tuple(parse_rational(c) for c in args.query.split(","))
     options = _solver_options(args)

@@ -73,13 +73,16 @@ class Graph:
     edges: Tuple[Tuple[int, int], ...]
 
     def __init__(self, n: int, edges):
-        n = int(n)
+        try:
+            n = int(n)
+            pairs = [(int(e[0]), int(e[1])) for e in edges]
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise InputError(f"invalid graph: {exc}") from exc
         if n < 1:
             raise InputError("graph needs at least one vertex")
         seen = set()
         normalized = []
-        for e in edges:
-            u, v = int(e[0]), int(e[1])
+        for u, v in pairs:
             if u == v:
                 raise InputError(f"loop at vertex {u} is not allowed")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -606,25 +609,28 @@ def parse_weights(raw, graph: Graph) -> List[Fraction]:
     {(u, v): w} mapping, or None for unit weights."""
     if raw is None:
         return [Fraction(1)] * graph.m
-    if isinstance(raw, dict):
-        table = {}
-        for key, value in raw.items():
-            if isinstance(key, str):
-                parts = re.split(r"[,\s]+", key.strip())
-                if len(parts) != 2:
-                    raise InputError(f"bad edge key {key!r}")
-                u, v = int(parts[0]), int(parts[1])
-            else:
-                u, v = int(key[0]), int(key[1])
-            table[(min(u, v), max(u, v))] = parse_rational(value)
-        missing = [e for e in graph.edges if e not in table]
-        if missing:
-            raise InputError(f"missing weight for edge {missing[0]}")
-        extras = [e for e in table if e not in set(graph.edges)]
-        if extras:
-            raise InputError(f"weight given for non-edge {extras[0]}")
-        return [table[e] for e in graph.edges]
-    weights = [parse_rational(w) for w in raw]
+    try:
+        if isinstance(raw, dict):
+            table = {}
+            for key, value in raw.items():
+                if isinstance(key, str):
+                    parts = re.split(r"[,\s]+", key.strip())
+                    if len(parts) != 2:
+                        raise InputError(f"bad edge key {key!r}")
+                    u, v = int(parts[0]), int(parts[1])
+                else:
+                    u, v = int(key[0]), int(key[1])
+                table[(min(u, v), max(u, v))] = parse_rational(value)
+            missing = [e for e in graph.edges if e not in table]
+            if missing:
+                raise InputError(f"missing weight for edge {missing[0]}")
+            extras = [e for e in table if e not in set(graph.edges)]
+            if extras:
+                raise InputError(f"weight given for non-edge {extras[0]}")
+            return [table[e] for e in graph.edges]
+        weights = [parse_rational(w) for w in raw]
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise InputError(f"invalid weights: {exc}") from exc
     if len(weights) != graph.m:
         raise InputError(
             f"{len(weights)} weights given, graph has {graph.m} edges"

@@ -8,10 +8,14 @@ candidate monomials are visited in increasing degrevlex order, and a candidate
 whose evaluation vector on S is linearly independent of the ones already kept
 becomes a standard monomial, while a dependent candidate is a leading term of
 the ideal and prunes all of its multiples.  The surviving set B is an order
-ideal with |B| = |S|, and the evaluation matrix (points x basis) is invertible.
+ideal with |B| = |S|, and the evaluation matrix E (points x basis) is invertible.
 
-Normal forms are computed through that matrix: NF(f) is the unique element of
-span(B) agreeing with f on S, i.e. the coefficient vector E^−1 (f(s))_{s in S}.
+One incremental Gauss–Jordan elimination decides independence and records
+each reduced row's combination of the kept evaluation vectors.  At full rank
+these are the Lagrange polynomials of the points over B, the rows of E^−1
+(Marinari–Möller–Mora, AAECC 4, 1993), so normal forms need no second
+elimination: NF(f), the unique element of span(B) agreeing with f on S, has
+the coefficient vector E^−1 (f(s))_{s in S}.
 Because the term order is degree compatible, NF never raises degree, so the
 normal form of a product of basis elements of degree <= k is supported on the
 basis elements of degree <= 2k.  Products of basis elements reduce to pointwise
@@ -24,6 +28,7 @@ is the order in which moment-matrix rows and y-coordinates are labeled.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 from dataclasses import dataclass, field
@@ -33,10 +38,11 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 from .errors import InputError, ResourceLimitError
 
 # Largest point set buchberger_moller accepts.  Its exact elimination grows
-# about as the fourth power of the point count: random rational points took
-# 5.1 / 5.9 / 7.9 s at 64 points in dimension 2 / 3 / 5, 31-33 s at 96 and
-# 83 s at 128 in the plane (one core of a 2-CPU Xeon).  The cap equals
-# geomexact.MAX_POINTS, so every set the facet code accepts has a ring.
+# about as the fourth power of the point count: random points with
+# coordinates p/q, |p| <= 10, 1 <= q <= 10, took 7.9 / 9.4 / 7.8 s at 64 in
+# dimension 2 / 3 / 5, 54 s at 96 in dimension 3 and 204 s at 128 in the
+# plane (one core of a 2-CPU Xeon).  The cap equals geomexact.MAX_POINTS,
+# so every set the facet code accepts has a ring.
 MAX_BM_POINTS = 64
 
 
@@ -220,11 +226,15 @@ class PointSet:
     __slots__ = ("dim", "points")
 
     def __init__(self, dim: int, points: Iterable[Sequence]):
-        dim = int(dim)
+        try:
+            dim = int(dim)
+            raw = [tuple(row) for row in points]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"invalid point set: {exc}") from exc
         if dim < 1:
             raise InputError("point set dimension must be >= 1")
         rows: List[Tuple[Fraction, ...]] = []
-        for row in points:
+        for row in raw:
             coords = tuple(parse_rational(c) for c in row)
             if len(coords) != dim:
                 raise InputError(
@@ -292,6 +302,52 @@ class PointSet:
         return PointSet.from_json(obj)
 
 
+class _Elimination:
+    """Incremental Gauss–Jordan elimination over the rationals; it also gives
+    rational_rref and the affine frames of geomexact.
+
+    rows stay the RREF of the vectors add() kept, sorted by pivot; each row
+    is 0 at the other rows' pivots, so add() reads its multiple straight off
+    a new vector.  combos[i] holds the coefficients of rows[i] over the kept
+    vectors in the order they were kept.  Once the rows span Q^n they are the
+    identity, and the combos invert the matrix whose rows are the kept vectors.
+    """
+
+    def __init__(self):
+        self.rows: List[List[Fraction]] = []
+        self.pivots: List[int] = []
+        self.combos: List[List[Fraction]] = []
+
+    def add(self, vector: Sequence[Fraction]) -> bool:
+        """Reduce a vector of Fractions; keep it when it is independent."""
+        factors = [vector[p] for p in self.pivots]
+        vec = list(vector)
+        for f, row in zip(factors, self.rows):
+            if f:
+                vec = [v - f * w if w else v for v, w in zip(vec, row)]
+        pivot = next((j for j, v in enumerate(vec) if v), None)
+        if pivot is None:
+            return False
+        scale = 1 / vec[pivot]
+        vec = [v * scale for v in vec]
+        combo = [Fraction(0)] * len(self.rows)
+        for f, c in zip(factors, self.combos):
+            if f:
+                combo = [a - f * b if b else a for a, b in zip(combo, c)]
+        combo = [a * scale for a in combo] + [scale]
+        for i, row in enumerate(self.rows):
+            self.combos[i].append(Fraction(0))
+            g = row[pivot]
+            if g:
+                self.rows[i] = [v - g * w if w else v for v, w in zip(row, vec)]
+                self.combos[i] = [a - g * b if b else a for a, b in zip(self.combos[i], combo)]
+        at = bisect.bisect(self.pivots, pivot)
+        self.rows.insert(at, vec)
+        self.pivots.insert(at, pivot)
+        self.combos.insert(at, combo)
+        return True
+
+
 def rational_rref(rows) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form of a rational matrix.
 
@@ -299,29 +355,12 @@ def rational_rref(rows) -> Tuple[List[List[Fraction]], List[int]]:
     modified.  Entries may be anything parse_rational accepts.
     """
     work = [[parse_rational(v) for v in row] for row in rows]
-    if not work:
-        return [], []
-    width = len(work[0])
-    if any(len(row) != width for row in work):
+    if work and any(len(row) != len(work[0]) for row in work):
         raise InputError("matrix rows have unequal lengths")
-    pivots: List[int] = []
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return work[:rank], pivots
+    elim = _Elimination()
+    for row in work:
+        elim.add(row)
+    return elim.rows, elim.pivots
 
 
 def nullspace(rows, width: int) -> List[List[Fraction]]:
@@ -342,18 +381,6 @@ def nullspace(rows, width: int) -> List[List[Fraction]]:
     return out
 
 
-def _invert_rational_matrix(matrix: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Exact inverse of a square rational matrix: the RREF of [A | I] is
-    [I | A^-1] exactly when its pivots are the first n columns."""
-    n = len(matrix)
-    reduced, pivots = rational_rref(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    )
-    if pivots != list(range(n)):
-        raise InputError("evaluation matrix is singular")
-    return [row[n:] for row in reduced]
-
-
 class QuotientRing:
     """R[x1..xn]/I(S) for a finite point set S, presented by standard monomials.
 
@@ -366,15 +393,14 @@ class QuotientRing:
       leading      the minimal monomials outside the standard set
     """
 
-    def __init__(self, points: PointSet, basis: List[Monomial], leading: List[Monomial]):
+    def __init__(self, points: PointSet, basis: List[Monomial], leading: List[Monomial],
+                 columns: List[List[Fraction]], eval_inverse: List[List[Fraction]]):
         self.points = points
         self.basis = list(basis)
         self.degrees = [m.degree for m in self.basis]
         self.leading = list(leading)
-        self.eval_matrix: List[List[Fraction]] = [
-            [m.evaluate(p) for m in self.basis] for p in points
-        ]
-        self._eval_inverse = _invert_rational_matrix(self.eval_matrix)
+        self.eval_matrix: List[List[Fraction]] = [list(row) for row in zip(*columns)]
+        self._eval_inverse = eval_inverse
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._mul_table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
 
@@ -407,11 +433,8 @@ class QuotientRing:
     def _interpolate(self, values: Sequence[Fraction]) -> Dict[int, Fraction]:
         """Coefficients over the basis of the unique interpolant of `values`."""
         out: Dict[int, Fraction] = {}
-        for l in range(len(self.basis)):
-            acc = Fraction(0)
-            for s, v in enumerate(values):
-                if v:
-                    acc += self._eval_inverse[l][s] * v
+        for l, row in enumerate(self._eval_inverse):
+            acc = sum((w * v for w, v in zip(row, values) if v), Fraction(0))
             if acc:
                 out[l] = acc
         return out
@@ -469,34 +492,21 @@ def buchberger_moller(points: PointSet) -> QuotientRing:
             f"Buchberger-Moller capped at {MAX_BM_POINTS} points, got {size}"
         )
 
-    basis: List[Monomial] = []
+    kept: List[Monomial] = []
+    columns: List[List[Fraction]] = []
     leading: List[Monomial] = []
-    # Reduced evaluation vectors of the kept monomials, with pivot positions.
-    reduced: List[Tuple[int, List[Fraction]]] = []
-
-    def is_independent(vector: List[Fraction]) -> bool:
-        vec = list(vector)
-        for pivot, row in reduced:
-            if vec[pivot]:
-                factor = vec[pivot] / row[pivot]
-                for idx in range(size):
-                    vec[idx] -= factor * row[idx]
-        for idx in range(size):
-            if vec[idx]:
-                reduced.append((idx, vec))
-                return True
-        return False
-
+    elim = _Elimination()
     start = Monomial.unit(n)
     heap = [(grevlex_key(start), start)]
     seen = {start}
-    while heap and len(basis) < size:
+    while heap and len(kept) < size:
         _, mono = heapq.heappop(heap)
         if any(lead.divides(mono) for lead in leading):
             continue
         vector = [mono.evaluate(p) for p in points]
-        if is_independent(vector):
-            basis.append(mono)
+        if elim.add(vector):
+            kept.append(mono)
+            columns.append(vector)
             for i in range(1, n + 1):
                 nxt = mono * Monomial.variable(i, n)
                 if nxt not in seen:
@@ -505,14 +515,16 @@ def buchberger_moller(points: PointSet) -> QuotientRing:
         else:
             leading.append(mono)
 
-    assert len(basis) == size, "standard monomials must match the point count"
-    basis.sort(key=display_key)
+    assert len(kept) == size, "standard monomials must match the point count"
     leading.sort(key=grevlex_key)
-
-    ring = QuotientRing(points, basis, leading)
+    # combos[s] is the Lagrange polynomial of point s over the kept monomials
+    order = sorted(range(size), key=lambda k: display_key(kept[k]))
+    lagrange = [[row[k] for row in elim.combos] for k in order]
+    ring = QuotientRing(points, [kept[k] for k in order], leading,
+                        [columns[k] for k in order], lagrange)
 
     # Order-ideal sanity check: every divisor of a standard monomial is standard.
-    for m in basis:
+    for m in ring.basis:
         for i in range(1, n + 1):
             exps = list(m.exponents)
             if exps[i - 1] > 0:

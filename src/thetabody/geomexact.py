@@ -30,12 +30,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .exactalg import (
-    PointSet,
-    _invert_rational_matrix,
-    format_rational,
-    rational_rref,
-)
+from .exactalg import PointSet, _Elimination, format_rational, rational_rref
 
 if TYPE_CHECKING:
     from .combopt import Graph
@@ -118,21 +113,17 @@ def _primitive(vector: Sequence) -> Tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def _affine_rank(pts: Sequence[tuple]) -> int:
-    base = pts[0]
-    rows = [[Fraction(p[j]) - base[j] for j in range(len(base))] for p in pts[1:]]
-    return len(rational_rref(rows)[1])
-
-
-def _affine_basis(pts: Sequence[tuple], d: int) -> List[tuple]:
-    """Greedy affinely independent subset of size d + 1."""
-    basis = [pts[0]]
+def _affine_frame(pts: Sequence[tuple]):
+    """(frame, W): pts[0] and each point whose difference from it is independent
+    of the kept ones; W gives barycentric coordinates lam = W (x - pts[0]) over
+    the frame's edges when the frame spans the space (W is the combos' transpose)."""
+    frame, elim = [pts[0]], _Elimination()
     for p in pts[1:]:
-        if _affine_rank(basis + [p]) == len(basis):
-            basis.append(p)
-        if len(basis) == d + 1:
-            break
-    return basis
+        if elim.add([Fraction(x) - y for x, y in zip(p, pts[0])]):
+            frame.append(p)
+            if len(frame) > len(p):
+                break
+    return frame, [list(col) for col in zip(*elim.combos)]
 
 
 def _chart_facets(chart_pts: List[tuple], d: int) -> List[Tuple[int, ...]]:
@@ -153,14 +144,12 @@ def _chart_facets(chart_pts: List[tuple], d: int) -> List[Tuple[int, ...]]:
     den = lcm(*(c.denominator for p in chart_pts for c in p))
     pts = [tuple(int(c * den) for c in p) for p in chart_pts]
     index = {p: i for i, p in enumerate(pts)}
-    basis = [index[p] for p in _affine_basis(pts, d)]
+    frame, inv = _affine_frame(pts)
+    basis = [index[p] for p in frame]
 
-    # simplex facets from the barycentric coordinates lam = B^-1 (x - v0),
-    # with the columns of B the edges v_k - v0: lam_k >= 0 and sum lam <= 1
-    v0 = pts[basis[0]]
-    inv = _invert_rational_matrix(
-        [[pts[k][j] - v0[j] for k in basis[1:]] for j in range(d)]
-    )
+    # simplex facets from the barycentric coordinates lam = W (x - v0):
+    # lam_k >= 0 and sum lam <= 1
+    v0 = frame[0]
     total = [sum(col) for col in zip(*inv)]
     rows = [_primitive(total + [1 + sum(w * x for w, x in zip(total, v0))])]
     rows += [
@@ -380,14 +369,11 @@ def _affinely_equivalent(s_pts: List[tuple], t_pts: List[tuple], d: int) -> bool
     """Exact test for an invertible affine map carrying one set onto the other."""
     if len(s_pts) != len(t_pts):
         return False
-    basis = _affine_basis(s_pts, d)
-    b0 = basis[0]
-    cols = [[Fraction(b[j]) - b0[j] for b in basis[1:]] for j in range(d)]
-    binv = _invert_rational_matrix(cols)
+    binv = _affine_frame(s_pts)[1]
     t_set = set(map(tuple, t_pts))
-    shifted = [tuple(Fraction(x) - y for x, y in zip(p, b0)) for p in s_pts]
     coords = [
-        tuple(sum(row[k] * p[k] for k in range(d)) for row in binv) for p in shifted
+        tuple(sum(w * (x - y) for w, x, y in zip(row, p, s_pts[0])) for row in binv)
+        for p in s_pts
     ]
     for target in itertools.permutations(t_pts, d + 1):
         t0 = target[0]
@@ -472,7 +458,7 @@ def classify_01(d: int) -> List[ZeroOneClass]:
     full_dim: List[int] = []
     for mask in range(1, 1 << len(verts)):
         members = [verts[i] for i in range(len(verts)) if mask >> i & 1]
-        if len(members) >= d + 1 and _affine_rank(members) == d:
+        if len(_affine_frame(members)[0]) == d + 1:
             full_dim.append(mask)
 
     orbits: Dict[int, List[int]] = {}

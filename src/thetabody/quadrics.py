@@ -268,6 +268,12 @@ def quadric_space_from_generators(dim: int, generators) -> QuadricSpace:
     Higher-degree generators are rejected.  An empty generator list is the
     zero ideal: the slice is {0} and the relaxation is all of R^n.
     """
+    try:
+        dim = int(dim)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid dimension {dim!r}") from exc
+    if dim < 1:
+        raise InputError("dimension must be >= 1")
     monos = _deg2_monomials(dim)
     index = {m: k for k, m in enumerate(monos)}
     vectors: List[List[Fraction]] = []
@@ -282,11 +288,15 @@ def quadric_space_from_generators(dim: int, generators) -> QuadricSpace:
             vectors.append(vec)
 
     for gen in generators:
-        poly = (
-            parse_polynomial(gen, dim)
-            if isinstance(gen, str)
-            else {m: parse_rational(c) for m, c in gen.items()}
-        )
+        if isinstance(gen, str):
+            poly = parse_polynomial(gen, dim)
+        elif isinstance(gen, Mapping) and all(isinstance(m, Monomial) for m in gen):
+            poly = {m: parse_rational(c) for m, c in gen.items()}
+        else:
+            raise InputError(
+                f"generator {gen!r} is neither a polynomial string nor a "
+                "{Monomial: coefficient} mapping"
+            )
         if not poly:
             raise InputError("the zero polynomial is not a usable generator")
         degree = max(m.degree for m in poly)
@@ -540,7 +550,6 @@ def th1_membership(
     space: QuadricSpace,
     query: Sequence,
     options: Optional[SolverOptions] = None,
-    boundary_tol: float = BOUNDARY_TOL,
 ) -> MembershipReport:
     """Test a point against the convex quadrics of the space.
 
@@ -604,12 +613,12 @@ def th1_membership(
             raise SolverError(f"membership SDP ended with status {sol.status}")
         sup, weights, solver_status = sol.objective + constant, list(sol.y[1:]), sol.status
     detail = "supremum of q(z) over members with PSD part and trace 1"
-    if sup < -boundary_tol:
+    if sup < -BOUNDARY_TOL:
         return MembershipReport(
             status=INSIDE, supremum=sup, solver_status=solver_status, detail=detail
         )
     return MembershipReport(
-        status=OUTSIDE if sup > boundary_tol else BORDERLINE,
+        status=OUTSIDE if sup > BOUNDARY_TOL else BORDERLINE,
         supremum=sup,
         certificate=_quadric(_combine(unit, rest, weights), n),
         solver_status=solver_status,

@@ -363,11 +363,39 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and report is None and "error" in err
 
 
-def test_bad_json_exits_2(capsys, tmp_path):
+MALFORMED = {
+    # id: (subcommand and flags with {bad} for the file, file content)
+    "syntax": (["exactness", "--points", "{bad}"], "{oops"),
+    "weights-key": (
+        ["theta", "--graph", "{bad}", "--model", "cut", "--weights", '{"a,b": 1, "2,3": 1}'],
+        K3_DIMACS,
+    ),
+    "weights-scalar": (
+        ["theta", "--graph", "{bad}", "--model", "cut", "--weights", "5"],
+        K3_DIMACS,
+    ),
+    "points-dim": (["exactness", "--points", "{bad}"], '{"dim": "x", "points": [[0]]}'),
+    "points-scalar": (["exactness", "--points", "{bad}"], '{"dim": 1, "points": 5}'),
+    "points-rows": (["moment-dump", "--points", "{bad}"], '{"dim": 1, "points": [0, 1]}'),
+    "gens-dim": (["th1", "--gens", "{bad}", "--query", "0,0"], '{"dim": "abc", "generators": []}'),
+    "gens-dim-null": (["th1", "--gens", "{bad}", "--query", "0"], '{"dim": null, "generators": []}'),
+    "gens-scalar": (["th1", "--gens", "{bad}", "--query", "0,0"], '{"dim": 2, "generators": [5]}'),
+    "gens-object": (
+        ["th1", "--gens", "{bad}", "--query", "0,0"],
+        '{"dim": 2, "generators": [{"x1": 1}]}',
+    ),
+    "graph-n": (["theta", "--graph", "{bad}"], '{"n": "x", "edges": []}'),
+    "graph-edge": (["theta", "--graph", "{bad}"], '{"n": 3, "edges": [[1]]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_bad_json_exits_2(capsys, tmp_path, case):
+    argv, content = MALFORMED[case]
     bad = tmp_path / "bad.json"
-    bad.write_text("{oops")
-    code, _, _ = run(capsys, "exactness", "--points", bad)
-    assert code == 2
+    bad.write_text(content)
+    code, report, err = run(capsys, *[a.replace("{bad}", str(bad)) for a in argv])
+    assert code == 2 and report is None and err.startswith("error:")
 
 
 def test_cap_exits_3(files, capsys):

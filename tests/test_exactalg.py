@@ -17,7 +17,7 @@ from thetabody.exactalg import (
     Monomial,
     PointSet,
     QuotientRing,
-    _invert_rational_matrix,
+    _Elimination,
     buchberger_moller,
     display_key,
     format_rational,
@@ -26,6 +26,7 @@ from thetabody.exactalg import (
     parse_monomial,
     parse_polynomial,
     parse_rational,
+    rational_rref,
 )
 from thetabody.geomexact import facets
 from thetabody.quadrics import quadric_space_from_points
@@ -345,14 +346,74 @@ def test_nullspace_matches_sympy():
 
 
 def test_invert_rational_matrix():
+    """At full rank the elimination's combos are the exact inverse of the
+    matrix whose rows it kept; a dependent row is not kept."""
     rng = random.Random(11)
     a = _random_rational_matrix(rng, 5, 5)
-    inv = _invert_rational_matrix(a)
+    elim = _Elimination()
+    assert all(elim.add(row) for row in a)
+    inv = elim.combos
     product = [[sum(inv[i][k] * a[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
     assert product == [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
     singular = a[:4] + [[x - 3 * y for x, y in zip(a[0], a[2])]]
-    with pytest.raises(InputError):
-        _invert_rational_matrix(singular)
+    elim = _Elimination()
+    assert [elim.add(row) for row in singular] == [True] * 4 + [False]
+    assert len(elim.rows) == 4
+
+
+def test_rational_rref_matches_sympy():
+    import sympy
+
+    rng = random.Random(23)
+    cases = []
+    for rows, cols in [(1, 1), (2, 7), (3, 3), (5, 5), (7, 3), (9, 4), (4, 9), (6, 6)]:
+        for _ in range(4):
+            m = _random_rational_matrix(rng, rows, cols)
+            for r in range(rows):
+                roll = rng.random()
+                if roll < 0.15:
+                    m[r] = [Fraction(0)] * cols  # a zero row
+                elif roll < 0.3 and r:
+                    m[r] = list(m[rng.randrange(r)])  # a duplicate row
+                elif roll < 0.45:
+                    m[r] = [v if rng.random() < 0.4 else Fraction(0) for v in m[r]]
+            cases.append(m)
+    for m in cases:
+        reduced, pivots = rational_rref(m)
+        expected, expected_pivots = sympy.Matrix(m).rref()
+        assert pivots == list(expected_pivots)
+        theirs = [
+            [Fraction(int(v.p), int(v.q)) for v in expected.row(r)]
+            for r in range(len(expected_pivots))
+        ]
+        assert reduced == theirs
+
+
+def _random_small_point_set(rng):
+    dim = rng.randint(1, 3)
+    pts = {
+        tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim))
+        for _ in range(rng.randint(1, 20))
+    }
+    return PointSet(dim, sorted(pts))
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [corpus.segment01(), corpus.tri3(), corpus.quad4(), corpus.curve14(),
+     corpus.cube(3), corpus.cross_polytope(3), corpus.simplex(4),
+     corpus.hypersimplex_2_4()]
+    + [_random_small_point_set(random.Random(seed)) for seed in range(12)],
+)
+def test_ring_inverse_inverts_eval_matrix(ps):
+    ring = buchberger_moller(ps)
+    n = len(ps)
+    product = [
+        [sum(ring._eval_inverse[l][s] * ring.eval_matrix[s][j] for s in range(n))
+         for j in range(n)]
+        for l in range(n)
+    ]
+    assert product == [[int(l == j) for j in range(n)] for l in range(n)]
 
 
 def test_point_set_coerce_forms():
