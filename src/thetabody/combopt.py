@@ -113,7 +113,12 @@ class Graph:
     def from_json(obj) -> "Graph":
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise InputError('graph JSON needs keys "n" and "edges"')
-        return Graph(obj["n"], obj["edges"])
+        n, edges = obj["n"], obj["edges"]
+        ok = type(edges) is list and all(type(e) is list and len(e) == 2 for e in edges)
+        ends = [n] + [v for e in edges for v in e] if ok else []
+        if not ok or not all(type(v) in (int, float) and v % 1 == 0 for v in ends):
+            raise InputError('graph JSON needs an integral "n" and integral [u, v] edges')
+        return Graph(n, edges)
 
     @staticmethod
     def from_dimacs(text: str) -> "Graph":

@@ -15,7 +15,9 @@ each reduced row's combination of the kept evaluation vectors.  At full rank
 these are the Lagrange polynomials of the points over B, the rows of E^−1
 (Marinari–Möller–Mora, AAECC 4, 1993), so normal forms need no second
 elimination: NF(f), the unique element of span(B) agreeing with f on S, has
-the coefficient vector E^−1 (f(s))_{s in S}.
+the coefficient vector E^−1 (f(s))_{s in S}.  The elimination and the ring's
+E and E^−1 work on ints over a positive denominator per row or column (a
+Fraction pays a gcd and an object per operation); results leave as Fractions.
 Because the term order is degree compatible, NF never raises degree, so the
 normal form of a product of basis elements of degree <= k is supported on the
 basis elements of degree <= 2k.  Products of basis elements reduce to pointwise
@@ -33,14 +35,17 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 
 # Largest point set buchberger_moller accepts.  Its exact elimination grows
-# about as the fourth power of the point count: random points with
-# coordinates p/q, |p| <= 10, 1 <= q <= 10, took 7.9 / 9.4 / 7.8 s at 64 in
-# dimension 2 / 3 / 5, 54 s at 96 in dimension 3 and 204 s at 128 in the
+# about as the fifth power of the point count: random points with
+# coordinates p/q, |p| <= 10, 1 <= q <= 10, took 0.83 / 0.73 / 0.72 s at 64
+# in dimension 2 / 3 / 5, 6.1 s at 96 in dimension 3 and 22 s at 128 in the
 # plane (one core of a 2-CPU Xeon).  The cap equals geomexact.MAX_POINTS,
 # so every set the facet code accepts has a ring.
 MAX_BM_POINTS = 64
@@ -228,13 +233,15 @@ class PointSet:
     def __init__(self, dim: int, points: Iterable[Sequence]):
         try:
             dim = int(dim)
-            raw = [tuple(row) for row in points]
+            raw = [row if isinstance(row, str) else tuple(row) for row in points]
         except (TypeError, ValueError) as exc:
             raise InputError(f"invalid point set: {exc}") from exc
         if dim < 1:
             raise InputError("point set dimension must be >= 1")
         rows: List[Tuple[Fraction, ...]] = []
         for row in raw:
+            if isinstance(row, str):
+                raise InputError(f"point {row!r} is a string, not a list of coordinates")
             coords = tuple(parse_rational(c) for c in row)
             if len(coords) != dim:
                 raise InputError(
@@ -285,7 +292,7 @@ class PointSet:
             return points
         if isinstance(points, dict):
             return PointSet.from_json(points)
-        rows = [tuple(row) for row in points]
+        rows = list(points)
         if not rows:
             raise InputError("point set must be non-empty")
         return PointSet(len(rows[0]), rows)
@@ -302,6 +309,13 @@ class PointSet:
         return PointSet.from_json(obj)
 
 
+def _over_lcm(values: Sequence) -> Tuple[List[int], int]:
+    """(ints, den) with value k = ints[k] / den, den the lcm of the values'
+    denominators; ints and Fractions alike."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class _Elimination:
     """Incremental Gauss–Jordan elimination over the rationals; it also gives
     rational_rref and the affine frames of geomexact.
@@ -311,41 +325,54 @@ class _Elimination:
     a new vector.  combos[i] holds the coefficients of rows[i] over the kept
     vectors in the order they were kept.  Once the rows span Q^n they are the
     identity, and the combos invert the matrix whose rows are the kept vectors.
+    A row is stored with its combo appended, as ints over its entry at the
+    pivot, and divided by the gcd of its entries after each update.
     """
 
     def __init__(self):
-        self.rows: List[List[Fraction]] = []
         self.pivots: List[int] = []
-        self.combos: List[List[Fraction]] = []
+        self._rows: List[List[int]] = []
+        self._width = 0
 
-    def add(self, vector: Sequence[Fraction]) -> bool:
-        """Reduce a vector of Fractions; keep it when it is independent."""
-        factors = [vector[p] for p in self.pivots]
-        vec = list(vector)
-        for f, row in zip(factors, self.rows):
-            if f:
-                vec = [v - f * w if w else v for v, w in zip(vec, row)]
-        pivot = next((j for j, v in enumerate(vec) if v), None)
+    rows = property(lambda self: self._fractions(slice(self._width)))
+    combos = property(lambda self: self._fractions(slice(self._width, None)))
+
+    def _fractions(self, part: slice) -> List[List[Fraction]]:
+        return [[Fraction(v, row[p]) for v in row[part]]
+                for row, p in zip(self._rows, self.pivots)]
+
+    def add(self, vector: Sequence) -> bool:
+        """Reduce a vector of ints or Fractions; keep it when it is independent."""
+        vec, den = _over_lcm(vector)
+        self._width = width = len(vec)
+        used = [(vec[p], row, row[p]) for p, row in zip(self.pivots, self._rows) if vec[p]]
+        # (vector - sum_i vector[p_i] * rows[i]) * den * scale, with its combo
+        scale = lcm(*(d for _, _, d in used))
+        vec = [v * scale for v in vec] + [0] * len(self._rows)
+        for f, row, d in used:
+            f *= scale // d
+            vec = [v - f * w if w else v for v, w in zip(vec, row)]
+        pivot = next((j for j in range(width) if vec[j]), None)
         if pivot is None:
             return False
-        scale = 1 / vec[pivot]
-        vec = [v * scale for v in vec]
-        combo = [Fraction(0)] * len(self.rows)
-        for f, c in zip(factors, self.combos):
-            if f:
-                combo = [a - f * b if b else a for a, b in zip(combo, c)]
-        combo = [a * scale for a in combo] + [scale]
-        for i, row in enumerate(self.rows):
-            self.combos[i].append(Fraction(0))
+        vec = _divide_gcd(vec + [den * scale], vec[pivot] < 0)
+        d = vec[pivot]
+        for i, row in enumerate(self._rows):
+            row.append(0)
             g = row[pivot]
             if g:
-                self.rows[i] = [v - g * w if w else v for v, w in zip(row, vec)]
-                self.combos[i] = [a - g * b if b else a for a, b in zip(self.combos[i], combo)]
+                self._rows[i] = _divide_gcd(
+                    [d * v - g * w if w else d * v for v, w in zip(row, vec)])
         at = bisect.bisect(self.pivots, pivot)
-        self.rows.insert(at, vec)
+        self._rows.insert(at, vec)
         self.pivots.insert(at, pivot)
-        self.combos.insert(at, combo)
         return True
+
+
+def _divide_gcd(vec: List[int], negate: bool = False) -> List[int]:
+    """vec divided by the gcd of its entries, and negated when asked."""
+    g = -gcd(*vec) if negate else gcd(*vec)
+    return vec if g == 1 else [v // g for v in vec]
 
 
 def rational_rref(rows) -> Tuple[List[List[Fraction]], List[int]]:
@@ -400,7 +427,8 @@ class QuotientRing:
         self.degrees = [m.degree for m in self.basis]
         self.leading = list(leading)
         self.eval_matrix: List[List[Fraction]] = [list(row) for row in zip(*columns)]
-        self._eval_inverse = eval_inverse
+        self._columns = [_over_lcm(col) for col in columns]
+        self._inverse = [_over_lcm(row) for row in eval_inverse]
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._mul_table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
 
@@ -430,13 +458,17 @@ class QuotientRing:
 
     # -- normal forms ----------------------------------------------------
 
-    def _interpolate(self, values: Sequence[Fraction]) -> Dict[int, Fraction]:
-        """Coefficients over the basis of the unique interpolant of `values`."""
+    @cached_property
+    def _eval_inverse(self) -> List[List[Fraction]]:
+        return [[Fraction(v, den) for v in row] for row, den in self._inverse]
+
+    def _interpolate(self, values: Sequence[int], den: int) -> Dict[int, Fraction]:
+        """Basis coefficients of the interpolant of the values values[s] / den."""
         out: Dict[int, Fraction] = {}
-        for l, row in enumerate(self._eval_inverse):
-            acc = sum((w * v for w, v in zip(row, values) if v), Fraction(0))
+        for l, (row, row_den) in enumerate(self._inverse):
+            acc = sum(map(mul, row, values))
             if acc:
-                out[l] = acc
+                out[l] = Fraction(acc, row_den * den)
         return out
 
     def normal_form(self, poly: Mapping[Monomial, object]) -> Dict[int, Fraction]:
@@ -459,18 +491,15 @@ class QuotientRing:
                 continue
             for s, point in enumerate(self.points):
                 values[s] += coeff * mono.evaluate(point)
-        return self._interpolate(values)
+        return self._interpolate(*_over_lcm(values))
 
     def product_normal_form(self, i: int, j: int) -> Dict[int, Fraction]:
         """NF(basis[i] * basis[j]) as a sparse vector, cached per pair."""
         key = (i, j) if i <= j else (j, i)
         cached = self._mul_table.get(key)
         if cached is None:
-            values = [
-                self.eval_matrix[s][key[0]] * self.eval_matrix[s][key[1]]
-                for s in range(len(self.points))
-            ]
-            cached = self._interpolate(values)
+            (a, da), (b, db) = self._columns[key[0]], self._columns[key[1]]
+            cached = self._interpolate(list(map(mul, a, b)), da * db)
             self._mul_table[key] = cached
         return cached
 
@@ -519,9 +548,9 @@ def buchberger_moller(points: PointSet) -> QuotientRing:
     leading.sort(key=grevlex_key)
     # combos[s] is the Lagrange polynomial of point s over the kept monomials
     order = sorted(range(size), key=lambda k: display_key(kept[k]))
-    lagrange = [[row[k] for row in elim.combos] for k in order]
+    inverse = list(zip(*elim.combos))
     ring = QuotientRing(points, [kept[k] for k in order], leading,
-                        [columns[k] for k in order], lagrange)
+                        [columns[k] for k in order], [inverse[k] for k in order])
 
     # Order-ideal sanity check: every divisor of a standard monomial is standard.
     for m in ring.basis:

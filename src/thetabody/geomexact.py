@@ -26,11 +26,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .exactalg import PointSet, _Elimination, format_rational, rational_rref
+from .exactalg import (
+    PointSet, _divide_gcd, _Elimination, _over_lcm, format_rational, rational_rref)
 
 if TYPE_CHECKING:
     from .combopt import Graph
@@ -107,10 +108,7 @@ def affine_dimension(points) -> int:
 def _primitive(vector: Sequence) -> Tuple[int, ...]:
     """Scale a nonzero rational or integer vector by a positive rational to
     coprime ints."""
-    den = lcm(*(v.denominator for v in vector))
-    ints = [int(v * den) for v in vector]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
+    return tuple(_divide_gcd(_over_lcm(vector)[0]))
 
 
 def _affine_frame(pts: Sequence[tuple]):
@@ -119,7 +117,7 @@ def _affine_frame(pts: Sequence[tuple]):
     the frame's edges when the frame spans the space (W is the combos' transpose)."""
     frame, elim = [pts[0]], _Elimination()
     for p in pts[1:]:
-        if elim.add([Fraction(x) - y for x, y in zip(p, pts[0])]):
+        if elim.add([x - y for x, y in zip(p, pts[0])]):
             frame.append(p)
             if len(frame) > len(p):
                 break

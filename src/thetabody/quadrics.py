@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, SolverError
@@ -50,14 +51,15 @@ OUTSIDE = "Outside"
 BORDERLINE = "Borderline"
 
 
-def _deg2_monomials(dim: int) -> List[Monomial]:
+@lru_cache(maxsize=None)
+def _deg2_monomials(dim: int) -> Tuple[Monomial, ...]:
     """1, x1..xn, then the degree-2 monomials, in display order."""
     monos = [Monomial.unit(dim)]
     monos += [Monomial.variable(i, dim) for i in range(1, dim + 1)]
     quads = [
         monos[i] * monos[j] for i in range(1, dim + 1) for j in range(i, dim + 1)
     ]
-    return monos + sorted(quads, key=display_key)
+    return tuple(monos + sorted(quads, key=display_key))
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,8 @@ class Quadric:
         }
 
 
-def _quadratic_layout(dim: int) -> List[Tuple[int, int, int, Fraction]]:
+@lru_cache(maxsize=None)
+def _quadratic_layout(dim: int) -> Tuple[Tuple[int, int, int, Fraction], ...]:
     """(i, j, k, scale) for each entry A[i][j], i <= j, in row-major order.
 
     A[i][j] = scale * v[k] for a coefficient vector v over _deg2_monomials:
@@ -178,11 +181,11 @@ def _quadratic_layout(dim: int) -> List[Tuple[int, int, int, Fraction]]:
     """
     monos = _deg2_monomials(dim)
     index = {m: k for k, m in enumerate(monos)}
-    return [
+    return tuple(
         (i, j, index[monos[i + 1] * monos[j + 1]], Fraction(1) if i == j else Fraction(1, 2))
         for i in range(dim)
         for j in range(i, dim)
-    ]
+    )
 
 
 def _quadric(vec: Sequence[Fraction], dim: int) -> Quadric:
@@ -214,7 +217,8 @@ class QuadricSpace:
 
     Stored as the row-reduced coefficient vectors of a basis over the
     monomials of _deg2_monomials (display order: 1, x1..xn, then degree 2),
-    so construction is deterministic.  `basis` gives them as Quadrics.
+    so construction is deterministic.  `basis` gives them as Quadrics.  The
+    kernel and trace split are kept from first use: do not change the vectors.
     """
 
     ambient_dim: int
@@ -238,6 +242,9 @@ class QuadricSpace:
         if not coeffs:
             return _quadric([Fraction(0)] * len(_deg2_monomials(n)), n)
         return _quadric(_span(coeffs, self.vectors), n)
+
+    _kernel = cached_property(lambda self: _linear_kernel(self))
+    _split = cached_property(lambda self: _trace_split(self))
 
     def to_json(self) -> dict:
         return {
@@ -457,7 +464,7 @@ def has_convex_quadric(
     trace-0 complement is one-dimensional the PSD section is an interval,
     and both extreme quadrics are reported.
     """
-    split = _trace_split(space)
+    split = space._split
     if split is None:
         return ConvexQuadricReport(
             exists=False,
@@ -573,7 +580,7 @@ def th1_membership(
     def value(vec: List[Fraction]) -> Fraction:
         return sum((c * m for c, m in zip(vec, at_z)), Fraction(0))
 
-    for g in _linear_kernel(space):
+    for g in space._kernel:
         g_at_z = value(g)
         if g_at_z != 0:
             ray = g if g_at_z > 0 else [-c for c in g]
@@ -583,7 +590,7 @@ def th1_membership(
                 detail="an affine-linear member is nonzero at the query, "
                 "so the section supremum is +infinity",
             )
-    split = _trace_split(space)
+    split = space._split
     if split is None:
         return MembershipReport(
             status=INSIDE,

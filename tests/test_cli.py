@@ -386,6 +386,25 @@ MALFORMED = {
     ),
     "graph-n": (["theta", "--graph", "{bad}"], '{"n": "x", "edges": []}'),
     "graph-edge": (["theta", "--graph", "{bad}"], '{"n": 3, "edges": [[1]]}'),
+    # a string row or edge would be read character by character
+    "points-string-rows": (
+        ["exactness", "--points", "{bad}"], '{"dim": 2, "points": ["12", "30", "03"]}'
+    ),
+    "th1-string-rows": (
+        ["th1", "--points", "{bad}", "--query", "0,0"], '{"dim": 2, "points": ["12", "30"]}'
+    ),
+    "dump-string-rows": (
+        ["moment-dump", "--points", "{bad}"], '{"dim": 2, "points": ["12", "30"]}'
+    ),
+    "graph-string-edges": (["theta", "--graph", "{bad}"], '{"n": 3, "edges": ["12", "23"]}'),
+    # int() would truncate 1.7, and only the first two endpoints were read
+    "graph-float-edge": (
+        ["theta", "--graph", "{bad}"], '{"n": 3, "edges": [[1.7, 2], [2, 3]]}'
+    ),
+    "graph-long-edge": (["theta", "--graph", "{bad}"], '{"n": 3, "edges": [[1, 2], [2, 3, 3]]}'),
+    "graph-float-n": (["theta", "--graph", "{bad}"], '{"n": 3.5, "edges": [[1, 2]]}'),
+    "graph-string-n": (["theta", "--graph", "{bad}"], '{"n": "3", "edges": [[1, 2]]}'),
+    "graph-bool-edge": (["theta", "--graph", "{bad}"], '{"n": 3, "edges": [[true, 2]]}'),
 }
 
 

@@ -80,6 +80,29 @@ def test_graph_json_round_trip():
     assert Graph.from_json(g.to_json()) == g
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 3, "edges": ["12", "23"]},  # strings would be read digit by digit
+    {"n": 3, "edges": [[1.7, 2], [2, 3]]},  # int() would truncate 1.7
+    {"n": 3, "edges": [[1, 2], [2, 3, 3]]},  # a third endpoint would be dropped
+    {"n": 3, "edges": [[1]]},
+    {"n": 3, "edges": [(1, 2)]},
+    {"n": 3, "edges": [[True, 2]]},
+    {"n": 3, "edges": [["1", "2"]]},
+    {"n": 3, "edges": [[1, float("nan")]]},
+    {"n": 3, "edges": "12"},
+    {"n": 3.5, "edges": []},
+    {"n": "3", "edges": []},
+    {"n": None, "edges": []},
+])
+def test_graph_json_rejects_malformed_edges(obj):
+    with pytest.raises(InputError, match="integral"):
+        Graph.from_json(obj)
+
+
+def test_graph_json_accepts_integral_floats():
+    assert Graph.from_json({"n": 3.0, "edges": [[1.0, 2], [2, 3.0]]}) == Graph(3, [(1, 2), (2, 3)])
+
+
 def test_graph_file_sniffing(tmp_path):
     j = tmp_path / "g.json"
     j.write_text('{"n": 3, "edges": [[1, 2]]}')

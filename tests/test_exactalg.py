@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import corpus
 import oracles
+from thetabody import exactalg
 from thetabody.errors import InputError, ResourceLimitError
 from thetabody.exactalg import (
     MAX_BM_POINTS,
@@ -102,6 +104,17 @@ def test_point_set_validation():
         PointSet(2, [])
     with pytest.raises(InputError):
         PointSet(0, [()])
+
+
+def test_point_set_rejects_string_rows():
+    # iterating "12" would give the point (1, 2)
+    with pytest.raises(InputError, match="string"):
+        PointSet(2, ["12", "30", "03"])
+    with pytest.raises(InputError, match="string"):
+        PointSet.from_json({"dim": 2, "points": [[0, 0], "12"]})
+    with pytest.raises(InputError, match="string"):
+        PointSet.coerce(["12", "30"])
+    assert PointSet(2, [["1/2", "3"]]).points == ((Fraction(1, 2), Fraction(3)),)
 
 
 def test_point_set_json_round_trip():
@@ -427,3 +440,102 @@ def test_point_set_coerce_forms():
 def test_empty_point_list_is_input_error(entry):
     with pytest.raises(InputError):
         entry([])
+
+
+# ------------------------------------------- integer core against Fractions
+
+class _FractionElimination:
+    """The elimination done entry by entry in Fractions: the reference."""
+
+    def __init__(self):
+        self.rows, self.pivots, self.combos = [], [], []
+
+    def add(self, vector):
+        vec = [Fraction(v) for v in vector]
+        combo = [Fraction(0)] * len(self.rows) + [Fraction(1)]
+        for row, c, p in zip(self.rows, self.combos, self.pivots):
+            f = vec[p]
+            vec = [v - f * w for v, w in zip(vec, row)]
+            combo = [a - f * b for a, b in zip(combo, c + [Fraction(0)])]
+        pivot = next((j for j, v in enumerate(vec) if v), None)
+        if pivot is None:
+            return False
+        vec, combo = [v / vec[pivot] for v in vec], [a / vec[pivot] for a in combo]
+        for i, (row, c) in enumerate(zip(self.rows, self.combos)):
+            g = row[pivot]
+            self.rows[i] = [v - g * w for v, w in zip(row, vec)]
+            self.combos[i] = [a - g * b for a, b in zip(c + [Fraction(0)], combo)]
+        at = sum(1 for p in self.pivots if p < pivot)
+        self.rows.insert(at, vec)
+        self.pivots.insert(at, pivot)
+        self.combos.insert(at, combo)
+        return True
+
+
+def _is_canonical(value):
+    return (type(value) is Fraction and value.denominator > 0
+            and math.gcd(value.numerator, value.denominator) == 1)
+
+
+def _awkward_matrix(rng):
+    """Rows of every kind the exact layers feed the elimination."""
+    cols = rng.randint(1, 7)
+    big = 10**rng.randint(6, 30)
+    kinds = [
+        lambda: [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols)],
+        lambda: [rng.randint(-5, 5) for _ in range(cols)],
+        lambda: [Fraction(0)] * cols,
+        lambda: [Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(cols)],
+        lambda: [0] * rng.randrange(cols) + [Fraction(-rng.randint(1, 7), 3)],
+    ]
+    rows = [rng.choice(kinds)() for _ in range(rng.randint(1, 9))]
+    for _ in range(rng.randint(0, 3)):  # duplicates and combinations of earlier rows
+        a, b = rng.choice(rows), rng.choice(rows)
+        rows.insert(rng.randint(0, len(rows)),
+                    list(a) if rng.random() < 0.5 else [x - 3 * y for x, y in zip(a, b)])
+    return [row[:cols] + [0] * (cols - len(row)) for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_elimination_matches_fraction_reference(seed):
+    ours, ref = _Elimination(), _FractionElimination()
+    for row in _awkward_matrix(random.Random(seed)):
+        assert ours.add(row) == ref.add(row)
+        assert ours.pivots == ref.pivots
+        assert ours.rows == ref.rows and ours.combos == ref.combos
+        assert all(_is_canonical(v) for part in ours.rows + ours.combos for v in part)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_normal_forms_match_fraction_reference(seed):
+    ps = _random_small_point_set(random.Random(100 + seed))
+    ring = buchberger_moller(ps)
+    n = len(ps)
+    # E^-1 from the Fraction reference: combos of the rows of E^T
+    ref = _FractionElimination()
+    for l in range(n):
+        assert ref.add([ring.eval_matrix[s][l] for s in range(n)])
+    inverse = [[ref.combos[s][l] for s in range(n)] for l in range(n)]
+
+    def reference_nf(values):
+        out = {l: sum((w * v for w, v in zip(row, values)), Fraction(0))
+               for l, row in enumerate(inverse)}
+        return {l: c for l, c in out.items() if c}
+
+    for i in range(n):
+        for j in range(i, n):
+            got = ring.product_normal_form(i, j)
+            column = [ring.eval_matrix[s][i] * ring.eval_matrix[s][j] for s in range(n)]
+            assert got == reference_nf(column)
+            assert all(_is_canonical(v) for v in got.values())
+    rng = random.Random(seed)
+    for _ in range(5):
+        values = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(n)]
+        ints, den = exactalg._over_lcm(values)
+        got = ring._interpolate(ints, den)
+        assert got == reference_nf(values)
+        assert all(_is_canonical(v) for v in got.values())
+        poly = {mono(*(rng.randint(0, 3) for _ in range(ps.dim))): values[0]}
+        expected = reference_nf([sum(c * m.evaluate(p) for m, c in poly.items())
+                                 for p in ps.points])
+        assert ring.normal_form(poly) == expected

@@ -1,0 +1,84 @@
+"""Pinned exact outputs: the SHA-256 of a seeded corpus of exact results.
+
+Any change to how the exact layers compute (the elimination, the ring
+inverse, the facet scan) must leave every Fraction, pivot, basis and facet
+as it was.  The corpus below is rebuilt from fixed seeds and serialized as
+canonical JSON (sorted keys, rationals as "p/q"); its digest was recorded
+before the integer elimination replaced the Fraction one.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import random
+from fractions import Fraction
+
+import corpus
+from thetabody.exactalg import PointSet, buchberger_moller, format_rational, rational_rref
+from thetabody.geomexact import classify_01, facets
+
+PINNED_SHA256 = "e30b2063cdb3a2c723fe5a0d69e2758ea67b0e710dc496d1a3e0c90cf82bd2c6"
+
+
+def _fmt(rows):
+    return [[format_rational(v) for v in row] for row in rows]
+
+
+def _random_point_set(rng):
+    dim = rng.randint(1, 3)
+    pts = {
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(dim))
+        for _ in range(rng.randint(2, 16))
+    }
+    return PointSet(dim, sorted(pts))
+
+
+def _random_matrix(rng):
+    rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+    m = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.8 else Fraction(0)
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if rows > 2:  # a dependent row: a combination of two earlier ones
+        m[-1] = [a * rng.randint(-3, 3) + b for a, b in zip(m[0], m[1])]
+    return m
+
+
+def _ring_record(ps):
+    ring = buchberger_moller(ps)
+    size = len(ring)
+    return {
+        "basis": [str(m) for m in ring.basis],
+        "leading": [str(m) for m in ring.leading],
+        "inverse": _fmt(ring._eval_inverse),
+        "products": [
+            sorted((l, format_rational(c)) for l, c in ring.product_normal_form(i, j).items())
+            for i, j in itertools.combinations_with_replacement(range(size), 2)
+        ],
+    }
+
+
+def _corpus():
+    rng = random.Random(20)
+    rings = [corpus.tri3(), corpus.quad4(), corpus.curve14(), corpus.cube(3),
+             corpus.cross_polytope(3), corpus.hypersimplex_2_4()]
+    rings += [_random_point_set(rng) for _ in range(10)]
+    rref = [rational_rref(_random_matrix(rng)) for _ in range(25)]
+    cube4 = list(itertools.product((0, 1), repeat=4))
+    hulls = [corpus.cube(3), corpus.cube(4), corpus.cross_polytope(3),
+             corpus.cross_polytope(4)]
+    hulls += [PointSet(4, sorted(rng.sample(cube4, rng.randint(5, 12)))) for _ in range(6)]
+    return {
+        "rings": [_ring_record(ps) for ps in rings],
+        "rref": [{"rows": _fmt(rows), "pivots": pivots} for rows, pivots in rref],
+        "facets": [[f.to_json() for f in facets(ps)] for ps in hulls],
+        "classify01": [c.to_json() for c in classify_01(3)],
+    }
+
+
+def test_exact_outputs_match_pinned_digest():
+    text = json.dumps(_corpus(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256

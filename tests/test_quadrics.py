@@ -430,3 +430,32 @@ def test_trace_split_directions_are_pinned():
         "2 - 2*x2 - 2*x3 - 2*x4 + 2*x2*x3 + 2*x2*x4 + 2*x3*x4",
         "-x3 + x4 + x3^2 - x4^2",
     ]
+
+
+SQUARE_IN_SPACE = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+
+
+@pytest.mark.parametrize("points, queries", [
+    (corpus.quad4().points,
+     [(1, 1), (5, 5), ("1/2", "1/2"), (0, 0), (2, 2), (-1, 3), ("3/2", "1/4"), (1, 0),
+      (-2, -2), ("7/3", "-5/4")]),
+    (SQUARE_IN_SPACE,
+     [(0, 0, 1), ("1/2", "1/2", 0), (2, 0, 0), (1, 1, 0), (0, 0, -3), ("1/3", 1, 0),
+      (3, 3, 0), ("-1/2", 0, 0), (1, 1, 1), ("1/4", "3/4", 0)]),
+])
+def test_membership_set_up_runs_once_per_space(monkeypatch, points, queries):
+    counts = {"_trace_split": 0, "_linear_kernel": 0}
+    for name in counts:
+        real = getattr(quadrics, name)
+
+        def counted(space, real=real, name=name):
+            counts[name] += 1
+            return real(space)
+
+        monkeypatch.setattr(quadrics, name, counted)
+    calls = [lambda s, z=z: th1_membership(s, z) for z in queries] + [has_convex_quadric]
+    space = quadric_space_from_points(points)
+    shared = [call(space).to_json() for call in calls]
+    assert counts == {"_trace_split": 1, "_linear_kernel": 1}
+    fresh = [call(quadric_space_from_points(points)).to_json() for call in reversed(calls)]
+    assert shared == fresh[::-1]
