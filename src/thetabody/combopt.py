@@ -251,10 +251,36 @@ def enumerate_odd_cycle_free(
         graph,
         ODD_CYCLE_FREE,
         list(edges),
-        lambda s: is_bipartite(Graph(graph.n, [edges[e] for e in s]))[0],
+        lambda s: _two_colourable(edges[e] for e in s),
         max_size,
         cap,
     )
+
+
+def _two_colourable(edges) -> bool:
+    """Whether the edges form a bipartite graph, by union-find with parities.
+
+    Each vertex keeps its parent and its colour relative to the parent; an
+    edge inside one component must join opposite colours.  Without witness
+    and without path compression: the candidates have a handful of edges.
+    """
+    parent: Dict[int, Tuple[int, int]] = {}
+
+    def root(u):
+        colour = 0
+        while u in parent:
+            u, flip = parent[u]
+            colour ^= flip
+        return u, colour
+
+    for u, v in edges:
+        (ru, cu), (rv, cv) = root(u), root(v)
+        if ru == rv:
+            if cu == cv:
+                return False
+        else:
+            parent[ru] = (rv, cu ^ cv ^ 1)
+    return True
 
 
 def is_bipartite(graph: Graph):

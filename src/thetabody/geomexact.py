@@ -3,11 +3,14 @@
 The convex hull of a finite rational point set is described here entirely in
 exact arithmetic.  Facets are found inside an affine-hull chart: pick the
 pivot coordinates of the row-reduced difference matrix, so that projecting
-onto them is an isomorphism of the affine hull, enumerate the facets of the
-chart points by the double description method in integer arithmetic
-(Motzkin-Raiffa-Thompson-Thrall 1953; Fukuda-Prodon 1996), and lift chart
-normals back by scattering them into the pivot coordinates.  Normals are
-primitive integer vectors with the point set on the <= side.
+onto them is an isomorphism of the affine hull, scale those coordinates of
+every point to integers by the lcm of their denominators, enumerate the
+facets of the chart points by the double description method in integer
+arithmetic (Motzkin-Raiffa-Thompson-Thrall 1953; Fukuda-Prodon 1996), and
+lift chart normals back by scattering them into the pivot coordinates.
+Normals are primitive integer vectors with the point set on the <= side.
+A normal is zero off the pivots, so its levels normal . p are computed on
+the integer chart points and divided by the lcm once per distinct level.
 
 A point set is *two-level* when every facet hyperplane sees at most two
 distinct values of its linear functional on the set.  Two-level sets are
@@ -53,7 +56,9 @@ class FacetInequality:
     The normal is a primitive integer vector (supported on the chart's pivot
     coordinates when the set is not full-dimensional); values holds the sorted
     distinct results of normal . p over the set and tight lists the indices of
-    the points attaining the offset.
+    the points attaining the offset.  The levels are computed in integers on
+    the pivot coordinates scaled by the lcm of their denominators; offset and
+    values are Fractions.
     """
 
     normal: Tuple[int, ...]
@@ -86,23 +91,17 @@ class FacetInequality:
         return f"{lhs} <= {format_rational(self.offset)}"
 
 
-def _chart(ps: PointSet):
-    """Exact affine-hull chart: (origin, pivot coordinates, chart points).
-
-    The pivot coordinates J of the row-reduced difference matrix project the
-    affine hull isomorphically, so chart(p) = (p_j - origin_j)_{j in J}.
-    """
+def _pivots(ps: PointSet) -> List[int]:
+    """Pivot coordinates J of the row-reduced difference matrix: projecting
+    onto them is an isomorphism of the affine hull (the chart)."""
     origin = ps.points[0]
     diffs = [[p[j] - origin[j] for j in range(ps.dim)] for p in ps.points[1:]]
-    _, pivots = rational_rref(diffs)
-    chart_pts = [tuple(p[j] - origin[j] for j in pivots) for p in ps.points]
-    return origin, pivots, chart_pts
+    return rational_rref(diffs)[1]
 
 
 def affine_dimension(points) -> int:
     """Dimension of the affine hull of the point set."""
-    ps = PointSet.coerce(points)
-    return len(_chart(ps)[1])
+    return len(_pivots(PointSet.coerce(points)))
 
 
 def _primitive(vector: Sequence) -> Tuple[int, ...]:
@@ -124,12 +123,12 @@ def _affine_frame(pts: Sequence[tuple]):
     return frame, [list(col) for col in zip(*elim.combos)]
 
 
-def _chart_facets(chart_pts: List[tuple], d: int) -> List[Tuple[int, ...]]:
-    """Primitive integer outward normals of the facets of conv(chart points).
+def _chart_facets(pts: List[Tuple[int, ...]], d: int) -> List[Tuple[int, ...]]:
+    """Primitive integer outward normals of the facets of conv(pts), for
+    distinct integer points spanning Z^d affinely.
 
-    Double description (beneath-beyond) in integer arithmetic.  The chart
-    points, scaled by the common denominator of their coordinates, are
-    inserted one at a time into the hull of a greedy affine basis.  A facet
+    Double description (beneath-beyond) in integer arithmetic.  The points
+    are inserted one at a time into the hull of a greedy affine basis.  A facet
     is a row (a, b) with a . q <= b on every inserted point q, carried with
     the bitmask of inserted points tight on it.  Inserting q keeps the rows
     it satisfies and, for each pair (h+, h-) of a row with positive slack
@@ -139,8 +138,6 @@ def _chart_facets(chart_pts: List[tuple], d: int) -> List[Tuple[int, ...]]:
     of C (Fukuda-Prodon, Double description method revisited, 1996).
     More than MAX_CHART_ROWS rows after an insertion raise ResourceLimitError.
     """
-    den = lcm(*(c.denominator for p in chart_pts for c in p))
-    pts = [tuple(int(c * den) for c in p) for p in chart_pts]
     index = {p: i for i, p in enumerate(pts)}
     frame, inv = _affine_frame(pts)
     basis = [index[p] for p in frame]
@@ -210,27 +207,34 @@ def facets(points) -> List[FacetInequality]:
         raise ResourceLimitError(
             f"facet enumeration capped at {MAX_POINTS} points, got {len(ps.points)}"
         )
-    _, pivots, chart_pts = _chart(ps)
+    pivots = _pivots(ps)
     d = len(pivots)
     if d > MAX_AFFINE_DIM:
         raise ResourceLimitError(
             f"facet enumeration capped at affine dimension {MAX_AFFINE_DIM}, got {d}"
         )
+    # the chart: pivot coordinates scaled to integers by one common denominator
+    den = lcm(*(p[j].denominator for p in ps.points for j in pivots))
+    chart = [
+        tuple(p[j].numerator * (den // p[j].denominator) for j in pivots)
+        for p in ps.points
+    ]
 
     out = []
-    for nhat in _chart_facets(chart_pts, d):
+    for nhat in _chart_facets(chart, d):
         ambient = [0] * ps.dim
         for coeff, j in zip(nhat, pivots):
             ambient[j] = coeff
-        normal = tuple(ambient)
-        raw = [sum(c * x for c, x in zip(normal, p)) for p in ps.points]
-        offset = max(raw)
+        # normal . p = (nhat . chart(p)) / den, as the normal is zero off the pivots
+        raw = [sum(a * x for a, x in zip(nhat, q)) for q in chart]
+        levels = sorted(set(raw))
+        values = tuple(Fraction(v, den) for v in levels)
         out.append(
             FacetInequality(
-                normal=normal,
-                offset=offset,
-                values=tuple(sorted(set(raw))),
-                tight=tuple(i for i, v in enumerate(raw) if v == offset),
+                normal=tuple(ambient),
+                offset=values[-1],
+                values=values,
+                tight=tuple(i for i, v in enumerate(raw) if v == levels[-1]),
             )
         )
     out.sort(key=lambda f: (f.normal, f.offset))
@@ -432,6 +436,14 @@ def _class_geometry(pts: Tuple[Tuple[int, ...], ...]):
     )
 
 
+def _find(parent: List[int], i: int) -> int:
+    """Root of i in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def classify_01(d: int) -> List[ZeroOneClass]:
     """Affine-equivalence classes of full-dimensional subsets of {0,1}^d.
 
@@ -444,39 +456,36 @@ def classify_01(d: int) -> List[ZeroOneClass]:
         raise InputError("classification is supported for dimensions 1..3")
     verts = list(itertools.product((0, 1), repeat=d))
     vindex = {v: i for i, v in enumerate(verts)}
-    group = []
-    for perm in itertools.permutations(range(d)):
-        for flips in itertools.product((0, 1), repeat=d):
-            table = [
-                vindex[tuple(v[perm[k]] ^ flips[k] for k in range(d))]
-                for v in verts
-            ]
-            group.append(table)
-
-    full_dim: List[int] = []
-    for mask in range(1, 1 << len(verts)):
-        members = [verts[i] for i in range(len(verts)) if mask >> i & 1]
-        if len(_affine_frame(members)[0]) == d + 1:
-            full_dim.append(mask)
-
-    orbits: Dict[int, List[int]] = {}
-    for mask in full_dim:
-        best = mask
-        for table in group:
+    # the cube group is generated by swapping the first two coordinates,
+    # cycling all of them and flipping the first one
+    generators = [
+        [vindex[v[1::-1] + v[2:]] for v in verts],
+        [vindex[v[1:] + v[:1]] for v in verts],
+        [vindex[(1 - v[0],) + v[1:]] for v in verts],
+    ]
+    # union-find over the masks, each tree rooted at its orbit's least mask
+    least = list(range(1 << len(verts)))
+    for mask in range(1, len(least)):
+        for table in generators:
             image = 0
             rem = mask
             while rem:
                 low = rem & -rem
                 image |= 1 << table[low.bit_length() - 1]
                 rem ^= low
-            if image < best:
-                best = image
-        orbits.setdefault(best, []).append(mask)
+            a, b = _find(least, mask), _find(least, image)
+            least[max(a, b)] = min(a, b)
 
-    reps = sorted(orbits)
-    rep_points = [
-        tuple(verts[i] for i in range(len(verts)) if mask >> i & 1) for mask in reps
-    ]
+    orbits: Dict[int, List[int]] = {}
+    for mask in range(1, len(least)):
+        orbits.setdefault(_find(least, mask), []).append(mask)
+    reps, rep_points = [], []
+    for mask in orbits:  # least masks, ascending
+        pts = tuple(verts[i] for i in range(len(verts)) if mask >> i & 1)
+        # full dimension is an affine invariant: one test per orbit
+        if len(_affine_frame(pts)[0]) == d + 1:
+            reps.append(mask)
+            rep_points.append(pts)
     geometry = [_class_geometry(p) for p in rep_points]
 
     buckets: Dict[tuple, List[int]] = {}
@@ -484,23 +493,16 @@ def classify_01(d: int) -> List[ZeroOneClass]:
         buckets.setdefault((len(pts), geo[0], geo[1], geo[2]), []).append(idx)
 
     parent = list(range(len(reps)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for members in buckets.values():
         for a, b in itertools.combinations(members, 2):
-            if find(a) == find(b):
+            if _find(parent, a) == _find(parent, b):
                 continue
             if _affinely_equivalent(list(rep_points[a]), list(rep_points[b]), d):
-                parent[find(b)] = find(a)
+                parent[_find(parent, b)] = _find(parent, a)
 
     classes: Dict[int, List[int]] = {}
     for idx in range(len(reps)):
-        classes.setdefault(find(idx), []).append(idx)
+        classes.setdefault(_find(parent, idx), []).append(idx)
 
     out = []
     for root, members in classes.items():

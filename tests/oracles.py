@@ -175,6 +175,14 @@ def grid_max_on_disk(coeffs, steps=2001):
     return best
 
 
+def facet_levels_by_fraction_scan(normal, points):
+    """(offset, values, tight) of normal . p over the points, each sum taken
+    term by term over every coordinate in Fraction arithmetic."""
+    raw = [sum(c * x for c, x in zip(normal, p)) for p in points]
+    offset = max(raw)
+    return offset, tuple(sorted(set(raw))), tuple(i for i, v in enumerate(raw) if v == offset)
+
+
 def facets_by_subset_scan(points):
     """All facets of conv(points) by the exhaustive d-subset hyperplane scan.
 

@@ -159,6 +159,25 @@ def test_odd_cycle_free_matches_brute_force():
     assert sorted(basis.elements) == sorted(expected)
 
 
+def test_odd_cycle_free_order_matches_is_bipartite_filter():
+    # the same elements in the same order as extending level by level and
+    # keeping the extensions whose edge subgraph is_bipartite accepts
+    rng = random.Random(29)
+    for n, m in [(5, 8), (6, 11), (7, 14), (7, 21)]:
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        g = Graph(n, rng.sample(pairs, m))
+        expected, frontier = [], [()]
+        while frontier and len(frontier[0]) <= 4:
+            expected += frontier
+            frontier = [
+                s + (e,)
+                for s in frontier
+                for e in range(s[-1] + 1 if s else 0, g.m)
+                if is_bipartite(Graph(n, [g.edges[f] for f in s + (e,)]))[0]
+            ]
+        assert enumerate_odd_cycle_free(g, 4).elements == expected
+
+
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_stable_sets(Kmn(8, 8), 8, cap=50)

@@ -188,6 +188,48 @@ def test_facets_match_subset_scan_on_lines_with_interior_points():
     assert is_exact(line).affine_dim == 1
 
 
+def test_facet_levels_match_fraction_scan():
+    rng = random.Random(23)
+    sets = []
+    # a different denominator in every coordinate
+    for dim, count in [(2, 8), (3, 10), (4, 12)]:
+        dens = rng.sample(range(2, 14), dim)
+        pts = set()
+        while len(pts) < count:
+            pts.add(tuple(Fraction(rng.randint(-20, 20), q) for q in dens))
+        sets.append(sorted(pts))
+    # lower-dimensional sets embedded with rational coordinates
+    for ambient, d in [(3, 1), (3, 2), (4, 2), (5, 3)]:
+        base = random_rationals(rng, d + 1, ambient, spread=4, den=5)
+        while affine_dimension(base) < d:
+            base = random_rationals(rng, d + 1, ambient, spread=4, den=5)
+        pts = {
+            tuple(
+                base[0][j] + sum(l * (b[j] - base[0][j]) for l, b in zip(lam, base[1:]))
+                for j in range(ambient)
+            )
+            for lam in random_rationals(rng, d + 6, d, spread=3, den=4)
+        }
+        sets.append(sorted(pts))
+    # interior points: the cube's vertices plus rational points inside it
+    for dim in (2, 3, 4):
+        pts = set(itertools.product((0, 1), repeat=dim))
+        while len(pts) < 2**dim + 5:
+            pts.add(tuple(Fraction(rng.randint(1, 6), 7) for _ in range(dim)))
+        sets.append(sorted(pts, key=lambda p: rng.random()))
+
+    for pts in sets:
+        ps = PointSet(len(pts[0]), pts)
+        for f in facets(ps):
+            offset, values, tight = oracles.facet_levels_by_fraction_scan(f.normal, ps.points)
+            assert type(f.normal) is tuple and all(type(c) is int for c in f.normal)
+            assert type(f.offset) is Fraction and f.offset == offset
+            assert type(f.values) is tuple and all(type(v) is Fraction for v in f.values)
+            assert f.values == values
+            assert type(f.tight) is tuple and all(type(i) is int for i in f.tight)
+            assert f.tight == tight
+
+
 def test_facets_match_subset_scan_on_cyclic_polytopes():
     for d, n in [(4, 8), (5, 9), (6, 10)]:
         pts = cyclic_points(d, n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -25,6 +26,7 @@ from thetabody.sdpsolve import (
     SdpSolution,
     SolverOptions,
     _centering_weight,
+    _gap_along,
     _schur,
     _TRI_BLOCK,
     _split_data,
@@ -132,6 +134,48 @@ def test_gap_history_non_increasing():
         gaps = sol.gap_history
         for earlier, later in zip(gaps, gaps[1:]):
             assert later <= earlier * (1.0 + 1e-9)
+
+
+def test_gap_along_matches_dense_inner_product():
+    rng = np.random.default_rng(12)
+    for m in (2, 5, 12, 30):
+        for _ in range(4):
+            a, b = rng.standard_normal((2, m, m))
+            big_z, big_x = a @ a.T + 1e-3 * np.eye(m), b @ b.T + 1e-3 * np.eye(m)
+            steps = []
+            for mat in (big_z, big_x):
+                c = rng.standard_normal((m, m))
+                c = c + c.T
+                # half of mat's smallest eigenvalue keeps mat + alpha*step
+                # positive definite for alpha <= 1, so the dense gap stays > 0
+                steps.append(0.5 * np.linalg.eigvalsh(mat)[0] / np.linalg.norm(c, 2) * c)
+            d_big_z, d_big_x = steps
+            gap = float(np.sum(big_z * big_x))
+            slope, curve = _gap_along(big_z, big_x, d_big_z, d_big_x)
+            for k in range(40):
+                alpha = 0.7**k
+                dense = float(np.sum((big_z + alpha * d_big_z) * (big_x + alpha * d_big_x)))
+                closed = gap + alpha * (slope + alpha * curve)
+                assert abs(closed - dense) <= 1e-12 * abs(dense), (m, k)
+
+
+def test_grid3_level_one_stalls_with_tiny_gap_rises():
+    # TH1 of {0,1,2}^3 is all of R^3, so the right status is Unbounded; the
+    # solver stalls instead and ends IterLimit.  Nearly every step there
+    # raises the gap at first order, so all 40 backtracking trials fail and
+    # the last, 0.7^40 times the first, is taken: the gap rises by about
+    # 2e-7 of itself per iteration.  A wrong gap along the step would let
+    # the search accept longer steps that raise it far more.
+    ring = buchberger_moller(PointSet(3, itertools.product(range(3), repeat=3)))
+    objective = {Monomial.variable(1, 3): 1, Monomial.variable(2, 3): 2}
+    sol = solve(build_theta_sdp(build_moment_template(ring, 1), objective))
+    assert sol.status == "IterLimit"
+    assert sol.iterations == SolverOptions().max_iter
+    gaps = sol.gap_history
+    assert len(gaps) == sol.iterations + 1
+    for earlier, later in zip(gaps, gaps[1:]):
+        assert later <= earlier * (1.0 + 1e-6)
+    assert gaps[-1] < 0.1 * gaps[0]
 
 
 def test_moment_sdp_end_to_end():
