@@ -20,7 +20,10 @@ of them vanish at z — otherwise +-g is returned as an improving ray.
 A space is stored only as the row-reduced coefficient vectors of a basis over
 the monomials 1, x1..xn, x_i x_j (display order).  Every linear operation
 works on those vectors; a Quadric is built only for a result that leaves the
-module: a basis element, a member, a certificate, an extreme or a ray.
+module: a basis element, a member, a certificate, an extreme or a ray.  A
+membership query evaluates the vectors it needs in integers: each vector is
+scaled over the lcm of its denominators once per space, and the monomials at
+the query over the square of the lcm of the query's denominators.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .errors import InputError, SolverError
 from .exactalg import (
     Monomial,
     PointSet,
+    _over_lcm,
     display_key,
     format_rational,
     nullspace,
@@ -218,7 +222,8 @@ class QuadricSpace:
     Stored as the row-reduced coefficient vectors of a basis over the
     monomials of _deg2_monomials (display order: 1, x1..xn, then degree 2),
     so construction is deterministic.  `basis` gives them as Quadrics.  The
-    kernel and trace split are kept from first use: do not change the vectors.
+    kernel, the trace split, their integer forms and the section's SDP cells
+    are kept from first use: do not change the vectors.
     """
 
     ambient_dim: int
@@ -245,6 +250,13 @@ class QuadricSpace:
 
     _kernel = cached_property(lambda self: _linear_kernel(self))
     _split = cached_property(lambda self: _trace_split(self))
+    # the kernel and [unit] + rest as integer forms (see _values_at), and the
+    # float SDP cells of the section; read only when _split is not None
+    _kernel_ints = cached_property(lambda self: _integer_forms(self._kernel))
+    _split_ints = cached_property(lambda self: _integer_forms([self._split[0]] + self._split[1]))
+    _section = cached_property(
+        lambda self: _section_cells(self.ambient_dim, [self._split[0]] + self._split[1])
+    )
 
     def to_json(self) -> dict:
         return {
@@ -404,22 +416,65 @@ def _combine(
     return _span([Fraction(1)] + snapped, [unit] + rest)
 
 
-def _section_problem(
-    dim: int, vectors: List[List[Fraction]], objective: Dict[int, float]
-) -> SdpProblem:
-    """SDP data for A(u) = A(v_0) + sum_k u_k A(v_k) PSD, coordinate 0 pinned."""
+def _integer_forms(
+    vectors: Sequence[Sequence[Fraction]],
+) -> List[Tuple[List[Tuple[int, int]], int]]:
+    """Each vector as (terms, den): entry k is v / den for each (k, v) in
+    terms, zero elsewhere, with den the lcm of the entries' denominators."""
+    forms = []
+    for vec in vectors:
+        ints, den = _over_lcm(vec)
+        forms.append(([(k, v) for k, v in enumerate(ints) if v], den))
+    return forms
+
+
+def _monomials_at(z: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(at, scale): _deg2_monomials(len(z)) at z are at[k] / scale.
+
+    With z = p / D over the lcm D of its denominators, 1, x_i and x_i x_j
+    take D^2, p_i D and p_i p_j over the scale D^2.
+    """
+    p, den = _over_lcm(z)
+    layout = _quadratic_layout(len(z))
+    at = [den * den] + [v * den for v in p] + [0] * len(layout)
+    for i, j, k, _ in layout:
+        at[k] = p[i] * p[j]
+    return at, den * den
+
+
+def _values_at(forms, at: List[int], scale: int) -> List[Fraction]:
+    """The value of each integer form at the query (at, scale) of _monomials_at."""
+    return [Fraction(sum(v * at[k] for k, v in terms), den * scale) for terms, den in forms]
+
+
+def _section_cells(
+    dim: int, vectors: List[List[Fraction]]
+) -> Dict[Tuple[int, int], Dict[int, float]]:
+    """SDP cells of A(u) = A(v_0) + sum_k u_k A(v_k), in row-major order."""
     cells: Dict[Tuple[int, int], Dict[int, float]] = {}
     for i, j, k, scale in _quadratic_layout(dim):
         vec = {l: float(scale * v[k]) for l, v in enumerate(vectors) if v[k]}
         if vec:
             cells[(i, j)] = vec
+    return cells
+
+
+def _section_problem(
+    dim: int, cells: Dict[Tuple[int, int], Dict[int, float]], y_dim: int,
+    objective: Dict[int, float],
+) -> SdpProblem:
+    """SDP data for the cells of _section_cells PSD, coordinate 0 pinned.
+
+    The cells may be shared between problems: nothing here or in the solver
+    changes them.
+    """
     return SdpProblem(
         side=dim,
-        y_dim=len(vectors),
+        y_dim=y_dim,
         cells=cells,
         objective=objective,
         fixed={0: 1.0},
-        y_labels=["traceUnit"] + [f"s{l}" for l in range(1, len(vectors))],
+        y_labels=["traceUnit"] + [f"s{l}" for l in range(1, y_dim)],
     )
 
 
@@ -491,11 +546,11 @@ def has_convex_quadric(
     diagonal = {k for i, j, k, _ in _quadratic_layout(n) if i == j}
     slack = [Fraction(-int(k in diagonal)) for k in range(len(unit))]
     s = len(rest) + 1
-    problem = _section_problem(n, [unit] + rest + [slack], {s: 1.0})
     # the solver sums each coordinate's entries in cell order: the cells only
     # the slack touches go last, after the section's own cells
-    problem.cells = dict(sorted(problem.cells.items(), key=lambda kv: list(kv[1]) == [s]))
-    sol = solve(problem, opts)
+    cells = _section_cells(n, [unit] + rest + [slack])
+    cells = dict(sorted(cells.items(), key=lambda kv: list(kv[1]) == [s]))
+    sol = solve(_section_problem(n, cells, s + 1, {s: 1.0}), opts)
     if sol.status not in ("Optimal", "NearOptimal"):
         raise SolverError(f"convex-quadric search ended with status {sol.status}")
     margin = sol.objective
@@ -509,7 +564,8 @@ def has_convex_quadric(
     if len(rest) == 1 and exists:
         ends = []
         for direction in (-1.0, 1.0):
-            side_sol = solve(_section_problem(n, [unit] + rest, {1: direction}), opts)
+            problem = _section_problem(n, space._section, len(rest) + 1, {1: direction})
+            side_sol = solve(problem, opts)
             if side_sol.status not in ("Optimal", "NearOptimal"):
                 raise SolverError(
                     f"section sweep ended with status {side_sol.status}"
@@ -575,13 +631,8 @@ def th1_membership(
         return MembershipReport(
             status=INSIDE, detail="the space is zero, so nothing separates"
         )
-    at_z = [m.evaluate(z) for m in _deg2_monomials(n)]
-
-    def value(vec: List[Fraction]) -> Fraction:
-        return sum((c * m for c, m in zip(vec, at_z)), Fraction(0))
-
-    for g in space._kernel:
-        g_at_z = value(g)
+    at_z, scale = _monomials_at(z)
+    for g, g_at_z in zip(space._kernel, _values_at(space._kernel_ints, at_z, scale)):
         if g_at_z != 0:
             ray = g if g_at_z > 0 else [-c for c in g]
             return MembershipReport(
@@ -598,7 +649,8 @@ def th1_membership(
             "member vanishes at the query",
         )
     unit, rest = split
-    constant = float(value(unit))
+    unit_at_z, *rest_at_z = _values_at(space._split_ints, at_z, scale)
+    constant = float(unit_at_z)
     if not rest:
         if not _is_psd_exact(_quadric(unit, n).a):
             return MembershipReport(
@@ -607,9 +659,10 @@ def th1_membership(
             )
         sup, weights, solver_status = constant, [], None
     else:
-        values = [float(value(q)) for q in rest]
+        values = [float(v) for v in rest_at_z]
         objective = {k + 1: v for k, v in enumerate(values) if v}
-        sol = solve(_section_problem(n, [unit] + rest, objective), options or SolverOptions())
+        problem = _section_problem(n, space._section, len(rest) + 1, objective)
+        sol = solve(problem, options or SolverOptions())
         if sol.status == "Infeasible":
             return MembershipReport(
                 status=INSIDE,

@@ -26,22 +26,32 @@ F_j[S_j, S_j] are laid out once per solve, padded per column block to its
 widest support.  H is factored once per iteration, by Cholesky with
 escalating diagonal jitter, and the factor serves the predictor and the
 corrector (least squares if no jitter helps) through block forward and back
-substitution.  The step-length search whitens a direction D as
-L^-1 D L^-T with the inverse Cholesky factors of Z and X, formed once per
-iteration.  A problem whose dense arrays would pass _MEMORY_LIMIT_BYTES is
-refused before any is allocated.  Steps use a 0.98 fraction-to-boundary rule
-with a shared primal/dual step length, cut by 0.7 up to 40 times until the
-complementarity gap does not increase; the gap along a step is the
-quadratic <Z, X> + a (<Z, dX> + <dZ, X>) + a^2 <dZ, dX>, whose three inner
-products are formed once per iteration.  When all 40 trials fail, the step
-is cut once more and taken untested, so the gap may rise slightly.
-Everything is plain numpy; given identical inputs the iterate sequence is
-bitwise reproducible.
+substitution.  Z and X are kept as one (2, m, m) stack, so one batched
+Cholesky call factors both (only when it fails is each matrix factored on
+its own, with escalating jitter) and one call inverts both factors; Z^-1
+comes from the first.  The step-length search whitens a direction D as
+L^-1 D L^-T with those inverse factors: the predictor's pair (dZ, dX) takes
+one batched whitening and one eigvalsh for both smallest eigenvalues, and so
+does the corrector's pair.  A problem whose dense arrays would pass
+_MEMORY_LIMIT_BYTES is refused before any is allocated.  Steps use a 0.98
+fraction-to-boundary rule with a shared primal/dual step length, cut by 0.7
+up to 40 times until the complementarity gap does not increase; the gap
+along a step is the quadratic <Z, X> + a (<Z, dX> + <dZ, X>) + a^2 <dZ, dX>,
+whose three inner products are formed once per iteration.  When all 40
+trials fail, the step is cut once more and taken untested, so the gap may
+rise slightly.  Everything is plain numpy; given identical inputs the
+iterate sequence is bitwise reproducible.
 
 Infeasibility is certified through the normalized dual iterate: whenever
 X / tr(X) annihilates every F_i but pairs negatively with F0, no z can make
-A(z) PSD, and that matrix is returned as the certificate.  Unboundedness is
-declared when the objective passes 1e12 while the primal residual is tiny.
+A(z) PSD, and that matrix is returned as the certificate.  The probe runs
+only when <F0, X> < 0, the sign of that pairing.  Unboundedness is declared
+when the objective passes 1e12 while the primal residual is tiny, or when
+the corrector's step dz is an improving ray: c . dz > 0 and sum dz_i F_i
+PSD up to a small negative floor, at a feasible A(z).  Its eigenvalues are
+not computed when a diagonal entry of sum dz_i F_i is below twice the
+floor: the smallest eigenvalue is at most every diagonal entry, and
+eigvalsh errs by far less than the floor, so the test could not pass.
 A candidate optimum must also pass a shifted-Cholesky feasibility check
 (eigen-floor >= -PSD_TOL) on the assembled A(z) before it is called Optimal.
 """
@@ -126,13 +136,29 @@ def _psd_factor(matrix: np.ndarray, jitter_base: float) -> Optional[np.ndarray]:
     return None
 
 
-def _step_to_boundary(inv_factor: np.ndarray, direction: np.ndarray) -> float:
-    """Largest step keeping M + alpha*D PSD, where inv_factor = chol(M)^-1."""
-    whitened = inv_factor @ direction @ inv_factor.T
-    lam = float(np.linalg.eigvalsh(0.5 * (whitened + whitened.T))[0])
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+def _pair_factor(pair: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of matrices, in one call.
+
+    Only when that call fails is each matrix factored on its own by
+    _psd_factor, with escalating jitter; a matrix that is positive definite
+    gets the same factor either way.
+    """
+    try:
+        return np.linalg.cholesky(pair)
+    except np.linalg.LinAlgError:
+        pass
+    factors = [_psd_factor(mat, 1e-14) for mat in pair]
+    if any(fac is None for fac in factors):
+        raise np.linalg.LinAlgError("matrix not factorizable even with jitter")
+    return np.stack(factors)
+
+
+def _step_to_boundary(inv_factors: np.ndarray, directions: np.ndarray) -> List[float]:
+    """Largest step keeping M_k + alpha*D_k PSD, for each k of the stacks,
+    where inv_factors[k] = chol(M_k)^-1: one whitening and one eigvalsh."""
+    whitened = inv_factors @ directions @ inv_factors.transpose(0, 2, 1)
+    lam = np.linalg.eigvalsh(0.5 * (whitened + whitened.transpose(0, 2, 1)))[:, 0]
+    return [np.inf if v >= -1e-14 else -1.0 / v for v in lam.tolist()]
 
 
 # Rows of the diagonal blocks in _tri_solve.  One solve with a lower factor
@@ -149,6 +175,8 @@ def _tri_solve(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> 
     the diagonal blocks of _TRI_BLOCK rows; the rest is matrix products.
     """
     n = factor.shape[0]
+    if n <= _TRI_BLOCK:
+        return np.linalg.solve(factor.T if transpose else factor, rhs)
     x = np.array(rhs, dtype=float)
     starts = range(0, n, _TRI_BLOCK)
     if transpose:
@@ -168,6 +196,15 @@ def _min_eig(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0])
 
 
+def _min_eig_at_least(matrix: np.ndarray, floor: float) -> bool:
+    """_min_eig(matrix) >= floor, for a floor < 0 far above eigvalsh's error.
+
+    lambda_min is at most every diagonal entry, so a diagonal entry below
+    2*floor decides the test without the eigenvalues.
+    """
+    return bool(matrix.diagonal().min() >= 2.0 * floor) and _min_eig(matrix) >= floor
+
+
 def _gap_along(big_z, big_x, d_big_z, d_big_x):
     """(slope, curve) with <Z + a dZ, X + a dX> = <Z, X> + a slope + a^2 curve."""
     slope = float(np.sum(big_z * d_big_x)) + float(np.sum(d_big_z * big_x))
@@ -180,7 +217,7 @@ def _centering_weight(mu_aff: float, mu: float) -> float:
     The ratio is clamped to 1 before cubing: the clip caps sigma below 1
     anyway, and a tiny mu (a gap that went non-positive) would overflow.
     """
-    return float(np.clip(min(max(mu_aff, 0.0) / mu, 1.0) ** 3, 1e-10, 0.999))
+    return min(max(min(max(mu_aff, 0.0) / mu, 1.0) ** 3, 1e-10), 0.999)
 
 
 # Byte budget of one column block of the Schur formation: the stack of
@@ -201,13 +238,13 @@ _SCHUR_BLOCK_BYTES = 120 * 1024
 # coordinates), needs about 3.6 MB by the count below.
 _MEMORY_LIMIT_BYTES = 2 * 1024**3
 # m x m arrays alive at the peak of an iteration, while direction() runs:
-# F_0, Z, X, A(z), the primal residual, the Cholesky factors of Z and X and
-# their inverses, Z^-1, Z^-1 R X, the predictor's two directions, the
-# corrector target and its own w, sum z_i F_i, dZ and dX, plus temporaries
-# of the products.  tracemalloc peaks of 23 m^2 floats (side 400 and 600,
-# 3 free coordinates) and 3.1 d^2 floats (side 30 and 45, 435 and 990 free
-# coordinates) back the count.
-_MXM_ARRAYS = 24
+# F_0, the stack of Z and X, A(z), the primal residual, the inverse
+# Cholesky factors of Z and X, Z^-1, Z^-1 R X, the predictor's stacked
+# direction, the corrector target and its own w, sum z_i F_i, the stacked
+# dZ and dX, plus temporaries of the products.  tracemalloc peaks of 22 m^2
+# floats (side 400 and 600, 3 free coordinates) and 3.1 d^2 floats (side 30
+# and 45, 435 and 990 free coordinates) back the count.
+_MXM_ARRAYS = 23
 # d x d arrays: H, its symmetrized copy, a jittered copy (made only when
 # plain Cholesky fails) and its factor.
 _DXD_ARRAYS = 4
@@ -229,6 +266,9 @@ class _SparseF:
         self.pos = np.asarray(pos, dtype=np.intp)[order]
         self.coeff = np.asarray(coeff, dtype=float)[order]
         self.bounds = np.searchsorted(self.l, np.arange(d + 1))
+        # the F_i with entries, and where each one's entries start
+        self.used = np.flatnonzero(self.bounds[:-1] < self.bounds[1:])
+        self.used_starts = self.bounds[self.used]
 
     def pair(self, mat: np.ndarray) -> np.ndarray:
         """<F_i, mat> for every i."""
@@ -289,14 +329,12 @@ def _schur(f: _SparseF, blocks: list, zinv: np.ndarray, big_x: np.ndarray) -> np
     """
     m, d = f.m, f.d
     schur = np.zeros((d, d))
-    starts = f.bounds[:-1]
-    used = np.flatnonzero(starts < f.bounds[1:])
     for j0, j1, rows, small in blocks:
         left = zinv[:, rows].transpose(1, 0, 2) @ small
         k_blk = left @ big_x[rows]
         gathered = np.take(k_blk.reshape(j1 - j0, m * m), f.pos, axis=1)
         gathered *= f.coeff
-        schur[used, j0:j1] = np.add.reduceat(gathered, starts[used], axis=1).T
+        schur[f.used, j0:j1] = np.add.reduceat(gathered, f.used_starts, axis=1).T
     return schur
 
 
@@ -383,8 +421,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     blocks = f.column_blocks(block)
 
     z = np.zeros(d)
-    big_z = (1.0 + data_norm) * np.eye(m)
-    big_x = (1.0 + data_norm) * np.eye(m)
+    # Z and X as one stack, so one call factors, inverts or whitens both
+    zx = np.stack([(1.0 + data_norm) * np.eye(m)] * 2)
 
     history: List[float] = []
     status = None
@@ -393,6 +431,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     rel_gap = np.inf
 
     for it in range(opts.max_iter + 1):
+        big_z, big_x = zx
         assembled = f_zero + f.combine(z)
         residual_p = assembled - big_z
         residual_d = -c_vec - f.pair(big_x)
@@ -408,9 +447,10 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             status = OPTIMAL
             break
 
-        # dual improving ray => primal infeasible
+        # dual improving ray => primal infeasible; its drift <F0, X>/tr(X)
+        # has the sign of d_obj, so only a negative d_obj can pass
         trace_x = float(np.trace(big_x))
-        if trace_x > 0:
+        if trace_x > 0 and d_obj < 0:
             x_hat = big_x / trace_x
             pairing = float(np.max(np.abs(f.pair(x_hat)) / (1.0 + norms_f)))
             drift = float(np.sum(f_zero * x_hat)) / (1.0 + norm_f0)
@@ -426,14 +466,9 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         if it == opts.max_iter:
             break
 
-        factor = _psd_factor(big_z, 1e-14)
-        x_factor = _psd_factor(big_x, 1e-14)
-        if factor is None or x_factor is None:
-            raise np.linalg.LinAlgError("matrix not factorizable even with jitter")
         mu = max(gap, 1e-300) / m
-
-        inv_factor = np.linalg.inv(factor)
-        x_inv_factor = np.linalg.inv(x_factor)
+        inv_factors = np.linalg.inv(_pair_factor(zx))
+        inv_factor = inv_factors[0]
         zinv = inv_factor.T @ inv_factor
         schur = _schur(f, blocks, zinv, big_x)
         schur = 0.5 * (schur + schur.T)
@@ -451,24 +486,19 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             else:
                 dz = _tri_solve(schur_factor, _tri_solve(schur_factor, rhs), transpose=True)
             moved = f.combine(dz)
-            d_big_z = residual_p + moved
             # sum_j dz_j K_j = Z^-1 (sum_j dz_j F_j) X
             d_big_x = w - zinv @ moved @ big_x
-            d_big_x = 0.5 * (d_big_x + d_big_x.T)
-            return dz, d_big_z, d_big_x
+            return dz, np.stack((residual_p + moved, 0.5 * (d_big_x + d_big_x.T)))
 
         # predictor
-        dz_aff, dzm_aff, dxm_aff = direction(None)
-        alpha_p = min(1.0, _step_to_boundary(inv_factor, dzm_aff))
-        alpha_d = min(1.0, _step_to_boundary(x_inv_factor, dxm_aff))
-        mu_aff = float(
-            np.sum((big_z + alpha_p * dzm_aff) * (big_x + alpha_d * dxm_aff))
-        ) / m
+        dz_aff, d_aff = direction(None)
+        alpha_p, alpha_d = (min(1.0, a) for a in _step_to_boundary(inv_factors, d_aff))
+        mu_aff = float(np.sum((big_z + alpha_p * d_aff[0]) * (big_x + alpha_d * d_aff[1]))) / m
         sigma = _centering_weight(mu_aff, mu)
 
         # corrector
-        c_target = sigma * mu * np.eye(m) - dzm_aff @ dxm_aff
-        dz, d_big_z, d_big_x = direction(c_target)
+        c_target = sigma * mu * np.eye(m) - d_aff[0] @ d_aff[1]
+        dz, d_zx = direction(c_target)
         # free H and its factor now rather than while the next H is formed
         del schur, schur_factor
 
@@ -483,27 +513,22 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
                 ray_dir = f.combine(d_hat)
                 ray_floor = -1e-12 * (1.0 + float(np.linalg.norm(ray_dir)))
                 here_floor = -PSD_TOL * (1.0 + norm_f0)
-                if _min_eig(ray_dir) >= ray_floor and _min_eig(assembled) >= here_floor:
+                if _min_eig_at_least(ray_dir, ray_floor) and _min_eig(assembled) >= here_floor:
                     t = (1.01 * UNBOUNDED_THRESHOLD + abs(p_obj)) / ray_gain
                     z = z + t * d_hat
                     status = UNBOUNDED
                     break
 
-        alpha = min(
-            1.0,
-            STEP_FRACTION * _step_to_boundary(inv_factor, d_big_z),
-            STEP_FRACTION * _step_to_boundary(x_inv_factor, d_big_x),
-        )
+        alpha = min(1.0, *(STEP_FRACTION * a for a in _step_to_boundary(inv_factors, d_zx)))
         # cut the step until the complementarity gap does not increase
-        slope, curve = _gap_along(big_z, big_x, d_big_z, d_big_x)
+        slope, curve = _gap_along(big_z, big_x, *d_zx)
         for _ in range(40):
             if gap + alpha * (slope + alpha * curve) <= gap * (1.0 + 1e-9):
                 break
             alpha *= 0.7
 
         z = z + alpha * dz
-        big_z = big_z + alpha * d_big_z
-        big_x = big_x + alpha * d_big_x
+        zx = zx + alpha * d_zx
         iters += 1
 
     if status is None:

@@ -249,3 +249,13 @@ def facets_by_subset_scan(points):
                 tight=tight,
             )
     return [out[k] for k in sorted(out)]
+
+
+def step_to_boundary_per_matrix(inv_factor, direction):
+    """Largest step keeping M + alpha*D PSD for one matrix, where inv_factor =
+    chol(M)^-1: the whitening and eigvalsh made one matrix at a time."""
+    import numpy as np
+
+    whitened = inv_factor @ direction @ inv_factor.T
+    lam = float(np.linalg.eigvalsh(0.5 * (whitened + whitened.T))[0])
+    return np.inf if lam >= -1e-14 else -1.0 / lam

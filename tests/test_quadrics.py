@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,14 @@ from thetabody.errors import InputError
 from thetabody.exactalg import Monomial, parse_polynomial, rational_rref
 from thetabody.quadrics import (
     Quadric,
+    _deg2_monomials,
+    _integer_forms,
     _is_psd_exact,
     _linear_kernel,
+    _monomials_at,
     _quadric,
     _trace_split,
+    _values_at,
     has_convex_quadric,
     quadric_space_from_generators,
     quadric_space_from_points,
@@ -459,3 +464,55 @@ def test_membership_set_up_runs_once_per_space(monkeypatch, points, queries):
     assert counts == {"_trace_split": 1, "_linear_kernel": 1}
     fresh = [call(quadric_space_from_points(points)).to_json() for call in reversed(calls)]
     assert shared == fresh[::-1]
+
+
+def _query_spaces():
+    """Spaces in dimensions 1-5, some with affine-linear members."""
+    spaces = [quadric_space_from_points(corpus.simplex(d)) for d in range(1, 6)]
+    spaces += [quadric_space_from_points(corpus.cube(d)) for d in (1, 2, 4)]
+    # a cube inside the hyperplane x_d = 1/2 of R^d: x_d - 1/2 is in the kernel
+    for d in (2, 3, 5):
+        pts = [p + (Fraction(1, 2),) for p in corpus.cube(d - 1).points]
+        spaces.append(quadric_space_from_points(pts))
+    spaces += [space for _, space in _generator_spaces()]
+    assert sorted({s.ambient_dim for s in spaces}) == [1, 2, 3, 4, 5]
+    assert sum(1 for s in spaces if s._kernel) >= 3
+    return spaces
+
+
+def test_integer_query_values_match_fraction_sums():
+    rng = random.Random(8)
+    checked = 0
+    for space in _query_spaces():
+        n = space.ambient_dim
+        vectors = list(space._kernel)
+        if space._split is not None:
+            vectors += [space._split[0]] + space._split[1]
+        forms = _integer_forms(vectors)
+        for _ in range(6):
+            # zeros, negatives and a denominator of its own per coordinate
+            query = [
+                rng.choice([0, Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12]))])
+                for _ in range(n)
+            ]
+            at, scale = _monomials_at(query)
+            got = _values_at(forms, at, scale)
+            at_z = [m.evaluate(query) for m in _deg2_monomials(n)]
+            for vec, value in zip(vectors, got):
+                assert value == sum((c * m for c, m in zip(vec, at_z)), Fraction(0))
+                assert type(value) is Fraction and value.denominator > 0
+                assert math.gcd(value.numerator, value.denominator) == 1
+                checked += 1
+    assert checked > 300
+
+
+def test_membership_leaves_the_cached_section_alone():
+    space = quadric_space_from_points(corpus.quad4())
+    th1_membership(space, (5, 5))
+    section = space._section
+    snapshot = [(cell, dict(vec)) for cell, vec in section.items()]
+    for query in [(1, 1), ("1/2", "-1/3"), (0, 0), (-2, 7)]:
+        th1_membership(space, query)
+    has_convex_quadric(space)
+    assert space._section is section
+    assert [(cell, dict(vec)) for cell, vec in section.items()] == snapshot

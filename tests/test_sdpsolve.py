@@ -27,7 +27,12 @@ from thetabody.sdpsolve import (
     SolverOptions,
     _centering_weight,
     _gap_along,
+    _min_eig,
+    _min_eig_at_least,
+    _pair_factor,
+    _psd_factor,
     _schur,
+    _step_to_boundary,
     _TRI_BLOCK,
     _split_data,
     _tri_solve,
@@ -157,6 +162,76 @@ def test_gap_along_matches_dense_inner_product():
                 dense = float(np.sum((big_z + alpha * d_big_z) * (big_x + alpha * d_big_x)))
                 closed = gap + alpha * (slope + alpha * curve)
                 assert abs(closed - dense) <= 1e-12 * abs(dense), (m, k)
+
+
+def _pd_pair(rng, m):
+    a = rng.standard_normal((2, m, m))
+    return a @ a.transpose(0, 2, 1) + 1e-2 * np.eye(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 56])
+def test_pair_kernels_match_per_matrix(m):
+    # the stacked Cholesky, inverse, whitening and eigvalsh of (Z, X) give
+    # bitwise what one call per matrix gives
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        pair = _pd_pair(rng, m)
+        factors = _pair_factor(pair)
+        inv_factors = np.linalg.inv(factors)
+        directions = rng.standard_normal((2, m, m))
+        directions = directions + directions.transpose(0, 2, 1)
+        steps = _step_to_boundary(inv_factors, directions)
+        for k in range(2):
+            assert np.array_equal(factors[k], _psd_factor(pair[k], 1e-14))
+            assert np.array_equal(inv_factors[k], np.linalg.inv(factors[k]))
+            expected = oracles.step_to_boundary_per_matrix(inv_factors[k], directions[k])
+            assert steps[k] == expected and type(steps[k]) is float
+    # a PSD direction leaves the step unbounded
+    pair = _pd_pair(rng, m)
+    assert _step_to_boundary(np.linalg.inv(_pair_factor(pair)), pair) == [np.inf, np.inf]
+
+
+@pytest.mark.parametrize("singular", [0, 1])
+def test_pair_factor_falls_back_to_jittered_factors(singular):
+    # a rank-one PSD matrix fails plain Cholesky; only it is jittered
+    rng = np.random.default_rng(3 + singular)
+    m = 6
+    pair = _pd_pair(rng, m)
+    v = rng.standard_normal(m)
+    pair[singular] = np.outer(v, v)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(pair[singular])
+    factors = _pair_factor(pair)
+    for k in range(2):
+        assert np.array_equal(factors[k], _psd_factor(pair[k], 1e-14))
+    assert np.array_equal(factors[1 - singular], np.linalg.cholesky(pair[1 - singular]))
+    # no jitter of _psd_factor reaches an eigenvalue of -1e8 on a unit diagonal
+    pair[singular] = [[1.0 if i == j else 1e8 * (i + j == 1) for j in range(m)] for i in range(m)]
+    with pytest.raises(np.linalg.LinAlgError):
+        _pair_factor(pair)
+
+
+def test_ray_pre_check_keeps_the_eigenvalue_answer():
+    # the diagonal pre-check never turns a pass of _min_eig into a fail
+    rng = np.random.default_rng(21)
+    floor = -1e-12 * (1.0 + 3.0)
+    cases = []
+    for m in (1, 2, 5, 14):
+        for _ in range(20):
+            a = rng.standard_normal((m, m))
+            cases.append(a + a.T)  # indefinite
+            v = rng.standard_normal((m, 1))
+            cases.append(v @ v.T)  # PSD of rank one: lambda_min ~ 0
+        for diag in (2 * floor, np.nextafter(2 * floor, -np.inf), floor, 0.5 * floor, 0.0):
+            cases.append(np.diag([diag] + [1.0] * (m - 1)))
+            u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            cases.append(u @ np.diag([diag] + [1.0] * (m - 1)) @ u.T)
+    passed = 0
+    for mat in cases:
+        expected = _min_eig(mat) >= floor
+        assert _min_eig_at_least(mat, floor) is expected
+        passed += expected
+    assert 0 < passed < len(cases)
 
 
 def test_grid3_level_one_stalls_with_tiny_gap_rises():
