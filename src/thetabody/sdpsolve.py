@@ -42,6 +42,21 @@ trials fail, the step is cut once more and taken untested, so the gap may
 rise slightly.  Everything is plain numpy; given identical inputs the
 iterate sequence is bitwise reproducible.
 
+Before the loop, two exact rules read only the sparse entries, F0 and c
+(_presolve; entries with coefficient 0.0 count as absent).  A diagonal cell
+that no F_i touches and where F0 is below -PSD_TOL (1 + ||F0||) makes every
+A(z) indefinite: Infeasible, with that cell's unit matrix E_pp as the
+certificate.  Partial facial reduction of the dual with diagonal matrices
+(Permenter-Parrilo, Math. Prog. 171, 2018): a coordinate with c_i = 0 whose
+remaining entries lie on the diagonal, all of one sign, forces X_pp = 0 on
+those rows for every dual-feasible X, so the rows are removed and the scan
+repeats.  When that removed some row, some coordinate with c_i != 0 has no
+entry left on the kept rows (the dual is infeasible) and F0 is positive
+definite on them (the primal is strictly feasible), the SDP is Unbounded by
+Slater's condition, and a strictly feasible z is reported.  Its objective
+may grow only along a curve, where the loop's ray test cannot see it.  Both
+rules report 0 iterations.
+
 Infeasibility is certified through the normalized dual iterate: whenever
 X / tr(X) annihilates every F_i but pairs negatively with F0, no z can make
 A(z) PSD, and that matrix is returned as the certificate.  The probe runs
@@ -127,7 +142,7 @@ def _psd_factor(matrix: np.ndarray, jitter_base: float) -> Optional[np.ndarray]:
     except np.linalg.LinAlgError:
         pass
     n = matrix.shape[0]
-    jitter = jitter_base * max(abs(np.trace(matrix)) / max(n, 1), 1.0)
+    jitter = jitter_base * max(abs(matrix.trace()) / max(n, 1), 1.0)
     for _ in range(11):
         try:
             return np.linalg.cholesky(matrix + jitter * np.eye(n))
@@ -192,6 +207,13 @@ def _tri_solve(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> 
     return x
 
 
+def _norm(v: np.ndarray) -> float:
+    """Frobenius norm of a C-contiguous real array, computed as np.linalg.norm
+    computes it (sqrt of the flat dot product), without its dispatch."""
+    flat = v.ravel()
+    return math.sqrt(flat.dot(flat))
+
+
 def _min_eig(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0])
 
@@ -207,8 +229,8 @@ def _min_eig_at_least(matrix: np.ndarray, floor: float) -> bool:
 
 def _gap_along(big_z, big_x, d_big_z, d_big_x):
     """(slope, curve) with <Z + a dZ, X + a dX> = <Z, X> + a slope + a^2 curve."""
-    slope = float(np.sum(big_z * d_big_x)) + float(np.sum(d_big_z * big_x))
-    return slope, float(np.sum(d_big_z * d_big_x))
+    slope = float((big_z * d_big_x).sum()) + float((d_big_z * big_x).sum())
+    return slope, float((d_big_z * d_big_x).sum())
 
 
 def _centering_weight(mu_aff: float, mu: float) -> float:
@@ -362,6 +384,76 @@ def _split_data(problem: SdpProblem, free: List[int]):
     return f_zero, _SparseF(m, len(free), ls, pos, coeffs)
 
 
+def _presolve(f: _SparseF, f_zero: np.ndarray, c_vec: np.ndarray, floor: float):
+    """(status, z, certificate) when one of the exact rules of the module
+    docstring decides the SDP, else None.
+
+    A removed row p is one where some coordinate forced X_pp = 0, and X PSD
+    then zeroes row and column p: an entry is remaining while both its row
+    and column are kept.  The reported z of an Unbounded SDP is strictly
+    feasible.  It is built from the last round back to the first: z = 0
+    while F0 is factored on the kept rows, then each round's coordinates take
+    z_i = sign_i * tau, which adds tau times a positive diagonal D to the rows
+    that round removed and leaves the rows kept before it alone.  With P, Q,
+    R the blocks of A(z) on (kept, kept), (kept, removed) and (removed,
+    removed), tau min(D) = 1 + 2 ||Q^T P^-1 Q - R|| keeps the Schur complement
+    R + tau D - Q^T P^-1 Q positive definite.
+    """
+    m, d = f.m, f.d
+    rows, cols = np.divmod(f.pos, m)
+    live = f.coeff != 0.0
+    on_diag = live & (rows == cols)
+    touched = np.zeros(m, dtype=bool)
+    touched[rows[on_diag]] = True
+    empty = np.flatnonzero(~touched & (f_zero.diagonal() < floor))
+    if empty.size:
+        certificate = np.zeros((m, m))
+        certificate[empty[0], empty[0]] = 1.0
+        return INFEASIBLE, np.zeros(d), certificate.tolist()
+
+    off_diag = live & (rows != cols)
+    positive = on_diag & (f.coeff > 0.0)
+    free_c = c_vec == 0.0
+    kept = np.ones(m, dtype=bool)
+    rounds = []  # (sign of each coordinate that removed rows, the rows)
+    while True:
+        inside = kept[rows] & kept[cols]
+        blocked = np.bincount(f.l[off_diag & inside], minlength=d) > 0
+        n_pos = np.bincount(f.l[positive & inside], minlength=d)
+        n_neg = np.bincount(f.l[on_diag & inside], minlength=d) - n_pos
+        usable = free_c & ~blocked & ((n_pos == 0) != (n_neg == 0))
+        if not usable.any():
+            break
+        hit = np.zeros(m, dtype=bool)  # np.unique would import numpy.ma
+        hit[rows[on_diag & inside & usable[f.l]]] = True
+        removed = np.flatnonzero(hit)
+        rounds.append((np.sign(n_pos - n_neg) * usable, removed))
+        kept &= ~hit
+    if not rounds:
+        return None
+    remaining = np.bincount(f.l[live & kept[rows] & kept[cols]], minlength=d)
+    if not np.any((c_vec != 0.0) & (remaining == 0)):
+        return None
+
+    z = np.zeros(d)
+    block = np.flatnonzero(kept)
+    try:
+        for sign, removed in reversed(rounds):
+            assembled = f_zero + f.combine(z)
+            factor = np.linalg.cholesky(assembled[np.ix_(block, block)])
+            w = np.linalg.solve(factor, assembled[np.ix_(block, removed)])
+            deficit = w.T @ w - assembled[np.ix_(removed, removed)]
+            lift = f.combine(sign).diagonal()[removed]
+            z += (1.0 + 2.0 * _norm(deficit)) / lift.min() * sign
+            block = np.r_[block, removed]
+        factor = np.linalg.cholesky(f_zero + f.combine(z))
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(z).all() and np.isfinite(factor).all()):
+        return None
+    return UNBOUNDED, z, None
+
+
 def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSolution:
     """Solve an SdpProblem; see the module docstring for the algorithm."""
     opts = options or SolverOptions()
@@ -411,18 +503,25 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         return finish(np.zeros(0), INFEASIBLE, 0.0, 0, certificate=ray.tolist())
 
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        norm_f0 = float(np.linalg.norm(f_zero))
+        norm_f0 = _norm(f_zero)
         norms_f = f.norms()
-        norm_c = float(np.linalg.norm(c_vec))
+        norm_c = _norm(c_vec)
     data_norm = float(np.max(np.r_[norm_f0, norm_c, norms_f]))  # NaN propagates
     if not np.isfinite(data_norm):
         raise InputError("SDP data too large: its norm overflows")
+
+    decided = _presolve(f, f_zero, c_vec, -PSD_TOL * (1.0 + norm_f0))
+    if decided is not None:
+        status, z, certificate = decided
+        return finish(z, status, 0.0, 0, certificate=certificate)
+
     block = max(1, _SCHUR_BLOCK_BYTES // (8 * max(m * m, f.coeff.size)))
     blocks = f.column_blocks(block)
 
     z = np.zeros(d)
+    eye = np.eye(m)
     # Z and X as one stack, so one call factors, inverts or whitens both
-    zx = np.stack([(1.0 + data_norm) * np.eye(m)] * 2)
+    zx = np.stack([(1.0 + data_norm) * eye] * 2)
 
     history: List[float] = []
     status = None
@@ -435,11 +534,11 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         assembled = f_zero + f.combine(z)
         residual_p = assembled - big_z
         residual_d = -c_vec - f.pair(big_x)
-        gap = float(np.sum(big_z * big_x))
+        gap = float((big_z * big_x).sum())
         p_obj = float(c_vec @ z)
-        d_obj = float(np.sum(f_zero * big_x))
-        rel_p = np.linalg.norm(residual_p) / (1.0 + norm_f0)
-        rel_d = np.linalg.norm(residual_d) / (1.0 + norm_c)
+        d_obj = float((f_zero * big_x).sum())
+        rel_p = _norm(residual_p) / (1.0 + norm_f0)
+        rel_d = _norm(residual_d) / (1.0 + norm_c)
         rel_gap = abs(gap) / (1.0 + abs(p_obj) + abs(d_obj))
         history.append(gap)
 
@@ -449,11 +548,11 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
 
         # dual improving ray => primal infeasible; its drift <F0, X>/tr(X)
         # has the sign of d_obj, so only a negative d_obj can pass
-        trace_x = float(np.trace(big_x))
+        trace_x = float(big_x.trace())
         if trace_x > 0 and d_obj < 0:
             x_hat = big_x / trace_x
             pairing = float(np.max(np.abs(f.pair(x_hat)) / (1.0 + norms_f)))
-            drift = float(np.sum(f_zero * x_hat)) / (1.0 + norm_f0)
+            drift = float((f_zero * x_hat).sum()) / (1.0 + norm_f0)
             if pairing <= 1e-9 and drift <= -1e-7:
                 status = INFEASIBLE
                 certificate = x_hat.tolist()
@@ -488,16 +587,20 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             moved = f.combine(dz)
             # sum_j dz_j K_j = Z^-1 (sum_j dz_j F_j) X
             d_big_x = w - zinv @ moved @ big_x
-            return dz, np.stack((residual_p + moved, 0.5 * (d_big_x + d_big_x.T)))
+            d_zx = np.empty((2, m, m))
+            np.add(residual_p, moved, out=d_zx[0])
+            np.add(d_big_x, d_big_x.T, out=d_zx[1])
+            d_zx[1] *= 0.5
+            return dz, d_zx
 
         # predictor
         dz_aff, d_aff = direction(None)
         alpha_p, alpha_d = (min(1.0, a) for a in _step_to_boundary(inv_factors, d_aff))
-        mu_aff = float(np.sum((big_z + alpha_p * d_aff[0]) * (big_x + alpha_d * d_aff[1]))) / m
+        mu_aff = float(((big_z + alpha_p * d_aff[0]) * (big_x + alpha_d * d_aff[1])).sum()) / m
         sigma = _centering_weight(mu_aff, mu)
 
         # corrector
-        c_target = sigma * mu * np.eye(m) - d_aff[0] @ d_aff[1]
+        c_target = sigma * mu * eye - d_aff[0] @ d_aff[1]
         dz, d_zx = direction(c_target)
         # free H and its factor now rather than while the next H is formed
         del schur, schur_factor
@@ -505,13 +608,13 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         # primal improving ray: a direction whose matrix movement is PSD while
         # the objective gains proves unboundedness outright once any feasible
         # point is at hand; ride it past the reporting threshold.
-        dz_norm = float(np.linalg.norm(dz))
+        dz_norm = _norm(dz)
         if dz_norm > 0:
             d_hat = dz / dz_norm
             ray_gain = float(c_vec @ d_hat)
             if ray_gain > 1e-7 * (1.0 + norm_c):
                 ray_dir = f.combine(d_hat)
-                ray_floor = -1e-12 * (1.0 + float(np.linalg.norm(ray_dir)))
+                ray_floor = -1e-12 * (1.0 + _norm(ray_dir))
                 here_floor = -PSD_TOL * (1.0 + norm_f0)
                 if _min_eig_at_least(ray_dir, ray_floor) and _min_eig(assembled) >= here_floor:
                     t = (1.01 * UNBOUNDED_THRESHOLD + abs(p_obj)) / ray_gain

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from thetabody.exactalg import PointSet
@@ -62,6 +63,37 @@ def hypersimplex_2_4():
     """0/1 points in R^4 with coordinate sum 2 (an octahedron, affinely)."""
     pts = [p for p in itertools.product((0, 1), repeat=4) if sum(p) == 2]
     return PointSet(4, pts)
+
+
+def grid(d, size):
+    """The grid {0, ..., size-1}^d."""
+    return PointSet(d, list(itertools.product(range(size), repeat=d)))
+
+
+def rational_cloud(n, d, seed):
+    """n distinct seeded points in R^d with coordinates p/q, |p| <= 9, 1 <= q <= 5."""
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < n:
+        pts.add(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)))
+    return PointSet(d, sorted(pts))
+
+
+# 14 rational points on the unit sphere whose level-2 theta SDP drove the
+# centering ratio (mu_aff / mu)^3 into a float overflow; with the objective
+# (-1, 3, -1) that SDP now ends Optimal with rel_d just under feas_tol.
+SPHERE_OVERFLOW = [
+    tuple(Fraction(p, q) for p, q in row)
+    for row in [
+        ((-18, 19), (6, 19), (1, 19)), ((-4, 9), (4, 9), (7, 9)),
+        ((-32, 93), (20, 93), (85, 93)), ((-6, 19), (1, 19), (18, 19)),
+        ((-6, 19), (10, 19), (15, 19)), ((-6, 23), (-54, 115), (97, 115)),
+        ((-5, 31), (6, 31), (30, 31)), ((-4, 149), (48, 149), (141, 149)),
+        ((6, 19), (-6, 19), (17, 19)), ((6, 19), (10, 19), (15, 19)),
+        ((1, 3), (2, 15), (14, 15)), ((3, 7), (2, 7), (6, 7)),
+        ((36, 65), (-96, 325), (253, 325)), ((12, 17), (8, 17), (9, 17)),
+    ]
+]
 
 
 def stable_set_points(n, edges):

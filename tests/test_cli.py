@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import corpus
 import thetabody
 from thetabody import __version__, geomexact
 from thetabody.cli import main
@@ -228,6 +229,17 @@ def test_th1_from_points(files, capsys):
     assert report["result"]["status"] == "Inside"
 
 
+def test_th1_empty_section_is_inside(capsys, tmp_path):
+    # the section's unit member is diag(-1, 2) and the traceless member
+    # x1*x2 leaves its (0, 0) entry alone, so no PSD member exists
+    gens = tmp_path / "empty-section.json"
+    gens.write_text(json.dumps({"dim": 2, "generators": ["x1^2 - 2*x2^2", "x1*x2"]}))
+    code, report, _ = run(capsys, "th1", "--gens", gens, "--query", "1,2")
+    assert code == 0
+    assert report["result"]["status"] == "Inside"
+    assert report["solver"]["status"] == "Infeasible"
+
+
 def test_th1_input_errors(files, capsys, tmp_path):
     bad = tmp_path / "bad-gens.json"
     bad.write_text(json.dumps({"generators": ["x1"]}))  # dim missing
@@ -274,6 +286,41 @@ def test_moment_dump_curve(files, capsys):
     assert code == 0
     assert len(report["result"]["rows"]) == 6
     assert len(report["result"]["y"]) == 12
+
+
+def test_moment_dump_then_solve_curve_unbounded(capsys, tmp_path):
+    # 16 rational points in the plane: no quadric vanishes on them, so TH1 is
+    # all of R^2 and the level-1 SDP with the objective x1 + 2*x2 is Unbounded
+    cloud = corpus.rational_cloud(16, 2, 4)
+    points = tmp_path / "cloud16.json"
+    points.write_text(
+        json.dumps({"dim": 2, "points": [[str(c) for c in p] for p in cloud.points]})
+    )
+    code, report, _ = run(capsys, "moment-dump", "--points", points, "--level", 1)
+    assert code == 0
+    template = report["result"]
+    rows, index = template["rows"], {label: l for l, label in enumerate(template["y"])}
+    sdp = {
+        "side": len(rows),
+        "yDim": len(index),
+        "cells": [
+            {
+                "row": rows.index(cell["cell"][0]),
+                "col": rows.index(cell["cell"][1]),
+                "coeffs": {str(index[key[2:-1]]): c for key, c in cell["coeffs"].items()},
+            }
+            for cell in template["cells"]
+        ],
+        "objective": {str(index["x1"]): 1, str(index["x2"]): 2},
+        "fixed": {str(index["1"]): 1},
+    }
+    path = tmp_path / "cloud16-sdp.json"
+    path.write_text(json.dumps(sdp))
+    code, report, err = run(capsys, "solve", "--sdp", path)
+    assert code == 0
+    assert report["result"]["status"] == "Unbounded"
+    assert report["result"]["iterations"] == 0
+    assert "Unbounded" in err
 
 
 def test_moment_dump_point_cap_exits_3(capsys, tmp_path):

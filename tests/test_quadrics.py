@@ -260,6 +260,16 @@ def test_infeasible_section_is_inside():
     assert report.solver_status == "Infeasible"
 
 
+def test_empty_section_is_inside_at_every_query():
+    # the unit member diag(-1, 2) keeps its (0, 0) entry in every member
+    # u + t*(x1*x2) of the section, so the section is empty at every query
+    space = quadric_space_from_generators(2, ["x1^2 - 2*x2^2", "x1*x2"])
+    for query in [(1, 2), (1, 0), ("-3/2", "5/7"), (4, -1)]:
+        report = th1_membership(space, query)
+        assert report.status == "Inside"
+        assert report.solver_status == "Infeasible"
+
+
 def test_traceless_space_without_ray_is_inside():
     space = quadric_space_from_generators(2, ["x1*x2"])
     report = th1_membership(space, (0, 0))

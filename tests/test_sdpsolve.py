@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import tracemalloc
-from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -234,23 +232,135 @@ def test_ray_pre_check_keeps_the_eigenvalue_answer():
     assert 0 < passed < len(cases)
 
 
-def test_grid3_level_one_stalls_with_tiny_gap_rises():
-    # TH1 of {0,1,2}^3 is all of R^3, so the right status is Unbounded; the
-    # solver stalls instead and ends IterLimit.  Nearly every step there
-    # raises the gap at first order, so all 40 backtracking trials fail and
-    # the last, 0.7^40 times the first, is taken: the gap rises by about
-    # 2e-7 of itself per iteration.  A wrong gap along the step would let
-    # the search accept longer steps that raise it far more.
-    ring = buchberger_moller(PointSet(3, itertools.product(range(3), repeat=3)))
-    objective = {Monomial.variable(1, 3): 1, Monomial.variable(2, 3): 2}
-    sol = solve(build_theta_sdp(build_moment_template(ring, 1), objective))
-    assert sol.status == "IterLimit"
-    assert sol.iterations == SolverOptions().max_iter
+def _theta_sdp(points, k, objective=(1, 2)):
+    ring = buchberger_moller(points)
+    objective = {Monomial.variable(i + 1, points.dim): c for i, c in enumerate(objective)}
+    return build_theta_sdp(build_moment_template(ring, k), objective)
+
+
+def _assembled(problem, y):
+    """A(y) as one dense matrix, summed from the problem's cells."""
+    a = np.zeros((problem.side, problem.side))
+    for (i, j), vec in problem.cells.items():
+        value = sum(c * y[l] for l, c in vec.items())
+        a[i, j] += value
+        if i != j:
+            a[j, i] += value
+    return a
+
+
+@pytest.mark.parametrize(
+    "points, k",
+    [
+        (corpus.grid(3, 3), 1),
+        (corpus.rational_cloud(16, 2, 4), 1),
+        (corpus.rational_cloud(16, 2, 4), 2),
+        (corpus.rational_cloud(12, 3, 4), 1),
+        (corpus.grid(2, 5), 2),
+    ],
+    ids=["grid3-1", "cloud16-1", "cloud16-2", "cloud12-1", "grid5-2"],
+)
+def test_curve_unbounded_theta_sdps_are_decided_before_the_loop(points, k):
+    # The ideal has no element of degree <= 2k, so every moment of degree
+    # <= 2k is free and TH_k = R^n; the objective grows only along a curve
+    # (y_x = tc, higher moments those of the Dirac measure at tc), so no
+    # improving ray exists.  The diagonal facial reduction decides it.
+    problem = _theta_sdp(points, k)
+    assert problem.y_dim == math.comb(points.dim + 2 * k, points.dim)
+    sol = solve(problem)
+    assert sol.status == "Unbounded" and sol.iterations == 0
+    assert sol.gap_history == [] and sol.certificate is None
+    assert all(math.isfinite(v) for v in sol.y)
+    assert np.linalg.eigvalsh(_assembled(problem, sol.y))[0] > 0
+    assert sol.objective == sum(c * sol.y[l] for l, c in problem.objective.items())
+
+
+def test_singular_kept_block_runs_the_loop_with_tiny_gap_rises():
+    # grid3's level-1 SDP with -x1^2/2 added to the objective: it is still
+    # unbounded along x2, but x1^2 no longer removes row 1, so the reduction
+    # keeps rows {1, x1} with the singular block diag(1, 0) and the presolve
+    # cannot show strict feasibility.  The loop runs and stalls; only the run
+    # and its gaps are pinned here, not the status it ends with.  Nearly
+    # every step raises the gap at first order, so all 40 backtracking trials
+    # fail and the last, 0.7^40 times the first, is taken: the gap rises by
+    # about 2e-7 of itself per iteration.  A wrong gap along the step would
+    # let the search accept longer steps that raise it far more.
+    problem = _theta_sdp(corpus.grid(3, 3), 1)
+    (square,) = problem.cells[(1, 1)]
+    problem.objective[square] = -0.5
+    sol = solve(problem)
+    assert sol.iterations > 0
     gaps = sol.gap_history
     assert len(gaps) == sol.iterations + 1
     for earlier, later in zip(gaps, gaps[1:]):
         assert later <= earlier * (1.0 + 1e-6)
     assert gaps[-1] < 0.1 * gaps[0]
+
+
+def test_reduction_waits_until_a_coordinate_has_one_sign():
+    # max w over [[1, w, w], [w, a, 0], [w, 0, b - 3a]] PSD, unbounded along
+    # w = t, a = 2t^2, b = 8t^2.  b removes row 2 first; only then are a's
+    # remaining entries of one sign, and a removes row 1.
+    cells = {
+        (0, 0): {0: 1.0},
+        (0, 1): {1: 1.0},
+        (0, 2): {1: 1.0},
+        (1, 1): {2: 1.0},
+        (2, 2): {2: -3.0, 3: 1.0},
+    }
+    problem = problem_from(3, 4, cells, {1: 1.0})
+    sol = solve(problem)
+    assert sol.status == "Unbounded" and sol.iterations == 0
+    assert np.linalg.eigvalsh(_assembled(problem, sol.y))[0] > 0
+
+
+def test_reduction_without_a_witness_leaves_the_loop():
+    # max y1 over [[1, y1], [y1, y2]] PSD with 1 - y2 >= 0: y2 has diagonal
+    # entries of both signs, so it forces no row to vanish; the optimum is 1
+    mixed = problem_from(
+        3, 3, {(0, 0): {0: 1.0}, (0, 1): {1: 1.0}, (1, 1): {2: 1.0}, (2, 2): {0: 1.0, 2: -1.0}},
+        {1: 1.0},
+    )
+    # max y1 over [[1, y1], [y1, 1]] and y2 >= 0: y2 removes row 2, but y1
+    # keeps its entries, so the dual stays feasible; the optimum is 1
+    apart = problem_from(
+        3, 3, {(0, 0): {0: 1.0}, (1, 1): {0: 1.0}, (0, 1): {1: 1.0}, (2, 2): {2: 1.0}}, {1: 1.0}
+    )
+    for problem in (mixed, apart):
+        sol = solve(problem)
+        assert sol.status == "Optimal" and sol.iterations > 0
+        assert abs(sol.objective - 1.0) <= 1e-6
+
+
+def test_zero_coefficients_count_as_absent():
+    # a zero entry of the x1^2 coordinate off the diagonal would block the
+    # reduction if it counted, and a zero entry on an untouched diagonal cell
+    # would hide that cell from the infeasibility rule
+    problem = _theta_sdp(corpus.grid(3, 3), 1)
+    (square,) = problem.cells[(1, 1)]
+    problem.cells[(0, 1)] = {**problem.cells[(0, 1)], square: 0.0}
+    sol = solve(problem)
+    assert sol.status == "Unbounded" and sol.iterations == 0
+    p = problem_from(2, 2, {(0, 0): {0: -1.0, 1: 0.0}, (0, 1): {1: 1.0}, (1, 1): {0: 2.0}}, {1: 4.0})
+    sol = solve(p)
+    assert sol.status == "Infeasible" and sol.iterations == 0
+
+
+def test_untouched_negative_diagonal_is_infeasible_before_the_loop():
+    # the PSD section of th1_membership(["x1^2 - 2*x2^2", "x1*x2"]) at (1, 2):
+    # F0 = diag(-1, 2) and y_1 sits off the diagonal, so A(y)_00 = -1 for
+    # every y and E_00 certifies it
+    p = problem_from(2, 2, {(0, 0): {0: -1.0}, (0, 1): {1: 1.0}, (1, 1): {0: 2.0}}, {1: 4.0})
+    sol = solve(p)
+    assert sol.status == "Infeasible" and sol.iterations == 0
+    cert = np.array(sol.certificate)
+    assert cert.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    assert np.sum(cert * np.diag([-1.0, 2.0])) < 0
+    # a diagonal that some coordinate touches is left to the loop
+    touched = problem_from(2, 2, {(0, 0): {0: -1.0, 1: 1.0}, (1, 1): {0: 2.0}}, {1: -1.0})
+    sol = solve(touched)
+    assert sol.status == "Optimal" and sol.iterations > 0
+    assert abs(sol.objective + 1.0) <= 1e-6
 
 
 def test_moment_sdp_end_to_end():
@@ -311,7 +421,7 @@ def test_schur_blocks_match_definition():
     # C7 has supports of 1 to 6 rows on side 22, the sphere's moment SDP
     # supports as wide as its side 9
     c7 = moment_template(enumerate_stable_sets(Graph(7, corpus.cycle_edges(7)), 4), 2)
-    sphere = build_moment_template(buchberger_moller(PointSet(3, SPHERE_OVERFLOW)), 2)
+    sphere = build_moment_template(buchberger_moller(PointSet(3, corpus.SPHERE_OVERFLOW)), 2)
     cases = [
         (build_theta_sdp(c7, {Monomial.variable(v, 7): 1 for v in range(1, 8)}), 6),
         (build_theta_sdp(sphere, {Monomial.variable(1, 3): 1}), 9),
@@ -382,30 +492,29 @@ def test_largest_graph_sdps_keep_their_iteration_counts(run, most):
     assert result.solution.iterations <= most
 
 
-# 14 rational points on the unit sphere whose level-2 theta SDP drove the
-# centering ratio (mu_aff / mu)^3 into a float overflow.
-SPHERE_OVERFLOW = [
-    (F(-18, 19), F(6, 19), F(1, 19)), (F(-4, 9), F(4, 9), F(7, 9)),
-    (F(-32, 93), F(20, 93), F(85, 93)), (F(-6, 19), F(1, 19), F(18, 19)),
-    (F(-6, 19), F(10, 19), F(15, 19)), (F(-6, 23), F(-54, 115), F(97, 115)),
-    (F(-5, 31), F(6, 31), F(30, 31)), (F(-4, 149), F(48, 149), F(141, 149)),
-    (F(6, 19), F(-6, 19), F(17, 19)), (F(6, 19), F(10, 19), F(15, 19)),
-    (F(1, 3), F(2, 15), F(14, 15)), (F(3, 7), F(2, 7), F(6, 7)),
-    (F(36, 65), F(-96, 325), F(253, 325)), (F(12, 17), F(8, 17), F(9, 17)),
-]
-
-
 def test_sphere_overflow_points_level_two():
     weights = (-1, 3, -1)
-    ring = buchberger_moller(PointSet(3, SPHERE_OVERFLOW))
+    ring = buchberger_moller(PointSet(3, corpus.SPHERE_OVERFLOW))
     objective = {Monomial.variable(i + 1, 3): c for i, c in enumerate(weights)}
     values = {}
     for k in (1, 2):
         sol = solve(build_theta_sdp(build_moment_template(ring, k), objective))
         assert sol.status in ("Optimal", "NearOptimal")
         values[k] = sol.objective
-    best = max(sum(c * x for c, x in zip(weights, p)) for p in SPHERE_OVERFLOW)
+    best = max(sum(c * x for c, x in zip(weights, p)) for p in corpus.SPHERE_OVERFLOW)
     assert float(best) - 1e-6 <= values[2] <= values[1] + 1e-6
+
+
+def test_sphere_overflow_level_two_stays_optimal():
+    # A knife edge: side 9, 13 free coordinates, Optimal at iteration 13 with
+    # rel_d just under feas_tol.  ||X|| is about 1.2e3, so <F_i, X> rounds at
+    # about 4e-8; a change in the last bits of the iteration (np.vdot for the
+    # inner products, or one batched inverse for the triangular solves) sent
+    # it to NearOptimal after 200 iterations.
+    problem = _theta_sdp(PointSet(3, corpus.SPHERE_OVERFLOW), 2, (-1, 3, -1))
+    assert (problem.side, problem.y_dim - len(problem.fixed)) == (9, 13)
+    sol = solve(problem)
+    assert sol.status == "Optimal" and sol.iterations <= 13
 
 
 def test_centering_weight_clamps_before_cubing():
