@@ -33,14 +33,12 @@ comes from the first.  The step-length search whitens a direction D as
 L^-1 D L^-T with those inverse factors: the predictor's pair (dZ, dX) takes
 one batched whitening and one eigvalsh for both smallest eigenvalues, and so
 does the corrector's pair.  A problem whose dense arrays would pass
-_MEMORY_LIMIT_BYTES is refused before any is allocated.  Steps use a 0.98
-fraction-to-boundary rule with a shared primal/dual step length, cut by 0.7
-up to 40 times until the complementarity gap does not increase; the gap
-along a step is the quadratic <Z, X> + a (<Z, dX> + <dZ, X>) + a^2 <dZ, dX>,
-whose three inner products are formed once per iteration.  When all 40
-trials fail, the step is cut once more and taken untested, so the gap may
-rise slightly.  Everything is plain numpy; given identical inputs the
-iterate sequence is bitwise reproducible.
+_MEMORY_LIMIT_BYTES is refused before any is allocated.  The step is
+min(1, 0.98 x the step to the boundary), shared by primal and dual, and is
+taken uncut: the gap <Z, X> may rise along it, which is how X or z grows
+along the ray that shows an SDP infeasible or unbounded.  Everything is
+plain numpy; given identical inputs the iterate sequence is bitwise
+reproducible.
 
 Before the loop, two exact rules read only the sparse entries, F0 and c
 (_presolve; entries with coefficient 0.0 count as absent).  A diagonal cell
@@ -225,12 +223,6 @@ def _min_eig_at_least(matrix: np.ndarray, floor: float) -> bool:
     2*floor decides the test without the eigenvalues.
     """
     return bool(matrix.diagonal().min() >= 2.0 * floor) and _min_eig(matrix) >= floor
-
-
-def _gap_along(big_z, big_x, d_big_z, d_big_x):
-    """(slope, curve) with <Z + a dZ, X + a dX> = <Z, X> + a slope + a^2 curve."""
-    slope = float((big_z * d_big_x).sum()) + float((d_big_z * big_x).sum())
-    return slope, float((d_big_z * d_big_x).sum())
 
 
 def _centering_weight(mu_aff: float, mu: float) -> float:
@@ -623,13 +615,6 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
                     break
 
         alpha = min(1.0, *(STEP_FRACTION * a for a in _step_to_boundary(inv_factors, d_zx)))
-        # cut the step until the complementarity gap does not increase
-        slope, curve = _gap_along(big_z, big_x, *d_zx)
-        for _ in range(40):
-            if gap + alpha * (slope + alpha * curve) <= gap * (1.0 + 1e-9):
-                break
-            alpha *= 0.7
-
         z = z + alpha * dz
         zx = zx + alpha * d_zx
         iters += 1

@@ -240,6 +240,18 @@ def test_th1_empty_section_is_inside(capsys, tmp_path):
     assert report["solver"]["status"] == "Infeasible"
 
 
+def test_th1_empty_section_from_points_is_inside(capsys, tmp_path):
+    # no member of the points' quadric space has a PSD quadratic part, so
+    # the membership SDP must end Infeasible rather than at IterLimit
+    points = tmp_path / "four-points.json"
+    points.write_text(
+        json.dumps({"dim": 2, "points": [[-4, -2], ["-5/3", "-1/4"], ["-3/2", "2/3"], [2, "-5/3"]]})
+    )
+    code, report, _ = run(capsys, "th1", "--points", points, "--query", "0,-3/4")
+    assert code == 0
+    assert report["result"]["status"] == "Inside"
+
+
 def test_th1_input_errors(files, capsys, tmp_path):
     bad = tmp_path / "bad-gens.json"
     bad.write_text(json.dumps({"generators": ["x1"]}))  # dim missing

@@ -149,6 +149,16 @@ def test_two_parabola_witness():
     assert report.verified  # rounded certificate is exactly PSD
 
 
+@pytest.mark.parametrize("gens, square", [(["x2"], "x2^2"), (["x1 - 1"], "-1 + x1^2")])
+def test_one_point_section_is_decided(gens, square):
+    # the PSD part of the trace-1 section is the single point where the
+    # member is the square of the generator: no interior, yet the sweep of
+    # the one-dimensional section must still end in a verdict
+    report = has_convex_quadric(quadric_space_from_generators(2, gens))
+    assert report.exists and report.verified
+    assert str(report.certificate) == square
+
+
 def test_empty_space_has_no_quadric():
     pts = [(0, 0), (1, 0), (0, 1), (2, 2), (1, 3), (3, 1)]
     space = quadric_space_from_points(pts)
