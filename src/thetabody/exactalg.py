@@ -18,6 +18,9 @@ elimination: NF(f), the unique element of span(B) agreeing with f on S, has
 the coefficient vector E^−1 (f(s))_{s in S}.  The elimination and the ring's
 E and E^−1 work on ints over a positive denominator per row or column (a
 Fraction pays a gcd and an object per operation); results leave as Fractions.
+Monomials are evaluated in integers too: over one denominator den common to
+every coordinate, a candidate's values are its kept divisor's times one
+coordinate column, over den^degree.
 Because the term order is degree compatible, NF never raises degree, so the
 normal form of a product of basis elements of degree <= k is supported on the
 basis elements of degree <= 2k.  Products of basis elements reduce to pointwise
@@ -36,7 +39,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -44,10 +47,12 @@ from .errors import InputError, ResourceLimitError
 
 # Largest point set buchberger_moller accepts.  Its exact elimination grows
 # about as the fifth power of the point count: random points with
-# coordinates p/q, |p| <= 10, 1 <= q <= 10, took 0.83 / 0.73 / 0.72 s at 64
-# in dimension 2 / 3 / 5, 6.1 s at 96 in dimension 3 and 22 s at 128 in the
-# plane (one core of a 2-CPU Xeon).  The cap equals geomexact.MAX_POINTS,
-# so every set the facet code accepts has a ring.
+# coordinates p/q, |p| <= 10, 1 <= q <= 10, took 1.3 / 1.2 / 1.1 s at 64
+# in dimension 2 / 3 / 5, 9.4 s at 96 in dimension 3 (1.5^5.1 times 64) and
+# 36 s at 128 in the plane (2^4.8 times 64), on one core of a 2-CPU Xeon.
+# Evaluating the candidates in integers left these times as they were: the
+# elimination is the cost.  The cap equals geomexact.MAX_POINTS, so every
+# set the facet code accepts has a ring.
 MAX_BM_POINTS = 64
 
 
@@ -316,6 +321,13 @@ def _over_lcm(values: Sequence) -> Tuple[List[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _scaled_coordinates(points: PointSet) -> Tuple[List[List[int]], int]:
+    """(rows, den): coordinate i of point s is rows[s][i] / den, with den the
+    lcm of the denominators of all the coordinates."""
+    den = lcm(*(c.denominator for p in points for c in p))
+    return [[c.numerator * (den // c.denominator) for c in p] for p in points], den
+
+
 class _Elimination:
     """Incremental Gauss–Jordan elimination over the rationals; it also gives
     rational_rref and the affine frames of geomexact.
@@ -341,14 +353,14 @@ class _Elimination:
         return [[Fraction(v, row[p]) for v in row[part]]
                 for row, p in zip(self._rows, self.pivots)]
 
-    def add(self, vector: Sequence) -> bool:
-        """Reduce a vector of ints or Fractions; keep it when it is independent."""
-        vec, den = _over_lcm(vector)
-        self._width = width = len(vec)
-        used = [(vec[p], row, row[p]) for p, row in zip(self.pivots, self._rows) if vec[p]]
+    def add(self, ints: Sequence[int], den: int) -> bool:
+        """Reduce the vector ints / den (den > 0, any common factors); keep it
+        when it is independent."""
+        self._width = width = len(ints)
+        used = [(ints[p], row, row[p]) for p, row in zip(self.pivots, self._rows) if ints[p]]
         # (vector - sum_i vector[p_i] * rows[i]) * den * scale, with its combo
         scale = lcm(*(d for _, _, d in used))
-        vec = [v * scale for v in vec] + [0] * len(self._rows)
+        vec = [v * scale for v in ints] + [0] * len(self._rows)
         for f, row, d in used:
             f *= scale // d
             vec = [v - f * w if w else v for v, w in zip(vec, row)]
@@ -386,7 +398,7 @@ def rational_rref(rows) -> Tuple[List[List[Fraction]], List[int]]:
         raise InputError("matrix rows have unequal lengths")
     elim = _Elimination()
     for row in work:
-        elim.add(row)
+        elim.add(*_over_lcm(row))
     return elim.rows, elim.pivots
 
 
@@ -418,16 +430,19 @@ class QuotientRing:
       degrees      degree of each basis element
       eval_matrix  |S| x |B| Fractions, entry (s, l) = basis[l](points[s])
       leading      the minimal monomials outside the standard set
+
+    `columns` gives each basis element's values on S as (ints, den).
     """
 
     def __init__(self, points: PointSet, basis: List[Monomial], leading: List[Monomial],
-                 columns: List[List[Fraction]], eval_inverse: List[List[Fraction]]):
+                 columns: List[Tuple[List[int], int]], eval_inverse: List[List[Fraction]]):
         self.points = points
         self.basis = list(basis)
         self.degrees = [m.degree for m in self.basis]
         self.leading = list(leading)
-        self.eval_matrix: List[List[Fraction]] = [list(row) for row in zip(*columns)]
-        self._columns = [_over_lcm(col) for col in columns]
+        self.eval_matrix: List[List[Fraction]] = [
+            list(row) for row in zip(*([Fraction(v, den) for v in col] for col, den in columns))]
+        self._columns = columns
         self._inverse = [_over_lcm(row) for row in eval_inverse]
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._mul_table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
@@ -476,9 +491,12 @@ class QuotientRing:
 
         Returns the sparse coefficient vector {basis index: coeff} of the
         unique element of span(basis) congruent to `poly` modulo I(S); the
-        difference vanishes on every point of S (exact arithmetic).
+        difference vanishes on every point of S (exact arithmetic).  A basis
+        monomial is its own normal form; only the other monomials are
+        evaluated on S and interpolated.
         """
-        values = [Fraction(0)] * len(self.points)
+        out: Dict[int, Fraction] = {}
+        outside: List[Tuple[Monomial, Fraction]] = []
         for mono, raw in poly.items():
             if not isinstance(mono, Monomial):
                 raise InputError("polynomial keys must be Monomial instances")
@@ -489,9 +507,25 @@ class QuotientRing:
             coeff = parse_rational(raw)
             if coeff == 0:
                 continue
-            for s, point in enumerate(self.points):
-                values[s] += coeff * mono.evaluate(point)
-        return self._interpolate(*_over_lcm(values))
+            l = self._index.get(mono)
+            if l is None:
+                outside.append((mono, coeff))
+            else:
+                out[l] = coeff
+        if outside:
+            # coeff * mono on S is coeff.numerator * mono(rows[s]) over
+            # coeff.denominator * den^degree: sum the terms over their lcm
+            rows, den = _scaled_coordinates(self.points)
+            dens = [coeff.denominator * den**mono.degree for mono, coeff in outside]
+            common = lcm(*dens)
+            values = [0] * len(rows)
+            for (mono, coeff), d in zip(outside, dens):
+                factor = coeff.numerator * (common // d)
+                for s, row in enumerate(rows):
+                    values[s] += factor * prod(x**e for x, e in zip(row, mono.exponents))
+            for l, c in self._interpolate(values, common).items():
+                out[l] = out.get(l, 0) + c
+        return {l: out[l] for l in sorted(out) if out[l]}
 
     def product_normal_form(self, i: int, j: int) -> Dict[int, Fraction]:
         """NF(basis[i] * basis[j]) as a sparse vector, cached per pair."""
@@ -521,26 +555,32 @@ def buchberger_moller(points: PointSet) -> QuotientRing:
             f"Buchberger-Moller capped at {MAX_BM_POINTS} points, got {size}"
         )
 
+    # a candidate's values on S are those of the kept divisor it was pushed
+    # from times one coordinate column, as ints over den^degree
+    rows, den = _scaled_coordinates(points)
+    coordinate_columns = [list(col) for col in zip(*rows)]
     kept: List[Monomial] = []
-    columns: List[List[Fraction]] = []
+    columns: List[Tuple[List[int], int]] = []
     leading: List[Monomial] = []
     elim = _Elimination()
     start = Monomial.unit(n)
-    heap = [(grevlex_key(start), start)]
+    ones = [1] * size
+    heap = [(grevlex_key(start), start, ones, ones)]
     seen = {start}
     while heap and len(kept) < size:
-        _, mono = heapq.heappop(heap)
+        _, mono, divisor_values, column = heapq.heappop(heap)
         if any(lead.divides(mono) for lead in leading):
             continue
-        vector = [mono.evaluate(p) for p in points]
-        if elim.add(vector):
+        values = list(map(mul, divisor_values, column))
+        values_den = den**mono.degree
+        if elim.add(values, values_den):
             kept.append(mono)
-            columns.append(vector)
+            columns.append((values, values_den))
             for i in range(1, n + 1):
                 nxt = mono * Monomial.variable(i, n)
                 if nxt not in seen:
                     seen.add(nxt)
-                    heapq.heappush(heap, (grevlex_key(nxt), nxt))
+                    heapq.heappush(heap, (grevlex_key(nxt), nxt, values, coordinate_columns[i - 1]))
         else:
             leading.append(mono)
 

@@ -116,7 +116,7 @@ def _affine_frame(pts: Sequence[tuple]):
     the frame's edges when the frame spans the space (W is the combos' transpose)."""
     frame, elim = [pts[0]], _Elimination()
     for p in pts[1:]:
-        if elim.add([x - y for x, y in zip(p, pts[0])]):
+        if elim.add(*_over_lcm([x - y for x, y in zip(p, pts[0])])):
             frame.append(p)
             if len(frame) > len(p):
                 break

@@ -23,12 +23,14 @@ works on those vectors; a Quadric is built only for a result that leaves the
 module: a basis element, a member, a certificate, an extreme or a ray.  A
 membership query evaluates the vectors it needs in integers: each vector is
 scaled over the lcm of its denominators once per space, and the monomials at
-the query over the square of the lcm of the query's denominators.
+the query over the square of the lcm of the query's denominators.  The slice
+of a point set is the nullspace of the same integer monomial values at its
+points, over the square of one denominator common to every coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -38,6 +40,7 @@ from .exactalg import (
     Monomial,
     PointSet,
     _over_lcm,
+    _scaled_coordinates,
     display_key,
     format_rational,
     nullspace,
@@ -46,7 +49,7 @@ from .exactalg import (
     rational_rref,
 )
 from .momentsdp import SdpProblem
-from .sdpsolve import SolverOptions, solve
+from .sdpsolve import SdpSolution, SolverOptions, solve
 
 BOUNDARY_TOL = 1e-7
 
@@ -223,11 +226,16 @@ class QuadricSpace:
     monomials of _deg2_monomials (display order: 1, x1..xn, then degree 2),
     so construction is deterministic.  `basis` gives them as Quadrics.  The
     kernel, the trace split, their integer forms and the section's SDP cells
-    are kept from first use: do not change the vectors.
+    are kept from first use, and so is the solve of the section SDP with an
+    empty objective, once per SolverOptions values: th1_membership poses that
+    SDP at every query where all trace-0 directions vanish (the points of the
+    variety), and it does not depend on the query.  Do not change the vectors.
     """
 
     ambient_dim: int
     vectors: List[List[Fraction]] = field(default_factory=list)
+    _zero_objective_solves: Dict[tuple, SdpSolution] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -270,12 +278,14 @@ def quadric_space_from_points(points) -> QuadricSpace:
     """All polynomials of degree <= 2 vanishing on the point set.
 
     Computed as the nullspace of the evaluation matrix of the degree-<=2
-    monomials on the set, entirely in rational arithmetic.
+    monomials on the set, entirely in exact arithmetic: row s holds the
+    monomials at point s times den^2 (see _monomials_at), which leaves the
+    nullspace as it is.
     """
     ps = PointSet.coerce(points)
-    monos = _deg2_monomials(ps.dim)
-    rows = [[m.evaluate(p) for m in monos] for p in ps.points]
-    return QuadricSpace(ps.dim, rational_rref(nullspace(rows, len(monos)))[0])
+    coords, den = _scaled_coordinates(ps)
+    rows = [_monomials_at(p, den)[0] for p in coords]
+    return QuadricSpace(ps.dim, rational_rref(nullspace(rows, len(rows[0])))[0])
 
 
 def quadric_space_from_generators(dim: int, generators) -> QuadricSpace:
@@ -428,14 +438,13 @@ def _integer_forms(
     return forms
 
 
-def _monomials_at(z: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """(at, scale): _deg2_monomials(len(z)) at z are at[k] / scale.
+def _monomials_at(p: Sequence[int], den: int) -> Tuple[List[int], int]:
+    """(at, scale): _deg2_monomials(len(p)) at the point z = p / den are
+    at[k] / scale.
 
-    With z = p / D over the lcm D of its denominators, 1, x_i and x_i x_j
-    take D^2, p_i D and p_i p_j over the scale D^2.
+    1, x_i and x_i x_j take den^2, p_i den and p_i p_j over the scale den^2.
     """
-    p, den = _over_lcm(z)
-    layout = _quadratic_layout(len(z))
+    layout = _quadratic_layout(len(p))
     at = [den * den] + [v * den for v in p] + [0] * len(layout)
     for i, j, k, _ in layout:
         at[k] = p[i] * p[j]
@@ -631,7 +640,7 @@ def th1_membership(
         return MembershipReport(
             status=INSIDE, detail="the space is zero, so nothing separates"
         )
-    at_z, scale = _monomials_at(z)
+    at_z, scale = _monomials_at(*_over_lcm(z))
     for g, g_at_z in zip(space._kernel, _values_at(space._kernel_ints, at_z, scale)):
         if g_at_z != 0:
             ray = g if g_at_z > 0 else [-c for c in g]
@@ -661,8 +670,14 @@ def th1_membership(
     else:
         values = [float(v) for v in rest_at_z]
         objective = {k + 1: v for k, v in enumerate(values) if v}
-        problem = _section_problem(n, space._section, len(rest) + 1, objective)
-        sol = solve(problem, options or SolverOptions())
+        opts = options or SolverOptions()
+        # with no objective the SDP is the same at every such query: keep its
+        # solve on the space, once per solver settings
+        solves = {} if objective else space._zero_objective_solves
+        key = astuple(opts)
+        if key not in solves:
+            solves[key] = solve(_section_problem(n, space._section, len(rest) + 1, objective), opts)
+        sol = solves[key]
         if sol.status == "Infeasible":
             return MembershipReport(
                 status=INSIDE,

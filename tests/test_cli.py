@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -340,6 +342,37 @@ def test_moment_dump_point_cap_exits_3(capsys, tmp_path):
     path.write_text(json.dumps({"dim": 1, "points": [[i] for i in range(65)]}))
     code, report, err = run(capsys, "moment-dump", "--points", path, "--level", 1)
     assert code == 3 and report is None and "resource limit" in err
+
+
+# --------------------------------------------------------- golden reports
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# ten rational points of the unit circle, ((1 - t^2) / (1 + t^2), 2t / (1 + t^2))
+CIRCLE10 = [
+    ["1", "0"], ["3/5", "4/5"], ["0", "1"], ["-3/5", "4/5"], ["4/5", "3/5"],
+    ["-4/5", "3/5"], ["3/5", "-4/5"], ["-3/5", "-4/5"], ["4/5", "-3/5"], ["5/13", "12/13"],
+]
+GOLDEN_RUNS = {
+    # name: (points file content, argv after the subcommand's --points file)
+    "moment-dump-cube6-level2": (
+        {"dim": 3, "points": [list(p) for p in itertools.product((0, 1), repeat=3)][:6]},
+        ["moment-dump", "--level", "2"],
+    ),
+    "th1-circle10-outside": ({"dim": 2, "points": CIRCLE10}, ["th1", "--query", "1,1"]),
+    "th1-circle10-on-set": ({"dim": 2, "points": CIRCLE10}, ["th1", "--query", "3/5,4/5"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
+    """The report, byte for byte apart from its wall time, as recorded in
+    tests/golden/<name>.json."""
+    content, argv = GOLDEN_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    Path("points.json").write_text(json.dumps(content))
+    assert main(argv[:1] + ["--points", "points.json"] + argv[1:]) == 0
+    out = re.sub(r'"wallTimeSeconds": [^,\n]+', '"wallTimeSeconds": 0', capsys.readouterr().out)
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 # ------------------------------------------------------------------ solve

@@ -364,13 +364,13 @@ def test_invert_rational_matrix():
     rng = random.Random(11)
     a = _random_rational_matrix(rng, 5, 5)
     elim = _Elimination()
-    assert all(elim.add(row) for row in a)
+    assert all(elim.add(*exactalg._over_lcm(row)) for row in a)
     inv = elim.combos
     product = [[sum(inv[i][k] * a[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
     assert product == [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
     singular = a[:4] + [[x - 3 * y for x, y in zip(a[0], a[2])]]
     elim = _Elimination()
-    assert [elim.add(row) for row in singular] == [True] * 4 + [False]
+    assert [elim.add(*exactalg._over_lcm(row)) for row in singular] == [True] * 4 + [False]
     assert len(elim.rows) == 4
 
 
@@ -496,11 +496,15 @@ def _awkward_matrix(rng):
     return [row[:cols] + [0] * (cols - len(row)) for row in rows]
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(80))
 def test_integer_elimination_matches_fraction_reference(seed):
+    rng = random.Random(seed)
     ours, ref = _Elimination(), _FractionElimination()
-    for row in _awkward_matrix(random.Random(seed)):
-        assert ours.add(row) == ref.add(row)
+    for row in _awkward_matrix(rng):
+        # ints and den with a common factor, as Buchberger-Moller passes them
+        ints, den = exactalg._over_lcm(row)
+        factor = rng.choice([1, 2, 6, 35, 3**40])
+        assert ours.add([v * factor for v in ints], den * factor) == ref.add(row)
         assert ours.pivots == ref.pivots
         assert ours.rows == ref.rows and ours.combos == ref.combos
         assert all(_is_canonical(v) for part in ours.rows + ours.combos for v in part)
@@ -539,3 +543,75 @@ def test_integer_normal_forms_match_fraction_reference(seed):
         expected = reference_nf([sum(c * m.evaluate(p) for m, c in poly.items())
                                  for p in ps.points])
         assert ring.normal_form(poly) == expected
+
+
+def _evaluation_sets():
+    """Sets with mixed denominators, negative and zero coordinates, and (the
+    last three) a coordinate constant on S."""
+    f = Fraction
+    sets = [
+        PointSet(2, [(f(1, 2), -3), (0, f(2, 3)), (f(-5, 7), 0), (3, f(1, 4)), (0, 0)]),
+        PointSet(3, [(f(-1, 6), f(4, 9), 0), (f(5, 4), 0, f(-7, 10)), (0, 0, 0),
+                     (1, f(-1, 15), f(2, 21)), (f(-3, 8), f(3, 8), 1)]),
+        PointSet(2, [(f(3, 5), f(-2, 3)), (f(-1, 10), f(-2, 3)), (4, f(-2, 3))]),
+        PointSet(3, [(0, f(1, 4), f(5, 6)), (f(-2, 9), 0, f(5, 6)), (1, -1, f(5, 6)),
+                     (f(7, 3), f(1, 2), f(5, 6))]),
+    ]
+    rng = random.Random(31)
+    for _ in range(6):
+        dim = rng.randint(2, 4)
+        constant = Fraction(rng.randint(-4, 4), rng.randint(1, 12))
+        pts = {
+            tuple(rng.choice([Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+                  for _ in range(dim - 1)) + (constant,)
+            for _ in range(rng.randint(2, 12))
+        }
+        sets.append(PointSet(dim, sorted(pts)))
+    return sets
+
+
+@pytest.mark.parametrize("ps", _evaluation_sets())
+def test_integer_evaluation_matches_monomial_evaluate(ps):
+    from thetabody.quadrics import _deg2_monomials
+
+    ring = buchberger_moller(ps)
+    assert ring.eval_matrix == [[m.evaluate(p) for m in ring.basis] for p in ps.points]
+    assert all(_is_canonical(v) for row in ring.eval_matrix for v in row)
+    monos = _deg2_monomials(ps.dim)
+    rows = [[m.evaluate(p) for m in monos] for p in ps.points]
+    assert quadric_space_from_points(ps).vectors == rational_rref(nullspace(rows, len(monos)))[0]
+
+
+@pytest.mark.parametrize("ps", _evaluation_sets())
+def test_normal_form_matches_fraction_reference(ps):
+    ring = buchberger_moller(ps)
+    n, rng = len(ps), random.Random(len(ps))
+    ref = _FractionElimination()
+    for l in range(n):
+        assert ref.add([ring.basis[l].evaluate(p) for p in ps.points])
+    inverse = [[ref.combos[s][l] for s in range(n)] for l in range(n)]
+
+    def reference_nf(poly):
+        values = [sum((c * m.evaluate(p) for m, c in poly.items()), Fraction(0))
+                  for p in ps.points]
+        out = {l: sum((w * v for w, v in zip(row, values)), Fraction(0))
+               for l, row in enumerate(inverse)}
+        return {l: c for l, c in out.items() if c}
+
+    outside = [m for m in map(Monomial, itertools.product(range(4), repeat=ps.dim))
+               if ring.basis_index(m) is None]
+    for _ in range(6):
+        # basis and non-basis monomials, and always a constant
+        poly = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+                for m in rng.sample(ring.basis, rng.randint(0, n)) + rng.sample(outside, 2)}
+        poly[Monomial.unit(ps.dim)] = Fraction(rng.randint(1, 9), rng.randint(1, 8))
+        got = ring.normal_form(poly)
+        assert got == reference_nf(poly)
+        assert list(got) == sorted(got) and all(_is_canonical(v) for v in got.values())
+    # m minus its normal form: every term cancels, or only the basis part stays
+    for m in outside[:3]:
+        poly = {m: Fraction(3, 7)}
+        poly.update({ring.basis[l]: -c for l, c in reference_nf(poly).items()})
+        assert ring.normal_form(poly) == {}
+        poly[ring.basis[-1]] = poly.get(ring.basis[-1], 0) + 2
+        assert ring.normal_form(poly) == reference_nf(poly) == {n - 1: Fraction(2)}

@@ -4,7 +4,9 @@ Any change to how the exact layers compute (the elimination, the ring
 inverse, the facet scan) must leave every Fraction, pivot, basis and facet
 as it was.  The corpus below is rebuilt from fixed seeds and serialized as
 canonical JSON (sorted keys, rationals as "p/q"); its digest was recorded
-before the integer elimination replaced the Fraction one.
+before the integer elimination replaced the Fraction one.  A second corpus,
+the quadric slices of the seeded point sets and normal forms of seeded
+polynomials, was recorded before monomials were evaluated in integers.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ import random
 from fractions import Fraction
 
 import corpus
-from thetabody.exactalg import PointSet, buchberger_moller, format_rational, rational_rref
+from thetabody.exactalg import (
+    Monomial, PointSet, buchberger_moller, format_rational, rational_rref)
 from thetabody.geomexact import classify_01, facets
+from thetabody.quadrics import quadric_space_from_points
 
 PINNED_SHA256 = "e30b2063cdb3a2c723fe5a0d69e2758ea67b0e710dc496d1a3e0c90cf82bd2c6"
+PINNED_EVALUATION_SHA256 = "1aa19b98581b16bf4720f8807236ec8ccdb3675cab3399af73c4da7ae2e5d80a"
 
 
 def _fmt(rows):
@@ -82,3 +87,54 @@ def _corpus():
 def test_exact_outputs_match_pinned_digest():
     text = json.dumps(_corpus(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+
+
+def _random_small_set(rng):
+    """2-8 points in R^2..R^4, few enough that quadrics vanish on them; the
+    last coordinate is constant on S in about one set of three."""
+    dim = rng.randint(2, 4)
+    constant = Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.35 else None
+    pts = {
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(dim - 1))
+        + (constant if constant is not None else Fraction(rng.randint(-6, 6), rng.randint(1, 9)),)
+        for _ in range(rng.randint(2, 8))
+    }
+    return PointSet(dim, sorted(pts))
+
+
+def _random_polynomial(rng, ring):
+    """Random monomials of degree <= 4, a constant and a basis monomial, with
+    rational coefficients."""
+    dim = ring.dim
+    terms = {Monomial(tuple(rng.randint(0, 2) for _ in range(dim))):
+             Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 6))}
+    terms[Monomial.unit(dim)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    terms[rng.choice(ring.basis)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return terms
+
+
+def _evaluation_corpus():
+    rng = random.Random(20)
+    sets = [corpus.tri3(), corpus.quad4(), corpus.curve14(), corpus.cube(3),
+            corpus.cross_polytope(3), corpus.hypersimplex_2_4()]
+    sets += [_random_point_set(rng) for _ in range(10)]
+    small = random.Random(22)
+    sets += [_random_small_set(small) for _ in range(12)]
+    poly_rng = random.Random(21)
+    records = []
+    for ps in sets:
+        ring = buchberger_moller(ps)
+        records.append({
+            "slice": _fmt(quadric_space_from_points(ps).vectors),
+            "normalForms": [
+                sorted((l, format_rational(c))
+                       for l, c in ring.normal_form(_random_polynomial(poly_rng, ring)).items())
+                for _ in range(4)
+            ],
+        })
+    return records
+
+
+def test_slices_and_normal_forms_match_pinned_digest():
+    text = json.dumps(_evaluation_corpus(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EVALUATION_SHA256

@@ -12,7 +12,7 @@ import pytest
 import corpus
 import thetabody.quadrics as quadrics
 from thetabody.errors import InputError
-from thetabody.exactalg import Monomial, parse_polynomial, rational_rref
+from thetabody.exactalg import Monomial, _over_lcm, parse_polynomial, rational_rref
 from thetabody.quadrics import (
     Quadric,
     _deg2_monomials,
@@ -486,6 +486,41 @@ def test_membership_set_up_runs_once_per_space(monkeypatch, points, queries):
     assert shared == fresh[::-1]
 
 
+def test_on_variety_queries_share_one_section_solve(monkeypatch):
+    """Where every trace-0 direction vanishes the membership SDP has no
+    objective, so one solve per space and solver settings serves every such
+    query; a query elsewhere solves its own SDP each time."""
+    points = corpus.hypersimplex_2_4().points
+    elsewhere = [(1, "1/2", "1/2", 0), ("1/2", "1/2", "1/2", "1/2")]
+    queries = list(points) + elsewhere
+    objectives = []
+    real = quadrics.solve
+
+    def counted(problem, options):
+        objectives.append(dict(problem.objective))
+        return real(problem, options)
+
+    monkeypatch.setattr(quadrics, "solve", counted)
+
+    def solves():
+        zero = sum(1 for objective in objectives if not objective)
+        return zero, len(objectives) - zero
+
+    space = quadric_space_from_points(points)
+    assert space._split[1]
+    shared = [th1_membership(space, z).to_json() for z in queries + queries[::-1]]
+    assert solves() == (1, 2 * len(elsewhere))
+    assert {r["status"] for r in shared[: len(points)]} == {"Borderline"}
+    tight = [th1_membership(space, z, TIGHT).to_json() for z in points]
+    assert solves() == (2, 2 * len(elsewhere))
+    fresh = [th1_membership(quadric_space_from_points(points), z).to_json()
+             for z in queries + queries[::-1]]
+    assert solves() == (2 + 2 * len(points), 4 * len(elsewhere))
+    assert shared == fresh
+    assert tight == [th1_membership(quadric_space_from_points(points), z, TIGHT).to_json()
+                     for z in points]
+
+
 def _query_spaces():
     """Spaces in dimensions 1-5, some with affine-linear members."""
     spaces = [quadric_space_from_points(corpus.simplex(d)) for d in range(1, 6)]
@@ -515,7 +550,7 @@ def test_integer_query_values_match_fraction_sums():
                 rng.choice([0, Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12]))])
                 for _ in range(n)
             ]
-            at, scale = _monomials_at(query)
+            at, scale = _monomials_at(*_over_lcm(query))
             got = _values_at(forms, at, scale)
             at_z = [m.evaluate(query) for m in _deg2_monomials(n)]
             for vec, value in zip(vectors, got):
