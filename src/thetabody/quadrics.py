@@ -23,9 +23,7 @@ works on those vectors; a Quadric is built only for a result that leaves the
 module: a basis element, a member, a certificate, an extreme or a ray.  A
 membership query evaluates the vectors it needs in integers: each vector is
 scaled over the lcm of its denominators once per space, and the monomials at
-the query over the square of the lcm of the query's denominators.  The slice
-of a point set is the nullspace of the same integer monomial values at its
-points, over the square of one denominator common to every coordinate.
+the query over the square of the lcm of the query's denominators.
 """
 
 from __future__ import annotations
@@ -278,8 +276,9 @@ def quadric_space_from_points(points) -> QuadricSpace:
     """All polynomials of degree <= 2 vanishing on the point set.
 
     Computed as the nullspace of the evaluation matrix of the degree-<=2
-    monomials on the set, entirely in exact arithmetic: row s holds the
-    monomials at point s times den^2 (see _monomials_at), which leaves the
+    monomials on the set, entirely in exact arithmetic.  Row s holds the
+    monomials at point s in integers (_monomials_at), scaled by den^2 for one
+    denominator den common to every coordinate; the scaling leaves the
     nullspace as it is.
     """
     ps = PointSet.coerce(points)
