@@ -5,7 +5,8 @@ The package is organized as a pipeline:
 - ``exactalg``   exact rational groundwork: monomials, point sets, vanishing-
                  ideal quotient rings via evaluation/interpolation.
 - ``momentsdp``  symbolic moment-matrix templates over a quotient ring or a
-                 combinatorial basis, and their instantiation as SDP data.
+                 combinatorial basis, their instantiation as SDP data, and
+                 the solver's settings.
 - ``sdpsolve``   a dense primal-dual interior-point SDP solver.
 - ``combopt``    stable-set and cut relaxations of graphs, built on
                  combinatorial bases instead of a quotient ring.
@@ -39,16 +40,17 @@ _HOMES = {
         "parse_polynomial",
         "rational_rref",
     ),
-    # moment templates and SDP data
+    # moment templates, SDP data and solver settings
     "momentsdp": (
         "MomentTemplate",
         "build_moment_template",
         "assemble",
         "SdpProblem",
+        "SolverOptions",
         "build_theta_sdp",
     ),
     # solver
-    "sdpsolve": ("SolverOptions", "SdpSolution", "solve"),
+    "sdpsolve": ("SdpSolution", "solve"),
     # graph models
     "combopt": (
         "Graph",

@@ -21,8 +21,10 @@ Exit codes: 0 success (for solver-backed commands: a conclusive answer),
 Tolerances and caps are set only by flags.  An omitted flag parses as None,
 and the command fills it in from SolverOptions() or combopt.DEFAULT_CAP, so
 building the parser imports neither module.  Each command imports the modules
-it runs when it runs: exactness, classify01 and moment-dump never load numpy,
-and theta loads neither geomexact nor quadrics.
+it runs when it runs, and theta loads neither geomexact nor quadrics.  numpy
+loads at the first SDP solve, since no module imports sdpsolve at import
+time: exactness, classify01 and moment-dump never load it, nor does a th1
+query decided exactly or a run that ends in invalid input before its solve.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from . import __version__
 from .errors import InputError, ResourceLimitError, SolverError, ThetaBodyError
 
 if TYPE_CHECKING:
-    from .sdpsolve import SolverOptions
+    from .momentsdp import SolverOptions
 
 
 def _digest(path: str) -> str:
@@ -76,7 +78,7 @@ def _report_skeleton(subcommand: str, digests: Dict[str, str], parameters: dict)
 
 def _solver_options(args) -> SolverOptions:
     """SolverOptions from the solver flags; an omitted flag keeps its default."""
-    from .sdpsolve import SolverOptions
+    from .momentsdp import SolverOptions
 
     given = {"feas_tol": args.feas_tol, "gap_tol": args.gap_tol, "max_iter": args.max_iter}
     return SolverOptions(**{k: v for k, v in given.items() if v is not None})
@@ -205,13 +207,16 @@ def _cmd_classify01(args) -> int:
 
 def _cmd_th1(args) -> int:
     from .exactalg import PointSet, parse_rational
+
+    started = time.monotonic()
+    query = tuple(parse_rational(c) for c in args.query.split(","))
+    options = _solver_options(args)
     from .quadrics import (
         quadric_space_from_generators,
         quadric_space_from_points,
         th1_membership,
     )
 
-    started = time.monotonic()
     digests: Dict[str, str] = {}
     if args.points is not None:
         digests["points"] = _digest(args.points)
@@ -228,8 +233,6 @@ def _cmd_th1(args) -> int:
             raise InputError("\"generators\" must be a list of polynomial strings")
         space = quadric_space_from_generators(payload["dim"], gens)
         source = {"gens": args.gens}
-    query = tuple(parse_rational(c) for c in args.query.split(","))
-    options = _solver_options(args)
     result = th1_membership(space, query, options)
     report = _report_skeleton(
         "th1",
@@ -283,11 +286,12 @@ def _cmd_moment_dump(args) -> int:
 
 def _cmd_solve(args) -> int:
     from .momentsdp import SdpProblem
-    from .sdpsolve import solve
 
     started = time.monotonic()
     problem = SdpProblem.from_file(args.sdp)
     options = _solver_options(args)
+    from .sdpsolve import solve
+
     solution = solve(problem, options)
     report = _report_skeleton(
         "solve",

@@ -47,22 +47,34 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactalg import Monomial, parse_rational
 from .momentsdp import (
     MomentTemplate,
+    SdpProblem,
+    SolverOptions,
     build_theta_sdp,
     orbit_problem,
     template_from_products,
 )
-from .sdpsolve import SdpSolution, SolverOptions, solve
+
+if TYPE_CHECKING:
+    from .sdpsolve import SdpSolution
 
 STABLE_SETS = "StableSets"
 ODD_CYCLE_FREE = "OddCycleFreeEdgeSets"
 
 DEFAULT_CAP = 20000
+
+
+def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSolution:
+    """sdpsolve.solve, looked up at each call: sdpsolve loads numpy, which
+    reading a graph, enumerating its sets or rejecting bad input never needs."""
+    from . import sdpsolve
+
+    return sdpsolve.solve(problem, options)
 
 
 @dataclass(frozen=True)

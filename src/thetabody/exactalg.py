@@ -429,7 +429,10 @@ class QuotientRing:
                    within each degree (reporting order); always contains 1
       degrees      degree of each basis element
       eval_matrix  |S| x |B| Fractions, entry (s, l) = basis[l](points[s])
-      leading      the minimal monomials outside the standard set
+      leading      the minimal monomials outside the standard set that the
+                   search met before the basis filled up (|B| = |S|), in
+                   ascending degrevlex order; it stops there, so the list
+                   can miss some of them and can be empty
 
     `columns` gives each basis element's values on S as (ints, den).
     """

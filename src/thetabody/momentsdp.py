@@ -20,6 +20,10 @@ unit-vector or zero cells) with no ring attached.  orbit_problem is the one
 linear map on the numeric SDP: it restricts y to be constant on given orbits
 of its coordinates and expands the reduced solution back, which combopt uses
 for graph symmetry.
+
+SdpProblem and SolverOptions, the solver's input and its settings, live here
+and not in sdpsolve: this module never imports numpy at module level, so code
+that only builds, validates or reports on an SDP runs without it.
 """
 
 from __future__ import annotations
@@ -289,6 +293,21 @@ class SdpProblem:
             raise InputError(f"cannot read SDP file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
+
+
+@dataclass
+class SolverOptions:
+    """Stopping rules of sdpsolve.solve."""
+
+    feas_tol: float = 1e-8
+    gap_tol: float = 1e-7
+    max_iter: int = 200
+
+    def __post_init__(self):
+        if not all(math.isfinite(t) and t > 0 for t in (self.feas_tol, self.gap_tol)):
+            raise InputError("tolerances must be finite and positive")
+        if self.max_iter < 1:
+            raise InputError("max_iter must be >= 1")
 
 
 def build_theta_sdp(

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, SolverError
 from .exactalg import (
@@ -46,14 +46,24 @@ from .exactalg import (
     parse_rational,
     rational_rref,
 )
-from .momentsdp import SdpProblem
-from .sdpsolve import SdpSolution, SolverOptions, solve
+from .momentsdp import SdpProblem, SolverOptions
+
+if TYPE_CHECKING:
+    from .sdpsolve import SdpSolution
 
 BOUNDARY_TOL = 1e-7
 
 INSIDE = "Inside"
 OUTSIDE = "Outside"
 BORDERLINE = "Borderline"
+
+
+def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSolution:
+    """sdpsolve.solve, looked up at each call: sdpsolve loads numpy, which a
+    query decided exactly never needs."""
+    from . import sdpsolve
+
+    return sdpsolve.solve(problem, options)
 
 
 @lru_cache(maxsize=None)
@@ -225,14 +235,15 @@ class QuadricSpace:
     so construction is deterministic.  `basis` gives them as Quadrics.  The
     kernel, the trace split, their integer forms and the section's SDP cells
     are kept from first use, and so is the solve of the section SDP with an
-    empty objective, once per SolverOptions values: th1_membership poses that
+    empty objective, with the member its weights pick (None unless the solve
+    is conclusive), once per SolverOptions values: th1_membership poses that
     SDP at every query where all trace-0 directions vanish (the points of the
-    variety), and it does not depend on the query.  Do not change the vectors.
+    variety), and neither depends on the query.  Do not change the vectors.
     """
 
     ambient_dim: int
     vectors: List[List[Fraction]] = field(default_factory=list)
-    _zero_objective_solves: Dict[tuple, SdpSolution] = field(
+    _zero_objective_solves: Dict[tuple, Tuple[SdpSolution, Optional[Quadric]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -659,6 +670,7 @@ def th1_membership(
     unit, rest = split
     unit_at_z, *rest_at_z = _values_at(space._split_ints, at_z, scale)
     constant = float(unit_at_z)
+    certificate = None
     if not rest:
         if not _is_psd_exact(_quadric(unit, n).a):
             return MembershipReport(
@@ -670,13 +682,21 @@ def th1_membership(
         values = [float(v) for v in rest_at_z]
         objective = {k + 1: v for k, v in enumerate(values) if v}
         opts = options or SolverOptions()
-        # with no objective the SDP is the same at every such query: keep its
-        # solve on the space, once per solver settings
-        solves = {} if objective else space._zero_objective_solves
-        key = astuple(opts)
-        if key not in solves:
-            solves[key] = solve(_section_problem(n, space._section, len(rest) + 1, objective), opts)
-        sol = solves[key]
+        if objective:
+            sol = solve(_section_problem(n, space._section, len(rest) + 1, objective), opts)
+        else:
+            # with no objective the SDP is the same at every such query, and
+            # so is the member its weights pick: keep both on the space, once
+            # per solver settings
+            solves = space._zero_objective_solves
+            key = astuple(opts)
+            if key not in solves:
+                sol = solve(_section_problem(n, space._section, len(rest) + 1, objective), opts)
+                member = None
+                if sol.status in ("Optimal", "NearOptimal"):
+                    member = _quadric(_combine(unit, rest, sol.y[1:]), n)
+                solves[key] = (sol, member)
+            sol, certificate = solves[key]
         if sol.status == "Infeasible":
             return MembershipReport(
                 status=INSIDE,
@@ -691,10 +711,12 @@ def th1_membership(
         return MembershipReport(
             status=INSIDE, supremum=sup, solver_status=solver_status, detail=detail
         )
+    if certificate is None:
+        certificate = _quadric(_combine(unit, rest, weights), n)
     return MembershipReport(
         status=OUTSIDE if sup > BOUNDARY_TOL else BORDERLINE,
         supremum=sup,
-        certificate=_quadric(_combine(unit, rest, weights), n),
+        certificate=certificate,
         solver_status=solver_status,
         detail=detail,
     )

@@ -78,7 +78,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .momentsdp import SdpProblem
+from .momentsdp import SdpProblem, SolverOptions
 
 OPTIMAL = "Optimal"
 NEAR_OPTIMAL = "NearOptimal"
@@ -91,19 +91,6 @@ ITER_LIMIT = "IterLimit"
 PSD_TOL = 1e-7
 STEP_FRACTION = 0.98
 UNBOUNDED_THRESHOLD = 1e12
-
-
-@dataclass
-class SolverOptions:
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-7
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0 for t in (self.feas_tol, self.gap_tol)):
-            raise InputError("tolerances must be finite and positive")
-        if self.max_iter < 1:
-            raise InputError("max_iter must be >= 1")
 
 
 @dataclass

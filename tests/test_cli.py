@@ -61,6 +61,19 @@ def files(tmp_path):
     )
     d["nogens"] = tmp_path / "nogens.json"
     d["nogens"].write_text(json.dumps({"dim": 3, "generators": []}))
+    d["circle10"] = tmp_path / "circle10.json"
+    d["circle10"].write_text(json.dumps({"dim": 2, "points": CIRCLE10}))
+    d["circle"] = tmp_path / "circle.json"
+    d["circle"].write_text(json.dumps({"dim": 2, "generators": ["x1^2 + x2^2 - 1"]}))
+    d["nan-sdp"] = tmp_path / "nan-sdp.json"
+    d["nan-sdp"].write_text(json.dumps({
+        "side": 2, "yDim": 2, "objective": {"1": 1},
+        "cells": [{"row": 0, "col": 0, "coeffs": {"0": 1}},
+                  {"row": 0, "col": 1, "coeffs": {"1": float("nan")}},
+                  {"row": 1, "col": 1, "coeffs": {"0": 1}}],
+    }))
+    d["bad-graph"] = tmp_path / "bad-graph.json"
+    d["bad-graph"].write_text(json.dumps({"n": 3, "edges": [[1, 4]]}))
     return d
 
 
@@ -269,12 +282,10 @@ def test_th1_input_errors(files, capsys, tmp_path):
     assert code == 2
 
 
-def test_th1_negative_query(capsys, tmp_path):
-    circle = tmp_path / "circle.json"
-    circle.write_text(json.dumps({"dim": 2, "generators": ["x1^2 + x2^2 - 1"]}))
+def test_th1_negative_query(files, capsys):
     reports = []
     for argv in (["--query", "-1/2,3/4"], ["--query=-1/2,3/4"]):
-        code, report, _ = run(capsys, "th1", "--gens", circle, *argv)
+        code, report, _ = run(capsys, "th1", "--gens", files["circle"], *argv)
         assert code == 0
         reports.append(report)
     assert reports[0]["result"] == reports[1]["result"]
@@ -582,41 +593,78 @@ def test_version_flag(capsys):
 
 # --------------------------------------------------------------- start-up
 
-# Runs main on argv (when given) with its output discarded, then prints the
-# names in sys.modules.
+# Runs main on argv (when given) with its output discarded, then prints its
+# exit code and the names in sys.modules.
 _LOADED = """
 import contextlib, io, json, sys
 from thetabody.cli import main
+code = 0
 if len(sys.argv) > 1:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(sys.argv[1:])
-    if code:
-        sys.exit(f"exit {code}")
-print(json.dumps(sorted(sys.modules)))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 SOLVER_SIDE = {"numpy", "thetabody.sdpsolve", "thetabody.combopt"}
 GEOMETRY = {"thetabody.geomexact", "thetabody.quadrics"}
 
 
-@pytest.mark.parametrize(
-    "argv, absent",
-    [
-        ((), SOLVER_SIDE | GEOMETRY),
-        (("exactness", "--points", "square"), {"numpy"}),
-        (("classify01", "--dim", "2"), {"numpy"}),
-        (("moment-dump", "--points", "square"), {"numpy"}),
-        (("theta", "--graph", "c5"), GEOMETRY),
-    ],
-    ids=["import", "exactness", "classify01", "moment-dump", "theta"],
-)
-def test_process_loads_only_what_its_subcommand_runs(files, argv, absent):
+def _fresh_process(files, script, argv=()):
+    """What `script` prints, run with argv (fixture names replaced by their
+    paths) in a new interpreter that imports this source tree."""
     src = str(Path(thetabody.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    cmd = [sys.executable, "-c", _LOADED, *(str(files.get(a, a)) for a in argv)]
+    cmd = [sys.executable, "-c", script, *(str(files.get(a, a)) for a in argv)]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert absent.isdisjoint(json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, code, absent",
+    [
+        ((), 0, SOLVER_SIDE | GEOMETRY),
+        (("exactness", "--points", "square"), 0, {"numpy"}),
+        (("classify01", "--dim", "2"), 0, {"numpy"}),
+        (("moment-dump", "--points", "square"), 0, {"numpy"}),
+        (("theta", "--graph", "c5"), 0, GEOMETRY),
+        # numpy loads at the first SDP solve: th1 queries decided exactly
+        # and inputs rejected before the solve never load it
+        (("th1", "--points", "circle10", "--query", "1,1"), 0, {"numpy", "thetabody.sdpsolve"}),
+        (("th1", "--gens", "circle", "--query=-1/2,3/4"), 0, {"numpy", "thetabody.sdpsolve"}),
+        (("solve", "--sdp", "nan-sdp"), 2, {"numpy", "thetabody.sdpsolve"}),
+        (("theta", "--graph", "bad-graph"), 2, {"numpy", "thetabody.sdpsolve"} | GEOMETRY),
+        # a malformed query is rejected before the quadric space is built
+        (("th1", "--points", "quad4", "--query", "1,oops"), 2, SOLVER_SIDE | GEOMETRY),
+    ],
+    ids=["import", "exactness", "classify01", "moment-dump", "theta",
+         "th1-points-exact", "th1-gens-exact", "solve-invalid", "theta-invalid",
+         "th1-bad-query"],
+)
+def test_process_loads_only_what_its_subcommand_runs(files, argv, code, absent):
+    exit_code, modules = _fresh_process(files, _LOADED, argv)
+    assert exit_code == code
+    assert absent.isdisjoint(modules)
+
+
+def test_section_sdp_loads_numpy(files):
+    """The control for the cases above: a th1 query that needs the section
+    SDP (quad4 at (5, 5)) does load the solver."""
+    argv = ("th1", "--points", "quad4", "--query", "5,5")
+    exit_code, modules = _fresh_process(files, _LOADED, argv)
+    assert exit_code == 0
+    assert {"numpy", "thetabody.sdpsolve"} <= set(modules)
+
+
+def test_solver_options_resolve_without_numpy(files):
+    script = (
+        "import json, sys, thetabody\n"
+        "thetabody.SolverOptions(max_iter=5)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    modules = _fresh_process(files, script)
+    assert "thetabody.momentsdp" in modules
+    assert SOLVER_SIDE.isdisjoint(modules)
 
 
 def test_package_names_resolve_to_their_home_objects():

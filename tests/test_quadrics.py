@@ -488,19 +488,26 @@ def test_membership_set_up_runs_once_per_space(monkeypatch, points, queries):
 
 def test_on_variety_queries_share_one_section_solve(monkeypatch):
     """Where every trace-0 direction vanishes the membership SDP has no
-    objective, so one solve per space and solver settings serves every such
-    query; a query elsewhere solves its own SDP each time."""
+    objective, so one solve per space and solver settings, and the
+    certificate its weights pick, serve every such query; a query elsewhere
+    solves its own SDP and builds its own certificate each time."""
     points = corpus.hypersimplex_2_4().points
     elsewhere = [(1, "1/2", "1/2", 0), ("1/2", "1/2", "1/2", "1/2")]
     queries = list(points) + elsewhere
     objectives = []
-    real = quadrics.solve
+    combines = []
+    real_solve, real_combine = quadrics.solve, quadrics._combine
 
     def counted(problem, options):
         objectives.append(dict(problem.objective))
-        return real(problem, options)
+        return real_solve(problem, options)
+
+    def counted_combine(unit, rest, weights):
+        combines.append(len(weights))
+        return real_combine(unit, rest, weights)
 
     monkeypatch.setattr(quadrics, "solve", counted)
+    monkeypatch.setattr(quadrics, "_combine", counted_combine)
 
     def solves():
         zero = sum(1 for objective in objectives if not objective)
@@ -510,12 +517,16 @@ def test_on_variety_queries_share_one_section_solve(monkeypatch):
     assert space._split[1]
     shared = [th1_membership(space, z).to_json() for z in queries + queries[::-1]]
     assert solves() == (1, 2 * len(elsewhere))
-    assert {r["status"] for r in shared[: len(points)]} == {"Borderline"}
+    # every report here is Borderline and carries a certificate
+    assert {r["status"] for r in shared} == {"Borderline"}
+    assert len(combines) == 1 + 2 * len(elsewhere)
     tight = [th1_membership(space, z, TIGHT).to_json() for z in points]
     assert solves() == (2, 2 * len(elsewhere))
+    assert len(combines) == 2 + 2 * len(elsewhere)
     fresh = [th1_membership(quadric_space_from_points(points), z).to_json()
              for z in queries + queries[::-1]]
     assert solves() == (2 + 2 * len(points), 4 * len(elsewhere))
+    assert len(combines) == 2 + 2 * len(points) + 4 * len(elsewhere)
     assert shared == fresh
     assert tight == [th1_membership(quadric_space_from_points(points), z, TIGHT).to_json()
                      for z in points]
