@@ -416,7 +416,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

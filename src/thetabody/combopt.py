@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .exactalg import Monomial, parse_rational
+from .exactalg import Monomial, _find, parse_rational
 from .momentsdp import (
     MomentTemplate,
     SdpProblem,
@@ -548,22 +548,15 @@ def coordinate_orbits(
             for p in generators
         ]
     parent = list(range(y_dim))
-
-    def root(l: int) -> int:
-        while parent[l] != l:
-            parent[l] = parent[parent[l]]
-            l = parent[l]
-        return l
-
     for act in actions:
         for l in range(y_dim):
-            a = root(l)
-            b = root(index[tuple(sorted(act[g] for g in elements[l]))])
+            a = _find(parent, l)
+            b = _find(parent, index[tuple(sorted(act[g] for g in elements[l]))])
             parent[max(a, b)] = min(a, b)
     orbit: List[int] = []
     count = 0
     for l in range(y_dim):
-        r = root(l)
+        r = _find(parent, l)
         if r == l:
             orbit.append(count)
             count += 1

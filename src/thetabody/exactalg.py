@@ -329,16 +329,17 @@ def _scaled_coordinates(points: PointSet) -> Tuple[List[List[int]], int]:
 
 
 class _Elimination:
-    """Incremental Gauss–Jordan elimination over the rationals; it also gives
-    rational_rref and the affine frames of geomexact.
+    """Incremental Gauss–Jordan elimination over the rationals, in integers;
+    it also gives rational_rref and the affine frames of geomexact.
 
     rows stay the RREF of the vectors add() kept, sorted by pivot; each row
     is 0 at the other rows' pivots, so add() reads its multiple straight off
-    a new vector.  combos[i] holds the coefficients of rows[i] over the kept
-    vectors in the order they were kept.  Once the rows span Q^n they are the
+    a new vector.  Row i's combo holds its coefficients over the kept vectors
+    in the order they were kept.  Once the rows span Q^n they are the
     identity, and the combos invert the matrix whose rows are the kept vectors.
     A row is stored with its combo appended, as ints over its entry at the
-    pivot, and divided by the gcd of its entries after each update.
+    pivot, and divided by the gcd of its entries after each update.  Only
+    rows, for rational_rref, builds Fractions; inverse() hands out ints.
     """
 
     def __init__(self):
@@ -346,12 +347,16 @@ class _Elimination:
         self._rows: List[List[int]] = []
         self._width = 0
 
-    rows = property(lambda self: self._fractions(slice(self._width)))
-    combos = property(lambda self: self._fractions(slice(self._width, None)))
+    rows = property(lambda self: [[Fraction(v, row[p]) for v in row[:self._width]]
+                                  for row, p in zip(self._rows, self.pivots)])
 
-    def _fractions(self, part: slice) -> List[List[Fraction]]:
-        return [[Fraction(v, row[p]) for v in row[part]]
-                for row, p in zip(self._rows, self.pivots)]
+    def inverse(self) -> List[Tuple[List[int], int]]:
+        """The combos transposed, row k as (ints, den) in lowest terms (den > 0):
+        ints[i] / den is the coefficient of kept vector k in rows[i]."""
+        den = lcm(*(row[p] for row, p in zip(self._rows, self.pivots)))
+        scales = [den // row[p] for row, p in zip(self._rows, self.pivots)]
+        combos = [[v * s for v in row[self._width:]] for row, s in zip(self._rows, scales)]
+        return [(vec[:-1], vec[-1]) for vec in (_divide_gcd([*col, den]) for col in zip(*combos))]
 
     def add(self, ints: Sequence[int], den: int) -> bool:
         """Reduce the vector ints / den (den > 0, any common factors); keep it
@@ -385,6 +390,14 @@ def _divide_gcd(vec: List[int], negate: bool = False) -> List[int]:
     """vec divided by the gcd of its entries, and negated when asked."""
     g = -gcd(*vec) if negate else gcd(*vec)
     return vec if g == 1 else [v // g for v in vec]
+
+
+def _find(parent: List[int], i: int) -> int:
+    """Root of i in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def rational_rref(rows) -> Tuple[List[List[Fraction]], List[int]]:
@@ -434,19 +447,17 @@ class QuotientRing:
                    ascending degrevlex order; it stops there, so the list
                    can miss some of them and can be empty
 
-    `columns` gives each basis element's values on S as (ints, den).
+    `columns` gives E's columns and `inverse` the rows of E^-1 as (ints, den).
     """
 
     def __init__(self, points: PointSet, basis: List[Monomial], leading: List[Monomial],
-                 columns: List[Tuple[List[int], int]], eval_inverse: List[List[Fraction]]):
+                 columns: List[Tuple[List[int], int]], inverse: List[Tuple[List[int], int]]):
         self.points = points
         self.basis = list(basis)
         self.degrees = [m.degree for m in self.basis]
         self.leading = list(leading)
-        self.eval_matrix: List[List[Fraction]] = [
-            list(row) for row in zip(*([Fraction(v, den) for v in col] for col, den in columns))]
         self._columns = columns
-        self._inverse = [_over_lcm(row) for row in eval_inverse]
+        self._inverse = inverse
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._mul_table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
 
@@ -473,6 +484,9 @@ class QuotientRing:
                 f"point index {point_index} out of range 0..{len(self.points) - 1}"
             )
         return list(self.eval_matrix[point_index])
+
+    eval_matrix = cached_property(lambda self: [
+        list(row) for row in zip(*([Fraction(v, den) for v in c] for c, den in self._columns))])
 
     # -- normal forms ----------------------------------------------------
 
@@ -589,9 +603,9 @@ def buchberger_moller(points: PointSet) -> QuotientRing:
 
     assert len(kept) == size, "standard monomials must match the point count"
     leading.sort(key=grevlex_key)
-    # combos[s] is the Lagrange polynomial of point s over the kept monomials
+    # row s's combo is the Lagrange polynomial of point s: inverse[k] is row k of E^-1
     order = sorted(range(size), key=lambda k: display_key(kept[k]))
-    inverse = list(zip(*elim.combos))
+    inverse = elim.inverse()
     ring = QuotientRing(points, [kept[k] for k in order], leading,
                         [columns[k] for k in order], [inverse[k] for k in order])
 

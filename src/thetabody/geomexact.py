@@ -1,13 +1,14 @@
 """Exact polyhedral geometry of finite point sets and exactness certificates.
 
 The convex hull of a finite rational point set is described here entirely in
-exact arithmetic.  Facets are found inside an affine-hull chart: pick the
-pivot coordinates of the row-reduced difference matrix, so that projecting
-onto them is an isomorphism of the affine hull, scale those coordinates of
-every point to integers by the lcm of their denominators, enumerate the
-facets of the chart points by the double description method in integer
+exact arithmetic.  Facets are found inside an affine-hull chart: scale every
+point to integers by the lcm of all the coordinates' denominators, row-reduce
+the differences from the first point once, in integers, and keep the pivot
+coordinates, so that projecting onto them is an isomorphism of the affine
+hull.  The same elimination inverts the chart's frame.  The facets of the
+chart points are enumerated by the double description method in integer
 arithmetic (Motzkin-Raiffa-Thompson-Thrall 1953; Fukuda-Prodon 1996), and
-lift chart normals back by scattering them into the pivot coordinates.
+chart normals are lifted back by scattering them into the pivot coordinates.
 Normals are primitive integer vectors with the point set on the <= side.
 A normal is zero off the pivots, so its levels normal . p are computed on
 the integer chart points and divided by the lcm once per distinct level.
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactalg import (
-    PointSet, _divide_gcd, _Elimination, _over_lcm, format_rational, rational_rref)
+    PointSet, _divide_gcd, _Elimination, _find, _scaled_coordinates, format_rational)
 
 if TYPE_CHECKING:
     from .combopt import Graph
@@ -57,8 +58,8 @@ class FacetInequality:
     coordinates when the set is not full-dimensional); values holds the sorted
     distinct results of normal . p over the set and tight lists the indices of
     the points attaining the offset.  The levels are computed in integers on
-    the pivot coordinates scaled by the lcm of their denominators; offset and
-    values are Fractions.
+    the pivot coordinates scaled by the lcm of all the coordinates'
+    denominators; offset and values are Fractions.
     """
 
     normal: Tuple[int, ...]
@@ -91,41 +92,35 @@ class FacetInequality:
         return f"{lhs} <= {format_rational(self.offset)}"
 
 
-def _pivots(ps: PointSet) -> List[int]:
-    """Pivot coordinates J of the row-reduced difference matrix: projecting
-    onto them is an isomorphism of the affine hull (the chart)."""
-    origin = ps.points[0]
-    diffs = [[p[j] - origin[j] for j in range(ps.dim)] for p in ps.points[1:]]
-    return rational_rref(diffs)[1]
-
-
 def affine_dimension(points) -> int:
     """Dimension of the affine hull of the point set."""
-    return len(_pivots(PointSet.coerce(points)))
+    return len(_affine_frame(_scaled_coordinates(PointSet.coerce(points))[0])[0]) - 1
 
 
-def _primitive(vector: Sequence) -> Tuple[int, ...]:
-    """Scale a nonzero rational or integer vector by a positive rational to
-    coprime ints."""
-    return tuple(_divide_gcd(_over_lcm(vector)[0]))
+def _primitive(vector: Sequence[int]) -> Tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    return tuple(_divide_gcd(vector))
 
 
-def _affine_frame(pts: Sequence[tuple]):
-    """(frame, W): pts[0] and each point whose difference from it is independent
-    of the kept ones; W gives barycentric coordinates lam = W (x - pts[0]) over
-    the frame's edges when the frame spans the space (W is the combos' transpose)."""
-    frame, elim = [pts[0]], _Elimination()
-    for p in pts[1:]:
-        if elim.add(*_over_lcm([x - y for x, y in zip(p, pts[0])])):
-            frame.append(p)
-            if len(frame) > len(p):
+def _affine_frame(pts: Sequence[Sequence[int]]) -> Tuple[List[int], _Elimination]:
+    """(frame, elim) for integer points: frame indexes pts[0] and each point
+    whose difference from it is independent of the kept ones; elim eliminated
+    those differences.  On the chart (pts projected onto elim.pivots) the rows
+    W_k of elim.inverse() give barycentric coordinates lam = W (x - pts[0])."""
+    frame, elim = [0], _Elimination()
+    for i in range(1, len(pts)):
+        if elim.add([x - y for x, y in zip(pts[i], pts[0])], 1):
+            frame.append(i)
+            if len(frame) > len(pts[0]):
                 break
-    return frame, [list(col) for col in zip(*elim.combos)]
+    return frame, elim
 
 
-def _chart_facets(pts: List[Tuple[int, ...]], d: int) -> List[Tuple[int, ...]]:
+def _chart_facets(pts: List[Tuple[int, ...]], frame: List[int],
+                  inverse: List[Tuple[List[int], int]]) -> List[Tuple[int, ...]]:
     """Primitive integer outward normals of the facets of conv(pts), for
-    distinct integer points spanning Z^d affinely.
+    distinct integer points spanning Z^d affinely, given the affine frame of
+    pts and its inverse (see _affine_frame).
 
     Double description (beneath-beyond) in integer arithmetic.  The points
     are inserted one at a time into the hull of a greedy affine basis.  A facet
@@ -138,25 +133,23 @@ def _chart_facets(pts: List[Tuple[int, ...]], d: int) -> List[Tuple[int, ...]]:
     of C (Fukuda-Prodon, Double description method revisited, 1996).
     More than MAX_CHART_ROWS rows after an insertion raise ResourceLimitError.
     """
-    index = {p: i for i, p in enumerate(pts)}
-    frame, inv = _affine_frame(pts)
-    basis = [index[p] for p in frame]
-
-    # simplex facets from the barycentric coordinates lam = W (x - v0):
-    # lam_k >= 0 and sum lam <= 1
-    v0 = frame[0]
-    total = [sum(col) for col in zip(*inv)]
-    rows = [_primitive(total + [1 + sum(w * x for w, x in zip(total, v0))])]
+    d = len(inverse)
+    # simplex facets from the barycentric coordinates lam_k = W_k (x - v0),
+    # W_k = ints / den: lam_k >= 0 and sum lam <= 1, the latter times the lcm
+    v0 = pts[0]
+    den = lcm(*(wd for _, wd in inverse))
+    total = [sum(w[j] * (den // wd) for w, wd in inverse) for j in range(d)]
+    rows = [_primitive(total + [den + sum(w * x for w, x in zip(total, v0))])]
     rows += [
         _primitive([-w for w in row] + [-sum(w * x for w, x in zip(row, v0))])
-        for row in inv
+        for row, _ in inverse
     ]
-    simplex = sum(1 << k for k in basis)
-    tights = [simplex & ~(1 << k) for k in basis]
+    simplex = sum(1 << k for k in frame)
+    tights = [simplex & ~(1 << k) for k in frame]
 
-    in_basis = set(basis)
+    in_frame = set(frame)
     for i, q in enumerate(pts):
-        if i in in_basis:
+        if i in in_frame:
             continue
         bit = 1 << i
         slacks = [row[d] - sum(a * x for a, x in zip(row, q)) for row in rows]
@@ -207,21 +200,17 @@ def facets(points) -> List[FacetInequality]:
         raise ResourceLimitError(
             f"facet enumeration capped at {MAX_POINTS} points, got {len(ps.points)}"
         )
-    pivots = _pivots(ps)
-    d = len(pivots)
-    if d > MAX_AFFINE_DIM:
+    rows, den = _scaled_coordinates(ps)
+    frame, elim = _affine_frame(rows)
+    pivots = elim.pivots
+    if len(pivots) > MAX_AFFINE_DIM:
         raise ResourceLimitError(
-            f"facet enumeration capped at affine dimension {MAX_AFFINE_DIM}, got {d}"
+            f"facet enumeration capped at affine dimension {MAX_AFFINE_DIM}, got {len(pivots)}"
         )
-    # the chart: pivot coordinates scaled to integers by one common denominator
-    den = lcm(*(p[j].denominator for p in ps.points for j in pivots))
-    chart = [
-        tuple(p[j].numerator * (den // p[j].denominator) for j in pivots)
-        for p in ps.points
-    ]
+    chart = [tuple(p[j] for j in pivots) for p in rows]
 
     out = []
-    for nhat in _chart_facets(chart, d):
+    for nhat in _chart_facets(chart, frame, elim.inverse()):
         ambient = [0] * ps.dim
         for coeff, j in zip(nhat, pivots):
             ambient[j] = coeff
@@ -371,19 +360,22 @@ def _affinely_equivalent(s_pts: List[tuple], t_pts: List[tuple], d: int) -> bool
     """Exact test for an invertible affine map carrying one set onto the other."""
     if len(s_pts) != len(t_pts):
         return False
-    binv = _affine_frame(s_pts)[1]
-    t_set = set(map(tuple, t_pts))
+    inverse = _affine_frame(s_pts)[1].inverse()
+    # the barycentric coordinates of s_pts and the points of t_pts, times den
+    den = lcm(*(wd for _, wd in inverse))
     coords = [
-        tuple(sum(w * (x - y) for w, x, y in zip(row, p, s_pts[0])) for row in binv)
+        tuple(den // wd * sum(w * (x - y) for w, x, y in zip(row, p, s_pts[0]))
+              for row, wd in inverse)
         for p in s_pts
     ]
+    t_set = {tuple(den * x for x in q) for q in t_pts}
     for target in itertools.permutations(t_pts, d + 1):
         t0 = target[0]
         image = set()
         ok = True
         for lam in coords:
             q = tuple(
-                t0[j] + sum(lam[k] * (target[k + 1][j] - t0[j]) for k in range(d))
+                den * t0[j] + sum(lam[k] * (target[k + 1][j] - t0[j]) for k in range(d))
                 for j in range(d)
             )
             if q not in t_set:
@@ -434,14 +426,6 @@ def _class_geometry(pts: Tuple[Tuple[int, ...], ...]):
         report.exact,
         report.rank_bound,
     )
-
-
-def _find(parent: List[int], i: int) -> int:
-    """Root of i in a union-find forest, halving the path on the way."""
-    while parent[i] != i:
-        parent[i] = parent[parent[i]]
-        i = parent[i]
-    return i
 
 
 def classify_01(d: int) -> List[ZeroOneClass]:
@@ -570,7 +554,7 @@ class DownClosedReport:
 
 def down_closed_analysis(points) -> DownClosedReport:
     """Analyze a 0/1 point set as a down-closed set family."""
-    # combopt loads the SDP solver and numpy, which nothing else here needs.
+    # combopt and momentsdp take ~12 ms to load, which exactness and classify01 skip.
     from .combopt import Graph, enumerate_stable_sets
 
     ps = PointSet.coerce(points)

@@ -120,47 +120,17 @@ class Quadric:
 
     @staticmethod
     def from_polynomial(poly: Mapping[Monomial, object], dim: int) -> "Quadric":
-        a = [[Fraction(0)] * dim for _ in range(dim)]
-        b = [Fraction(0)] * dim
-        c = Fraction(0)
-        for mono, coeff in poly.items():
-            coeff = parse_rational(coeff)
-            if mono.degree == 0:
-                c += coeff
-            elif mono.degree == 1:
-                b[mono.exponents.index(1)] += coeff
-            elif mono.degree == 2:
-                support = [i for i, e in enumerate(mono.exponents) if e]
-                if len(support) == 1:
-                    a[support[0]][support[0]] += coeff
-                else:
-                    i, j = support
-                    a[i][j] += coeff / 2
-                    a[j][i] += coeff / 2
-            else:
-                raise InputError(f"term {mono} has degree {mono.degree} > 2")
-        return Quadric(tuple(tuple(row) for row in a), tuple(b), c)
+        return _quadric(_coefficients(poly, dim), dim)
 
     def to_polynomial(self) -> Dict[Monomial, Fraction]:
-        dim = self.dim
-        out: Dict[Monomial, Fraction] = {}
-        for i in range(dim):
-            for j in range(i, dim):
-                coeff = self.a[i][j] if i == j else 2 * self.a[i][j]
-                if coeff:
-                    exps = [0] * dim
-                    exps[i] += 1
-                    exps[j] += 1
-                    out[Monomial(tuple(exps))] = coeff
-        for i, bi in enumerate(self.b):
-            if bi:
-                out[Monomial.variable(i + 1, dim)] = bi
-        if self.c:
-            out[Monomial.unit(dim)] = self.c
-        return out
+        """The nonzero terms, in display order."""
+        vec = [self.c, *self.b] + [Fraction(0)] * (len(_deg2_monomials(self.dim)) - 1 - self.dim)
+        for i, j, k, scale in _quadratic_layout(self.dim):
+            vec[k] = self.a[i][j] / scale
+        return {m: v for m, v in zip(_deg2_monomials(self.dim), vec) if v}
 
     def __str__(self) -> str:
-        terms = sorted(self.to_polynomial().items(), key=lambda kv: display_key(kv[0]))
+        terms = self.to_polynomial().items()
         if not terms:
             return "0"
         parts = []
@@ -201,6 +171,18 @@ def _quadratic_layout(dim: int) -> Tuple[Tuple[int, int, int, Fraction], ...]:
         for i in range(dim)
         for j in range(i, dim)
     )
+
+
+def _coefficients(poly: Mapping[Monomial, object], dim: int) -> List[Fraction]:
+    """The coefficient vector over _deg2_monomials(dim) of a {Monomial: coeff}
+    polynomial of degree <= 2."""
+    monos = _deg2_monomials(dim)
+    vec = [Fraction(0)] * len(monos)
+    for m, coeff in poly.items():
+        if m not in monos:
+            raise InputError(f"term {m} is not a monomial of degree <= 2 in {dim} variables")
+        vec[monos.index(m)] = parse_rational(coeff)
+    return vec
 
 
 def _quadric(vec: Sequence[Fraction], dim: int) -> Quadric:
@@ -313,16 +295,10 @@ def quadric_space_from_generators(dim: int, generators) -> QuadricSpace:
         raise InputError(f"invalid dimension {dim!r}") from exc
     if dim < 1:
         raise InputError("dimension must be >= 1")
-    monos = _deg2_monomials(dim)
-    index = {m: k for k, m in enumerate(monos)}
     vectors: List[List[Fraction]] = []
 
     def add(poly: Mapping[Monomial, Fraction]):
-        vec = [Fraction(0)] * len(monos)
-        for m, coeff in poly.items():
-            if m not in index:
-                raise InputError(f"generator term {m} has degree > 2")
-            vec[index[m]] = parse_rational(coeff)
+        vec = _coefficients(poly, dim)
         if any(vec):
             vectors.append(vec)
 

@@ -461,9 +461,29 @@ def test_solve_memory_estimate_exits_3(capsys, tmp_path):
 
 # ------------------------------------------------- exit codes & plumbing
 
-def test_missing_file_exits_2(capsys):
-    code, report, err = run(capsys, "exactness", "--points", "/nonexistent.json")
-    assert code == 2 and report is None and "error" in err
+FILE_FLAGS = {
+    # id: subcommand and flags with {bad} for the file under test
+    "theta-graph": ["theta", "--graph", "{bad}"],
+    "theta-weights": ["theta", "--graph", "{k3}", "--model", "cut", "--weights", "{bad}"],
+    "exactness-points": ["exactness", "--points", "{bad}"],
+    "th1-points": ["th1", "--points", "{bad}", "--query", "0,0"],
+    "th1-gens": ["th1", "--gens", "{bad}", "--query", "0,0"],
+    "moment-dump-points": ["moment-dump", "--points", "{bad}"],
+    "solve-sdp": ["solve", "--sdp", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize("argv", FILE_FLAGS.values(), ids=FILE_FLAGS)
+def test_unreadable_file_exits_2(files, tmp_path, capsys, argv, kind):
+    bad = tmp_path / "unreadable.json"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "non-utf8":
+        bad.write_bytes(b'{"dim": 1, "points": [["\xff\xfe"]]}\n')
+    argv = [a.format(bad=bad, k3=files["k3"]) for a in argv]
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None and err.startswith("error:")
 
 
 MALFORMED = {

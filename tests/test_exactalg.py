@@ -365,8 +365,9 @@ def test_invert_rational_matrix():
     a = _random_rational_matrix(rng, 5, 5)
     elim = _Elimination()
     assert all(elim.add(*exactalg._over_lcm(row)) for row in a)
-    inv = elim.combos
-    product = [[sum(inv[i][k] * a[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
+    # inverse() holds the combos transposed: inv[k][i] is combo k of row i
+    inv = [[Fraction(v, den) for v in ints] for ints, den in elim.inverse()]
+    product = [[sum(inv[k][i] * a[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
     assert product == [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
     singular = a[:4] + [[x - 3 * y for x, y in zip(a[0], a[2])]]
     elim = _Elimination()
@@ -506,8 +507,10 @@ def test_integer_elimination_matches_fraction_reference(seed):
         factor = rng.choice([1, 2, 6, 35, 3**40])
         assert ours.add([v * factor for v in ints], den * factor) == ref.add(row)
         assert ours.pivots == ref.pivots
-        assert ours.rows == ref.rows and ours.combos == ref.combos
-        assert all(_is_canonical(v) for part in ours.rows + ours.combos for v in part)
+        assert ours.rows == ref.rows
+        assert all(_is_canonical(v) for part in ours.rows for v in part)
+        # the combos transposed, each over the lcm of its entries' denominators
+        assert ours.inverse() == [exactalg._over_lcm(col) for col in zip(*ref.combos)]
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
-from thetabody import geomexact
+from thetabody import exactalg, geomexact
 from thetabody.errors import InputError, ResourceLimitError
 from thetabody.exactalg import PointSet, rational_rref
 from thetabody.geomexact import (
@@ -272,6 +272,23 @@ def test_degenerate_chart_octahedron():
     assert len(vertex_indices(ps)) == 6
     for f in report.facets:
         assert any(v != 0 for v in f.normal)
+
+
+@pytest.mark.parametrize(
+    "ps", [corpus.cube(3), corpus.hypersimplex_2_4(), corpus.curve14()], ids=str)
+def test_facets_runs_one_elimination(monkeypatch, ps):
+    """The pivots, the chart's frame and its inverse come from one elimination."""
+    expected = oracles.facets_by_subset_scan(list(ps.points))
+    made = []
+    init = exactalg._Elimination.__init__
+
+    def counting_init(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(exactalg._Elimination, "__init__", counting_init)
+    assert facets(ps) == expected
+    assert len(made) == 1
 
 
 def test_facet_caps():
