@@ -25,6 +25,11 @@ it runs when it runs, and theta loads neither geomexact nor quadrics.  numpy
 loads at the first SDP solve, since no module imports sdpsolve at import
 time: exactness, classify01 and moment-dump never load it, nor does a th1
 query decided exactly or a run that ends in invalid input before its solve.
+No class is a `@dataclass`: that module imports `inspect` and compiles
+each class's methods at import, 10 to 15 ms of a cold process that loads no
+numpy, more than the exact work of a typical `exactness` run.  Classes write
+their `__init__` by hand, and the immutable value types derive from
+`exactalg._Frozen`.
 """
 
 from __future__ import annotations
@@ -65,6 +70,16 @@ def _emit(report: dict, summary: str, started: float) -> None:
     json.dump(_round_floats(report), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     print(summary, file=sys.stderr)
+
+
+def _read_json(path: str, what: str):
+    """The JSON value in a UTF-8 file; a file that cannot be read or decoded
+    is an InputError that names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _report_skeleton(subcommand: str, digests: Dict[str, str], parameters: dict) -> dict:
@@ -114,10 +129,15 @@ def _cmd_theta(args) -> int:
     if args.model == "cut" and args.weights is not None:
         if os.path.exists(args.weights):
             digests["weights"] = _digest(args.weights)
-            with open(args.weights, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+            raw = _read_json(args.weights, "weights")
         else:
-            raw = json.loads(args.weights)
+            try:
+                raw = json.loads(args.weights)
+            except json.JSONDecodeError as exc:
+                raise InputError(
+                    f"--weights value {args.weights!r} is neither a readable file "
+                    f"nor inline JSON ({exc})"
+                ) from exc
         weights = parse_weights(raw, graph)
         weights_param = raw
     elif args.weights is not None:
@@ -224,8 +244,7 @@ def _cmd_th1(args) -> int:
         source = {"points": args.points}
     else:
         digests["gens"] = _digest(args.gens)
-        with open(args.gens, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(args.gens, "generator")
         if not isinstance(payload, dict) or "dim" not in payload:
             raise InputError("generator file must be {\"dim\": n, \"generators\": [...]}")
         gens = payload.get("generators", [])
@@ -416,7 +435,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
-    except (OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file
+    except OSError as exc:  # a missing or unreadable file, met by _digest
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

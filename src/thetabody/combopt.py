@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .exactalg import Monomial, _find, parse_rational
+from .exactalg import Monomial, _find, _Frozen, parse_rational
 from .momentsdp import (
     MomentTemplate,
     SdpProblem,
@@ -77,12 +76,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     return sdpsolve.solve(problem, options)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """Simple undirected graph on vertices 1..n with sorted edge pairs."""
-
-    n: int
-    edges: Tuple[Tuple[int, int], ...]
 
     def __init__(self, n: int, edges):
         try:
@@ -106,6 +101,9 @@ class Graph:
         normalized.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(normalized))
+
+    def _key(self) -> tuple:
+        return (self.n, self.edges)
 
     @property
     def m(self) -> int:
@@ -168,7 +166,7 @@ class Graph:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read graph file {path}: {exc}") from exc
         stripped = text.lstrip()
         if stripped.startswith("{"):
@@ -179,7 +177,6 @@ class Graph:
         return Graph.from_dimacs(text)
 
 
-@dataclass
 class CombBasis:
     """A subset-closed family of ground-element sets, sorted by size then lex.
 
@@ -188,12 +185,14 @@ class CombBasis:
     is always first.
     """
 
-    kind: str
-    graph: Graph
-    ground: List
-    elements: List[Tuple[int, ...]]
-    max_size: int
-    exhausted: bool = False  # True when no element larger than those listed exists
+    def __init__(self, kind: str, graph: Graph, ground: List, elements: List[Tuple[int, ...]],
+                 max_size: int, exhausted: bool = False):
+        self.kind = kind
+        self.graph = graph
+        self.ground = ground
+        self.elements = elements
+        self.max_size = max_size
+        self.exhausted = exhausted  # True when no element larger than those listed exists
 
     def index(self) -> Dict[Tuple[int, ...], int]:
         return {e: i for i, e in enumerate(self.elements)}
@@ -565,19 +564,21 @@ def coordinate_orbits(
     return orbit
 
 
-@dataclass
 class ThetaResult:
     """Outcome of a level-k theta relaxation over a graph model."""
 
-    value: float
-    x: List[float]
-    status: str
-    level: int
-    kind: str
-    solution: SdpSolution
-    template: MomentTemplate
-    group_order: int
-    y_orbits: int
+    def __init__(self, value: float, x: List[float], status: str, level: int, kind: str,
+                 solution: SdpSolution, template: MomentTemplate, group_order: int,
+                 y_orbits: int):
+        self.value = value
+        self.x = x
+        self.status = status
+        self.level = level
+        self.kind = kind
+        self.solution = solution
+        self.template = template
+        self.group_order = group_order
+        self.y_orbits = y_orbits
 
     def to_json(self) -> dict:
         return {
@@ -607,7 +608,7 @@ def _theta(
     orbit = coordinate_orbits(basis, template.y_dim, generators)
     reduced, expand = orbit_problem(build_theta_sdp(template, objective), orbit)
     sol = solve(reduced, options)
-    sol = replace(sol, y=expand(sol.y))
+    sol.y = expand(sol.y)
     linear = template.linear_index
     return ThetaResult(
         value=sol.objective,

@@ -36,7 +36,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -78,8 +77,30 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True, order=False)
-class Monomial:
+class _Frozen:
+    """Base of the immutable value types: Monomial, FacetInequality, Quadric
+    and Graph.  Their __init__ sets each field once with object.__setattr__;
+    after that no field can be assigned or deleted.  Instances are equal when
+    they have the same class and equal _key(), the tuple of their fields, and
+    hash as that tuple.  Set iteration order follows these hashes, and the
+    reports and pinned digests follow that order."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Monomial(_Frozen):
     """A power product x1^a1 * ... * xn^an, stored by its exponent vector.
 
     The vector length is the ambient dimension; the constant monomial has an
@@ -87,12 +108,24 @@ class Monomial:
     sparse polynomial dictionaries.
     """
 
-    exponents: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-        if any(e < 0 for e in self.exponents):
+    def __init__(self, exponents: Sequence[int]):
+        exponents = tuple(int(e) for e in exponents)
+        if any(e < 0 for e in exponents):
             raise InputError("monomial exponents must be non-negative")
+        object.__setattr__(self, "exponents", exponents)
+
+    def _key(self) -> tuple:
+        return (self.exponents,)
+
+    # _Frozen's two methods written out: monomials key every sparse
+    # polynomial, and the _key() call would double the cost of a lookup
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exponents == other.exponents
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponents,))
 
     @staticmethod
     def unit(dim: int) -> "Monomial":
@@ -307,7 +340,7 @@ class PointSet:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 obj = json.load(handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read point set file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc

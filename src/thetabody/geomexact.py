@@ -28,14 +28,13 @@ graph's clique inequalities give all the non-trivial facets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactalg import (
-    PointSet, _divide_gcd, _Elimination, _find, _scaled_coordinates, format_rational)
+    PointSet, _divide_gcd, _Elimination, _find, _Frozen, _scaled_coordinates, format_rational)
 
 if TYPE_CHECKING:
     from .combopt import Graph
@@ -50,8 +49,7 @@ MAX_AFFINE_DIM = 8
 MAX_CHART_ROWS = 5_000
 
 
-@dataclass(frozen=True)
-class FacetInequality:
+class FacetInequality(_Frozen):
     """One facet of conv(S), written normal . x <= offset with S on the <= side.
 
     The normal is a primitive integer vector (supported on the chart's pivot
@@ -62,10 +60,15 @@ class FacetInequality:
     denominators; offset and values are Fractions.
     """
 
-    normal: Tuple[int, ...]
-    offset: Fraction
-    values: Tuple[Fraction, ...]
-    tight: Tuple[int, ...]
+    def __init__(self, normal: Tuple[int, ...], offset: Fraction,
+                 values: Tuple[Fraction, ...], tight: Tuple[int, ...]):
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "tight", tight)
+
+    def _key(self) -> tuple:
+        return (self.normal, self.offset, self.values, self.tight)
 
     @property
     def level_count(self) -> int:
@@ -230,15 +233,16 @@ def facets(points) -> List[FacetInequality]:
     return out
 
 
-@dataclass
 class ExactnessReport:
     """Two-level test of a point set with the certifying facet data."""
 
-    exact: bool
-    affine_dim: int
-    rank_bound: int
-    facets: List[FacetInequality]
-    failing: Optional[FacetInequality]
+    def __init__(self, exact: bool, affine_dim: int, rank_bound: int,
+                 facets: List[FacetInequality], failing: Optional[FacetInequality]):
+        self.exact = exact
+        self.affine_dim = affine_dim
+        self.rank_bound = rank_bound
+        self.facets = facets
+        self.failing = failing
 
     def to_json(self) -> dict:
         return {
@@ -304,16 +308,17 @@ def vertex_indices(points, facet_list: Optional[List[FacetInequality]] = None) -
     return out
 
 
-@dataclass
 class FacetVertexReport:
     """Facet/vertex counts against the 2^d bound for two-level sets."""
 
-    affine_dim: int
-    facet_count: int
-    vertex_count: int
-    bound: int
-    exact: bool
-    within_bounds: Optional[bool]
+    def __init__(self, affine_dim: int, facet_count: int, vertex_count: int,
+                 bound: int, exact: bool, within_bounds: Optional[bool]):
+        self.affine_dim = affine_dim
+        self.facet_count = facet_count
+        self.vertex_count = vertex_count
+        self.bound = bound
+        self.exact = exact
+        self.within_bounds = within_bounds
 
     def to_json(self) -> dict:
         return {
@@ -387,19 +392,21 @@ def _affinely_equivalent(s_pts: List[tuple], t_pts: List[tuple], d: int) -> bool
     return False
 
 
-@dataclass
 class ZeroOneClass:
     """One affine-equivalence class of full-dimensional 0/1 point sets."""
 
-    dim: int
-    size: int
-    representative: Tuple[Tuple[int, ...], ...]
-    orbit_count: int
-    subset_count: int
-    exact: bool
-    rank_bound: int
-    facet_count: int
-    vertex_count: int
+    def __init__(self, dim: int, size: int, representative: Tuple[Tuple[int, ...], ...],
+                 orbit_count: int, subset_count: int, exact: bool, rank_bound: int,
+                 facet_count: int, vertex_count: int):
+        self.dim = dim
+        self.size = size
+        self.representative = representative
+        self.orbit_count = orbit_count
+        self.subset_count = subset_count
+        self.exact = exact
+        self.rank_bound = rank_bound
+        self.facet_count = facet_count
+        self.vertex_count = vertex_count
 
     def to_json(self) -> dict:
         return {
@@ -514,7 +521,6 @@ def classify_01(d: int) -> List[ZeroOneClass]:
 # down-closed 0/1 families and stable-set structure
 
 
-@dataclass
 class DownClosedReport:
     """Structure of a 0/1 family under coordinate deletion.
 
@@ -524,16 +530,22 @@ class DownClosedReport:
     nonnegativity/clique inequalities give all facets.
     """
 
-    is_01: bool
-    down_closed: bool
-    witness: Optional[tuple]
-    full_dimensional: Optional[bool] = None
-    exact: Optional[bool] = None
-    rank_bound: Optional[int] = None
-    graph: Optional[Graph] = None
-    matches_stable_sets: Optional[bool] = None
-    facet_forms_ok: Optional[bool] = None
-    clique_facets: Optional[List[Tuple[int, ...]]] = None
+    def __init__(self, is_01: bool, down_closed: bool, witness: Optional[tuple],
+                 full_dimensional: Optional[bool] = None, exact: Optional[bool] = None,
+                 rank_bound: Optional[int] = None, graph: Optional[Graph] = None,
+                 matches_stable_sets: Optional[bool] = None,
+                 facet_forms_ok: Optional[bool] = None,
+                 clique_facets: Optional[List[Tuple[int, ...]]] = None):
+        self.is_01 = is_01
+        self.down_closed = down_closed
+        self.witness = witness
+        self.full_dimensional = full_dimensional
+        self.exact = exact
+        self.rank_bound = rank_bound
+        self.graph = graph
+        self.matches_stable_sets = matches_stable_sets
+        self.facet_forms_ok = facet_forms_ok
+        self.clique_facets = clique_facets
 
     def to_json(self) -> dict:
         return {

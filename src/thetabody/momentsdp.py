@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,7 +45,6 @@ from .exactalg import (
 Cell = Dict[int, Fraction]
 
 
-@dataclass
 class MomentTemplate:
     """Symbolic level-k moment matrix over a truncated basis.
 
@@ -67,15 +65,19 @@ class MomentTemplate:
                     no ring is attached)
     """
 
-    level: int
-    ambient_dim: int
-    row_indices: List[int]
-    row_labels: List[str]
-    y_dim: int
-    y_labels: List[str]
-    cells: Dict[Tuple[int, int], Cell]
-    ring: Optional[QuotientRing] = None
-    linear_index: Dict[int, int] = field(default_factory=dict)
+    def __init__(self, level: int, ambient_dim: int, row_indices: List[int],
+                 row_labels: List[str], y_dim: int, y_labels: List[str],
+                 cells: Dict[Tuple[int, int], Cell], ring: Optional[QuotientRing] = None,
+                 linear_index: Optional[Dict[int, int]] = None):
+        self.level = level
+        self.ambient_dim = ambient_dim
+        self.row_indices = row_indices
+        self.row_labels = row_labels
+        self.y_dim = y_dim
+        self.y_labels = y_labels
+        self.cells = cells
+        self.ring = ring
+        self.linear_index = {} if linear_index is None else linear_index
 
     @property
     def side(self) -> int:
@@ -211,7 +213,6 @@ def assemble(template: MomentTemplate, y: Sequence):
     return matrix
 
 
-@dataclass
 class SdpProblem:
     """max <objective, y> s.t. the affine symmetric matrix M(y) is PSD.
 
@@ -220,29 +221,35 @@ class SdpProblem:
     the float layer handed to the interior-point solver.
     """
 
-    side: int
-    y_dim: int
-    cells: Dict[Tuple[int, int], Dict[int, float]]
-    objective: Dict[int, float]
-    fixed: Dict[int, float]
-    y_labels: Optional[List[str]] = None
-
-    def __post_init__(self):
-        if self.side < 1 or self.y_dim < 0:
+    def __init__(self, side: int, y_dim: int, cells: Dict[Tuple[int, int], Dict[int, float]],
+                 objective: Dict[int, float], fixed: Dict[int, float],
+                 y_labels: Optional[List[str]] = None):
+        if side < 1 or y_dim < 0:
             raise InputError("SDP needs side >= 1 and y_dim >= 0")
-        for (i, j), vec in self.cells.items():
-            if not (0 <= i <= j < self.side):
+        for (i, j), vec in cells.items():
+            if not (0 <= i <= j < side):
                 raise InputError(f"cell ({i},{j}) outside matrix")
             for l in vec:
-                if not 0 <= l < self.y_dim:
+                if not 0 <= l < y_dim:
                     raise InputError(f"cell ({i},{j}) uses unknown y[{l}]")
-        for l in list(self.objective) + list(self.fixed):
-            if not 0 <= l < self.y_dim:
+        for l in list(objective) + list(fixed):
+            if not 0 <= l < y_dim:
                 raise InputError(f"unknown y-index {l}")
-        values = [c for vec in self.cells.values() for c in vec.values()]
-        values += list(self.objective.values()) + list(self.fixed.values())
+        values = [c for vec in cells.values() for c in vec.values()]
+        values += list(objective.values()) + list(fixed.values())
         if not all(math.isfinite(c) for c in values):
             raise InputError("SDP coefficients must be finite (no NaN or infinity)")
+        self.side = side
+        self.y_dim = y_dim
+        self.cells = cells
+        self.objective = objective
+        self.fixed = fixed
+        self.y_labels = y_labels
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
     def to_json(self) -> dict:
         return {
@@ -289,25 +296,23 @@ class SdpProblem:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 return SdpProblem.from_json(json.load(handle))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read SDP file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-@dataclass
 class SolverOptions:
     """Stopping rules of sdpsolve.solve."""
 
-    feas_tol: float = 1e-8
-    gap_tol: float = 1e-7
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0 for t in (self.feas_tol, self.gap_tol)):
+    def __init__(self, feas_tol: float = 1e-8, gap_tol: float = 1e-7, max_iter: int = 200):
+        if not all(math.isfinite(t) and t > 0 for t in (feas_tol, gap_tol)):
             raise InputError("tolerances must be finite and positive")
-        if self.max_iter < 1:
+        if max_iter < 1:
             raise InputError("max_iter must be >= 1")
+        self.feas_tol = feas_tol
+        self.gap_tol = gap_tol
+        self.max_iter = max_iter
 
 
 def build_theta_sdp(

@@ -28,7 +28,6 @@ the query over the square of the lcm of the query's denominators.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -37,6 +36,7 @@ from .errors import InputError, SolverError
 from .exactalg import (
     Monomial,
     PointSet,
+    _Frozen,
     _over_lcm,
     _scaled_coordinates,
     display_key,
@@ -77,22 +77,23 @@ def _deg2_monomials(dim: int) -> Tuple[Monomial, ...]:
     return tuple(monos + sorted(quads, key=display_key))
 
 
-@dataclass(frozen=True)
-class Quadric:
+class Quadric(_Frozen):
     """q(x) = x^T A x + b^T x + c over the rationals, A symmetric."""
 
-    a: Tuple[Tuple[Fraction, ...], ...]
-    b: Tuple[Fraction, ...]
-    c: Fraction
-
-    def __post_init__(self):
-        n = len(self.b)
-        if len(self.a) != n or any(len(row) != n for row in self.a):
+    def __init__(self, a: Tuple[Tuple[Fraction, ...], ...], b: Tuple[Fraction, ...], c: Fraction):
+        n = len(b)
+        if len(a) != n or any(len(row) != n for row in a):
             raise InputError("quadric matrix shape does not match b")
         for i in range(n):
             for j in range(n):
-                if self.a[i][j] != self.a[j][i]:
+                if a[i][j] != a[j][i]:
                     raise InputError("quadric matrix must be symmetric")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    def _key(self) -> tuple:
+        return (self.a, self.b, self.c)
 
     @property
     def dim(self) -> int:
@@ -208,7 +209,6 @@ def _span(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]]) -> 
     return total
 
 
-@dataclass
 class QuadricSpace:
     """A linear space of polynomials of degree <= 2 (e.g. an ideal's slice).
 
@@ -223,10 +223,10 @@ class QuadricSpace:
     variety), and neither depends on the query.  Do not change the vectors.
     """
 
-    ambient_dim: int
-    vectors: List[List[Fraction]] = field(default_factory=list)
-    _zero_objective_solves: Dict[tuple, Tuple[SdpSolution, Optional[Quadric]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, ambient_dim: int, vectors: Optional[List[List[Fraction]]] = None):
+        self.ambient_dim = ambient_dim
+        self.vectors = [] if vectors is None else vectors
+        self._zero_objective_solves: Dict[tuple, Tuple[SdpSolution, Optional[Quadric]]] = {}
 
     @property
     def dimension(self) -> int:
@@ -473,19 +473,23 @@ def _section_problem(
     )
 
 
-@dataclass
 class ConvexQuadricReport:
     """Existence of a member with PSD, nonzero quadratic part."""
 
-    exists: bool
-    verified: bool
-    status: str
-    detail: str
-    margin: Optional[float] = None
-    definite: Optional[bool] = None
-    certificate: Optional[Quadric] = None
-    interval: Optional[Tuple[float, float]] = None
-    extremes: Optional[Tuple[Quadric, Quadric]] = None
+    def __init__(self, exists: bool, verified: bool, status: str, detail: str,
+                 margin: Optional[float] = None, definite: Optional[bool] = None,
+                 certificate: Optional[Quadric] = None,
+                 interval: Optional[Tuple[float, float]] = None,
+                 extremes: Optional[Tuple[Quadric, Quadric]] = None):
+        self.exists = exists
+        self.verified = verified
+        self.status = status
+        self.detail = detail
+        self.margin = margin
+        self.definite = definite
+        self.certificate = certificate
+        self.interval = interval
+        self.extremes = extremes
 
     def to_json(self) -> dict:
         return {
@@ -582,16 +586,18 @@ def has_convex_quadric(
     )
 
 
-@dataclass
 class MembershipReport:
     """Outcome of separating a query point with convex quadrics."""
 
-    status: str
-    detail: str
-    supremum: Optional[float] = None
-    certificate: Optional[Quadric] = None
-    ray: Optional[Quadric] = None
-    solver_status: Optional[str] = None
+    def __init__(self, status: str, detail: str, supremum: Optional[float] = None,
+                 certificate: Optional[Quadric] = None, ray: Optional[Quadric] = None,
+                 solver_status: Optional[str] = None):
+        self.status = status
+        self.detail = detail
+        self.supremum = supremum
+        self.certificate = certificate
+        self.ray = ray
+        self.solver_status = solver_status
 
     def to_json(self) -> dict:
         return {
@@ -665,7 +671,7 @@ def th1_membership(
             # so is the member its weights pick: keep both on the space, once
             # per solver settings
             solves = space._zero_objective_solves
-            key = astuple(opts)
+            key = tuple(vars(opts).values())
             if key not in solves:
                 sol = solve(_section_problem(n, space._section, len(rest) + 1, objective), opts)
                 member = None

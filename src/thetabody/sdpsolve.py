@@ -72,7 +72,6 @@ A candidate optimum must also pass a shifted-Cholesky feasibility check
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -93,16 +92,19 @@ STEP_FRACTION = 0.98
 UNBOUNDED_THRESHOLD = 1e12
 
 
-@dataclass
 class SdpSolution:
-    y: List[float]
-    objective: float
-    status: str
-    duality_gap: float
-    min_eig: float
-    iterations: int
-    certificate: Optional[List[List[float]]] = None
-    gap_history: List[float] = field(default_factory=list)
+    def __init__(self, y: List[float], objective: float, status: str, duality_gap: float,
+                 min_eig: float, iterations: int,
+                 certificate: Optional[List[List[float]]] = None,
+                 gap_history: Optional[List[float]] = None):
+        self.y = y
+        self.objective = objective
+        self.status = status
+        self.duality_gap = duality_gap
+        self.min_eig = min_eig
+        self.iterations = iterations
+        self.certificate = certificate
+        self.gap_history = [] if gap_history is None else gap_history
 
     def to_json(self) -> dict:
         return {

@@ -363,14 +363,19 @@ CIRCLE10 = [
     ["1", "0"], ["3/5", "4/5"], ["0", "1"], ["-3/5", "4/5"], ["4/5", "3/5"],
     ["-4/5", "3/5"], ["3/5", "-4/5"], ["-3/5", "-4/5"], ["4/5", "-3/5"], ["5/13", "12/13"],
 ]
+CUBE4 = [list(p) for p in itertools.product((0, 1), repeat=4)]
 GOLDEN_RUNS = {
-    # name: (points file content, argv after the subcommand's --points file)
+    # name: (points file content, argv); a --points file with that content
+    # goes right after the subcommand unless the content is None
     "moment-dump-cube6-level2": (
         {"dim": 3, "points": [list(p) for p in itertools.product((0, 1), repeat=3)][:6]},
         ["moment-dump", "--level", "2"],
     ),
     "th1-circle10-outside": ({"dim": 2, "points": CIRCLE10}, ["th1", "--query", "1,1"]),
     "th1-circle10-on-set": ({"dim": 2, "points": CIRCLE10}, ["th1", "--query", "3/5,4/5"]),
+    # not 2-level: a facet with three levels, rank bound 2
+    "exactness-cube4-first11": ({"dim": 4, "points": CUBE4[:11]}, ["exactness"]),
+    "classify01-dim3": (None, ["classify01", "--dim", "3"]),
 }
 
 
@@ -380,8 +385,10 @@ def test_report_matches_golden(name, capsys, tmp_path, monkeypatch):
     tests/golden/<name>.json."""
     content, argv = GOLDEN_RUNS[name]
     monkeypatch.chdir(tmp_path)
-    Path("points.json").write_text(json.dumps(content))
-    assert main(argv[:1] + ["--points", "points.json"] + argv[1:]) == 0
+    if content is not None:
+        Path("points.json").write_text(json.dumps(content))
+        argv = argv[:1] + ["--points", "points.json"] + argv[1:]
+    assert main(argv) == 0
     out = re.sub(r'"wallTimeSeconds": [^,\n]+', '"wallTimeSeconds": 0', capsys.readouterr().out)
     assert out == (GOLDEN / f"{name}.json").read_text()
 
@@ -484,6 +491,10 @@ def test_unreadable_file_exits_2(files, tmp_path, capsys, argv, kind):
     argv = [a.format(bad=bad, k3=files["k3"]) for a in argv]
     code, report, err = run(capsys, *argv)
     assert code == 2 and report is None and err.startswith("error:")
+    if kind == "non-utf8":
+        assert str(bad) in err
+    if kind == "missing" and "--weights" in argv:
+        assert f"--weights value {str(bad)!r} is neither a readable file nor inline JSON" in err
 
 
 MALFORMED = {
@@ -626,6 +637,8 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 SOLVER_SIDE = {"numpy", "thetabody.sdpsolve", "thetabody.combopt"}
 GEOMETRY = {"thetabody.geomexact", "thetabody.quadrics"}
+# @dataclass imports inspect, about 6 ms of a cold start; numpy loads both
+INTROSPECTION = {"dataclasses", "inspect"}
 
 
 def _fresh_process(files, script, argv=()):
@@ -643,19 +656,23 @@ def _fresh_process(files, script, argv=()):
 @pytest.mark.parametrize(
     "argv, code, absent",
     [
-        ((), 0, SOLVER_SIDE | GEOMETRY),
-        (("exactness", "--points", "square"), 0, {"numpy"}),
-        (("classify01", "--dim", "2"), 0, {"numpy"}),
-        (("moment-dump", "--points", "square"), 0, {"numpy"}),
+        ((), 0, SOLVER_SIDE | GEOMETRY | INTROSPECTION),
+        (("exactness", "--points", "square"), 0, {"numpy"} | INTROSPECTION),
+        (("classify01", "--dim", "2"), 0, {"numpy"} | INTROSPECTION),
+        (("moment-dump", "--points", "square"), 0, {"numpy"} | INTROSPECTION),
         (("theta", "--graph", "c5"), 0, GEOMETRY),
         # numpy loads at the first SDP solve: th1 queries decided exactly
         # and inputs rejected before the solve never load it
-        (("th1", "--points", "circle10", "--query", "1,1"), 0, {"numpy", "thetabody.sdpsolve"}),
-        (("th1", "--gens", "circle", "--query=-1/2,3/4"), 0, {"numpy", "thetabody.sdpsolve"}),
-        (("solve", "--sdp", "nan-sdp"), 2, {"numpy", "thetabody.sdpsolve"}),
-        (("theta", "--graph", "bad-graph"), 2, {"numpy", "thetabody.sdpsolve"} | GEOMETRY),
+        (("th1", "--points", "circle10", "--query", "1,1"), 0,
+         {"numpy", "thetabody.sdpsolve"} | INTROSPECTION),
+        (("th1", "--gens", "circle", "--query=-1/2,3/4"), 0,
+         {"numpy", "thetabody.sdpsolve"} | INTROSPECTION),
+        (("solve", "--sdp", "nan-sdp"), 2, {"numpy", "thetabody.sdpsolve"} | INTROSPECTION),
+        (("theta", "--graph", "bad-graph"), 2,
+         {"numpy", "thetabody.sdpsolve"} | GEOMETRY | INTROSPECTION),
         # a malformed query is rejected before the quadric space is built
-        (("th1", "--points", "quad4", "--query", "1,oops"), 2, SOLVER_SIDE | GEOMETRY),
+        (("th1", "--points", "quad4", "--query", "1,oops"), 2,
+         SOLVER_SIDE | GEOMETRY | INTROSPECTION),
     ],
     ids=["import", "exactness", "classify01", "moment-dump", "theta",
          "th1-points-exact", "th1-gens-exact", "solve-invalid", "theta-invalid",

@@ -30,8 +30,9 @@ from thetabody.exactalg import (
     parse_rational,
     rational_rref,
 )
-from thetabody.geomexact import facets
-from thetabody.quadrics import quadric_space_from_points
+from thetabody.combopt import Graph
+from thetabody.geomexact import FacetInequality, facets
+from thetabody.quadrics import Quadric, quadric_space_from_points
 
 
 def mono(*exps):
@@ -67,6 +68,32 @@ def test_monomial_basics():
     assert mono(1, 0).divides(mono(2, 1))
     assert not mono(1, 1).divides(mono(2, 0))
     assert m.evaluate((Fraction(2), Fraction(1, 2), Fraction(5))) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: mono(1, 0, 2), ((1, 0, 2),)),
+        (lambda: Graph(3, [(2, 1), (3, 2)]), (3, ((1, 2), (2, 3)))),
+        (lambda: FacetInequality((1, 0), Fraction(1), (Fraction(0), Fraction(1)), (1,)),
+         ((1, 0), Fraction(1), (Fraction(0), Fraction(1)), (1,))),
+        (lambda: Quadric(((Fraction(1),),), (Fraction(0),), Fraction(-1)),
+         (((Fraction(1),),), (Fraction(0),), Fraction(-1))),
+    ],
+    ids=["Monomial", "Graph", "FacetInequality", "Quadric"],
+)
+def test_value_types_are_immutable_and_hash_as_their_fields(make, fields):
+    """Equal values of one class compare equal and hash as the tuple of
+    their fields, which fixes the iteration order of sets of them."""
+    value = make()
+    assert value == make() and hash(value) == hash(fields)
+    assert value != fields
+    name = next(iter(vars(value)))
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert value == make()
 
 
 def test_monomial_str_parse_round_trip():
