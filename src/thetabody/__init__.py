@@ -57,7 +57,6 @@ _HOMES = {
         "CombBasis",
         "enumerate_stable_sets",
         "enumerate_odd_cycle_free",
-        "is_bipartite",
         "moment_template",
         "ThetaResult",
         "stable_set_theta",
@@ -70,7 +69,6 @@ _HOMES = {
         "ExactnessReport",
         "facets",
         "is_exact",
-        "theta_rank_upper_bound",
         "vertex_indices",
         "FacetVertexReport",
         "facet_vertex_report",

@@ -294,44 +294,6 @@ def _two_colourable(edges) -> bool:
     return True
 
 
-def is_bipartite(graph: Graph):
-    """2-colorability plus an explicit odd-cycle witness when it fails.
-
-    Returns (True, None) or (False, cycle) where cycle is an odd-length list
-    of vertices with consecutive entries (and the wrap-around pair) adjacent.
-    """
-    adj = graph.adjacency()
-    color = [None] * (graph.n + 1)
-    parent = [0] * (graph.n + 1)
-    for root in range(1, graph.n + 1):
-        if color[root] is not None:
-            continue
-        color[root] = 0
-        parent[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adj[u]):
-                if color[v] is None:
-                    color[v] = color[u] ^ 1
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    # walk both endpoints to the root, splice at the meeting point
-                    up, vp = [u], [v]
-                    while up[-1] != root:
-                        up.append(parent[up[-1]])
-                    while vp[-1] != root:
-                        vp.append(parent[vp[-1]])
-                    while len(up) > 1 and len(vp) > 1 and up[-2] == vp[-2]:
-                        up.pop()
-                        vp.pop()
-                    cycle = up[:-1] + list(reversed(vp))
-                    assert len(cycle) % 2 == 1
-                    return False, cycle
-    return True, None
-
-
 def moment_template(basis: CombBasis, k: int) -> MomentTemplate:
     """Level-k moment template over a subset-closed combinatorial basis.
 

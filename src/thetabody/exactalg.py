@@ -37,7 +37,6 @@ import bisect
 import heapq
 import json
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -474,21 +473,16 @@ class QuotientRing:
       basis        standard monomials, degree ascending / degrevlex descending
                    within each degree (reporting order); always contains 1
       degrees      degree of each basis element
-      eval_matrix  |S| x |B| Fractions, entry (s, l) = basis[l](points[s])
-      leading      the minimal monomials outside the standard set that the
-                   search met before the basis filled up (|B| = |S|), in
-                   ascending degrevlex order; it stops there, so the list
-                   can miss some of them and can be empty
 
+    With E the |S| x |B| evaluation matrix, entry (s, l) = basis[l](points[s]),
     `columns` gives E's columns and `inverse` the rows of E^-1 as (ints, den).
     """
 
-    def __init__(self, points: PointSet, basis: List[Monomial], leading: List[Monomial],
+    def __init__(self, points: PointSet, basis: List[Monomial],
                  columns: List[Tuple[List[int], int]], inverse: List[Tuple[List[int], int]]):
         self.points = points
         self.basis = list(basis)
         self.degrees = [m.degree for m in self.basis]
-        self.leading = list(leading)
         self._columns = columns
         self._inverse = inverse
         self._index = {m: i for i, m in enumerate(self.basis)}
@@ -510,22 +504,7 @@ class QuotientRing:
     def basis_index(self, m: Monomial):
         return self._index.get(m)
 
-    def evaluate_basis(self, point_index: int) -> List[Fraction]:
-        """The vector xi(s) = (b_l(s))_l for the point with this row index."""
-        if not 0 <= point_index < len(self.points):
-            raise InputError(
-                f"point index {point_index} out of range 0..{len(self.points) - 1}"
-            )
-        return list(self.eval_matrix[point_index])
-
-    eval_matrix = cached_property(lambda self: [
-        list(row) for row in zip(*([Fraction(v, den) for v in c] for c, den in self._columns))])
-
     # -- normal forms ----------------------------------------------------
-
-    @cached_property
-    def _eval_inverse(self) -> List[List[Fraction]]:
-        return [[Fraction(v, den) for v in row] for row, den in self._inverse]
 
     def _interpolate(self, values: Sequence[int], den: int) -> Dict[int, Fraction]:
         """Basis coefficients of the interpolant of the values values[s] / den."""
@@ -635,11 +614,10 @@ def buchberger_moller(points: PointSet) -> QuotientRing:
             leading.append(mono)
 
     assert len(kept) == size, "standard monomials must match the point count"
-    leading.sort(key=grevlex_key)
     # row s's combo is the Lagrange polynomial of point s: inverse[k] is row k of E^-1
     order = sorted(range(size), key=lambda k: display_key(kept[k]))
     inverse = elim.inverse()
-    ring = QuotientRing(points, [kept[k] for k in order], leading,
+    ring = QuotientRing(points, [kept[k] for k in order],
                         [columns[k] for k in order], [inverse[k] for k in order])
 
     # Order-ideal sanity check: every divisor of a standard monomial is standard.

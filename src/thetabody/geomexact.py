@@ -83,17 +83,6 @@ class FacetInequality(_Frozen):
             "levels": self.level_count,
         }
 
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.normal, start=1):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if terms else "")
-            mag = abs(c)
-            terms.append(f"{sign}{'' if mag == 1 else mag}x{i}")
-        lhs = " ".join(terms) if terms else "0"
-        return f"{lhs} <= {format_rational(self.offset)}"
-
 
 def affine_dimension(points) -> int:
     """Dimension of the affine hull of the point set."""
@@ -276,11 +265,6 @@ def is_exact(points) -> ExactnessReport:
         facets=facet_list,
         failing=failing,
     )
-
-
-def theta_rank_upper_bound(points) -> int:
-    """Level at which the theta hierarchy of the set is guaranteed to close."""
-    return is_exact(points).rank_bound
 
 
 def vertex_indices(points, facet_list: Optional[List[FacetInequality]] = None) -> List[int]:

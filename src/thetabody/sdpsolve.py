@@ -58,13 +58,16 @@ rules report 0 iterations.
 Infeasibility is certified through the normalized dual iterate: whenever
 X / tr(X) annihilates every F_i but pairs negatively with F0, no z can make
 A(z) PSD, and that matrix is returned as the certificate.  The probe runs
-only when <F0, X> < 0, the sign of that pairing.  Unboundedness is declared
-when the objective passes 1e12 while the primal residual is tiny, or when
-the corrector's step dz is an improving ray: c . dz > 0 and sum dz_i F_i
-PSD up to a small negative floor, at a feasible A(z).  Its eigenvalues are
-not computed when a diagonal entry of sum dz_i F_i is below twice the
-floor: the smallest eigenvalue is at most every diagonal entry, and
-eigvalsh errs by far less than the floor, so the test could not pass.
+only when <F0, X> < 0, the sign of that pairing.  Besides the presolve,
+unboundedness is declared when the corrector's step dz is an improving ray:
+c . dz > 0 and sum dz_i F_i PSD up to a small negative floor, at an A(z)
+that clears the fixed floor -PSD_TOL (1 + ||F0||).  The reported y rides
+the ray for an objective gain past 1e12, and the ride is halved until A(y)
+clears that floor too (an empty ride does).  The ray's eigenvalues are not
+computed when a diagonal entry of sum dz_i F_i is below twice the floor, or
+a 2x2 principal submatrix minus twice the floor is not PSD: the smallest
+eigenvalue is at most that of every principal submatrix, and eigvalsh errs
+by far less than the floor, so the test could not pass.
 A candidate optimum must also pass a shifted-Cholesky feasibility check
 (eigen-floor >= -PSD_TOL) on the assembled A(z) before it is called Optimal.
 """
@@ -86,7 +89,7 @@ UNBOUNDED = "Unbounded"
 ITER_LIMIT = "IterLimit"
 
 # Eigen-floor an Optimal A(z) must clear, fraction-to-boundary step rule and
-# the objective past which a primal-feasible iterate is called Unbounded.
+# the objective gain the ray rule rides toward before it reports Unbounded.
 PSD_TOL = 1e-7
 STEP_FRACTION = 0.98
 UNBOUNDED_THRESHOLD = 1e12
@@ -208,10 +211,17 @@ def _min_eig(matrix: np.ndarray) -> float:
 def _min_eig_at_least(matrix: np.ndarray, floor: float) -> bool:
     """_min_eig(matrix) >= floor, for a floor < 0 far above eigvalsh's error.
 
-    lambda_min is at most every diagonal entry, so a diagonal entry below
-    2*floor decides the test without the eigenvalues.
+    lambda_min is at most every diagonal entry and at most the smaller
+    eigenvalue of every 2x2 principal submatrix, so a diagonal entry below
+    2*floor, or some |m_ij| > sqrt((m_ii - 2*floor)(m_jj - 2*floor)) with
+    i != j, decides the test without the eigenvalues.
     """
-    return bool(matrix.diagonal().min() >= 2.0 * floor) and _min_eig(matrix) >= floor
+    shifted = matrix.diagonal() - 2.0 * floor
+    if not shifted.min() >= 0.0:
+        return False
+    over = np.abs(matrix) > np.sqrt(np.outer(shifted, shifted))
+    np.fill_diagonal(over, False)
+    return not over.any() and _min_eig(matrix) >= floor
 
 
 def _centering_weight(mu_aff: float, mu: float) -> float:
@@ -491,7 +501,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
     if not np.isfinite(data_norm):
         raise InputError("SDP data too large: its norm overflows")
 
-    decided = _presolve(f, f_zero, c_vec, -PSD_TOL * (1.0 + norm_f0))
+    psd_floor = -PSD_TOL * (1.0 + norm_f0)
+    decided = _presolve(f, f_zero, c_vec, psd_floor)
     if decided is not None:
         status, z, certificate = decided
         return finish(z, status, 0.0, 0, certificate=certificate)
@@ -539,10 +550,6 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
                 certificate = x_hat.tolist()
                 break
 
-        if p_obj > UNBOUNDED_THRESHOLD and rel_p <= 1e-5:
-            status = UNBOUNDED
-            break
-
         if it == opts.max_iter:
             break
 
@@ -588,7 +595,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
 
         # primal improving ray: a direction whose matrix movement is PSD while
         # the objective gains proves unboundedness outright once any feasible
-        # point is at hand; ride it past the reporting threshold.
+        # point is at hand; ride it past the reporting threshold, halving the
+        # ride until A(z) clears the fixed floor (t = 0 clears it).
         dz_norm = _norm(dz)
         if dz_norm > 0:
             d_hat = dz / dz_norm
@@ -596,9 +604,10 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             if ray_gain > 1e-7 * (1.0 + norm_c):
                 ray_dir = f.combine(d_hat)
                 ray_floor = -1e-12 * (1.0 + _norm(ray_dir))
-                here_floor = -PSD_TOL * (1.0 + norm_f0)
-                if _min_eig_at_least(ray_dir, ray_floor) and _min_eig(assembled) >= here_floor:
+                if _min_eig_at_least(ray_dir, ray_floor) and _min_eig(assembled) >= psd_floor:
                     t = (1.01 * UNBOUNDED_THRESHOLD + abs(p_obj)) / ray_gain
+                    while t > 0 and _min_eig(f_zero + f.combine(z + t * d_hat)) < psd_floor:
+                        t *= 0.5
                     z = z + t * d_hat
                     status = UNBOUNDED
                     break

@@ -17,7 +17,6 @@ from thetabody.geomexact import (
     classify_01,
     facet_vertex_report,
     is_exact,
-    theta_rank_upper_bound,
 )
 from thetabody.momentsdp import assemble, build_moment_template, build_theta_sdp
 from thetabody.quadrics import (
@@ -89,7 +88,7 @@ def test_criterion_05_two_level_certification():
     assert not report.exact
     assert report.failing is not None and report.failing.level_count == 3
     c5_stables = corpus.stable_set_points(5, corpus.cycle_edges(5))
-    assert theta_rank_upper_bound(c5_stables) == 2
+    assert is_exact(c5_stables).rank_bound == 2
     _report(5, "cubes/cross-polytopes (d<=4) certified exact; the four-point "
                "counterexample shows a 3-value facet; C5 stable sets bound 2")
 
@@ -178,8 +177,8 @@ def test_criterion_10_property_suites():
         ring = buchberger_moller(ps)
         for k in (1, 2):
             template = build_moment_template(ring, k)
-            for s in range(len(ps)):
-                xi_full = ring.evaluate_basis(s)
+            for point in ps.points:
+                xi_full = [m.evaluate(point) for m in ring.basis]
                 y = [xi_full[l] for l in range(template.y_dim)]
                 matrix = assemble(template, y)
                 xi = [xi_full[l] for l in template.row_indices]
@@ -228,10 +227,10 @@ def test_criterion_10_property_suites():
         ]
         for poly in probes:
             nf = ring.normal_form(poly)
-            for s, point in enumerate(ps.points):
+            for point in ps.points:
                 direct = sum(c * m.evaluate(point) for m, c in poly.items())
                 via_basis = sum(
-                    c * ring.evaluate_basis(s)[l] for l, c in nf.items()
+                    c * ring.basis[l].evaluate(point) for l, c in nf.items()
                 )
                 assert direct == via_basis
 

@@ -20,7 +20,6 @@ from thetabody.combopt import (
     cut_theta,
     enumerate_odd_cycle_free,
     enumerate_stable_sets,
-    is_bipartite,
     moment_template,
     parse_weights,
     stable_set_theta,
@@ -161,7 +160,7 @@ def test_odd_cycle_free_matches_brute_force():
 
 def test_odd_cycle_free_order_matches_is_bipartite_filter():
     # the same elements in the same order as extending level by level and
-    # keeping the extensions whose edge subgraph is_bipartite accepts
+    # keeping the extensions whose edge subgraph networkx calls bipartite
     rng = random.Random(29)
     for n, m in [(5, 8), (6, 11), (7, 14), (7, 21)]:
         pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
@@ -173,7 +172,7 @@ def test_odd_cycle_free_order_matches_is_bipartite_filter():
                 s + (e,)
                 for s in frontier
                 for e in range(s[-1] + 1 if s else 0, g.m)
-                if is_bipartite(Graph(n, [g.edges[f] for f in s + (e,)]))[0]
+                if oracles.is_bipartite_nx(n, [g.edges[f] for f in s + (e,)])
             ]
         assert enumerate_odd_cycle_free(g, 4).elements == expected
 
@@ -185,23 +184,6 @@ def test_enumeration_cap():
         enumerate_odd_cycle_free(Kmn(4, 4), 16, cap=100)
     with pytest.raises(InputError):
         enumerate_stable_sets(Kmn(2, 2), 2, cap=0)
-
-
-# ---------------------------------------------------------------- bipartite
-
-def test_is_bipartite_with_witness():
-    ok, witness = is_bipartite(Kmn(2, 3))
-    assert ok and witness is None
-    for g in [K(3), C(5), C(7), Graph(6, corpus.cycle_edges(5) + [(5, 6)])]:
-        ok, cycle = is_bipartite(g)
-        assert not ok
-        assert len(cycle) % 2 == 1
-        edge_set = set(g.edges)
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            assert (min(a, b), max(a, b)) in edge_set
-        assert len(set(cycle)) == len(cycle)
-        assert oracles.is_bipartite_nx(g.n, list(g.edges)) is False
-    assert is_bipartite(C(6))[0] is True
 
 
 # ---------------------------------------------------------------- templates

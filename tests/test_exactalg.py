@@ -180,7 +180,7 @@ def test_three_point_triangle():
 def test_quad4_basis_and_xi():
     ring = buchberger_moller(corpus.quad4())
     assert [str(m) for m in ring.basis] == ["1", "x1", "x2", "x2^2"]
-    xi = ring.evaluate_basis(3)  # the point (2, 2)
+    xi = [m.evaluate(ring.points.points[3]) for m in ring.basis]  # the point (2, 2)
     assert xi == [Fraction(1), Fraction(2), Fraction(2), Fraction(4)]
 
 
@@ -304,14 +304,6 @@ def test_mul_table_respects_degree_bound():
         for j in rows:
             bound = ring.degrees[i] + ring.degrees[j]
             assert all(ring.degrees[l] <= bound for l in ring.product_normal_form(i, j))
-
-
-def test_evaluate_basis_matches_matrix_rows():
-    ring = buchberger_moller(corpus.quad4())
-    for s in range(len(ring.points)):
-        assert ring.evaluate_basis(s) == ring.eval_matrix[s]
-    with pytest.raises(InputError):
-        ring.evaluate_basis(99)
 
 
 def test_coordinate_relabeling_keeps_basis_size():
@@ -449,8 +441,10 @@ def _random_small_point_set(rng):
 def test_ring_inverse_inverts_eval_matrix(ps):
     ring = buchberger_moller(ps)
     n = len(ps)
+    inverse = [[Fraction(v, den) for v in row] for row, den in ring._inverse]
+    evaluations = [[m.evaluate(p) for m in ring.basis] for p in ps.points]
     product = [
-        [sum(ring._eval_inverse[l][s] * ring.eval_matrix[s][j] for s in range(n))
+        [sum(inverse[l][s] * evaluations[s][j] for s in range(n))
          for j in range(n)]
         for l in range(n)
     ]
@@ -545,10 +539,11 @@ def test_integer_normal_forms_match_fraction_reference(seed):
     ps = _random_small_point_set(random.Random(100 + seed))
     ring = buchberger_moller(ps)
     n = len(ps)
+    evaluations = [[m.evaluate(p) for m in ring.basis] for p in ps.points]
     # E^-1 from the Fraction reference: combos of the rows of E^T
     ref = _FractionElimination()
     for l in range(n):
-        assert ref.add([ring.eval_matrix[s][l] for s in range(n)])
+        assert ref.add([evaluations[s][l] for s in range(n)])
     inverse = [[ref.combos[s][l] for s in range(n)] for l in range(n)]
 
     def reference_nf(values):
@@ -559,7 +554,7 @@ def test_integer_normal_forms_match_fraction_reference(seed):
     for i in range(n):
         for j in range(i, n):
             got = ring.product_normal_form(i, j)
-            column = [ring.eval_matrix[s][i] * ring.eval_matrix[s][j] for s in range(n)]
+            column = [evaluations[s][i] * evaluations[s][j] for s in range(n)]
             assert got == reference_nf(column)
             assert all(_is_canonical(v) for v in got.values())
     rng = random.Random(seed)
@@ -605,8 +600,10 @@ def test_integer_evaluation_matches_monomial_evaluate(ps):
     from thetabody.quadrics import _deg2_monomials
 
     ring = buchberger_moller(ps)
-    assert ring.eval_matrix == [[m.evaluate(p) for m in ring.basis] for p in ps.points]
-    assert all(_is_canonical(v) for row in ring.eval_matrix for v in row)
+    columns = [[Fraction(v, den) for v in col] for col, den in ring._columns]
+    assert [list(row) for row in zip(*columns)] == [
+        [m.evaluate(p) for m in ring.basis] for p in ps.points]
+    assert all(_is_canonical(v) for col in columns for v in col)
     monos = _deg2_monomials(ps.dim)
     rows = [[m.evaluate(p) for m in monos] for p in ps.points]
     assert quadric_space_from_points(ps).vectors == rational_rref(nullspace(rows, len(monos)))[0]

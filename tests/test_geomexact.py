@@ -24,7 +24,6 @@ from thetabody.geomexact import (
     facet_vertex_report,
     facets,
     is_exact,
-    theta_rank_upper_bound,
     vertex_indices,
 )
 
@@ -52,7 +51,7 @@ def test_rational_rref_basics():
 def test_segment_facets():
     fs = facets(corpus.segment01())
     assert [(f.normal, f.offset) for f in fs] == [((-1,), 0), ((1,), 1)]
-    assert theta_rank_upper_bound([(0,), (3,)]) == 1
+    assert is_exact([(0,), (3,)]).rank_bound == 1
 
 
 def test_quad4_facets_and_three_levels():
@@ -578,4 +577,4 @@ def test_zero_one_rank_bound_at_most_dimension(pts):
     d = affine_dimension(pts)
     if d < 1:
         return
-    assert theta_rank_upper_bound(pts) <= max(d, 1)
+    assert is_exact(pts).rank_bound <= max(d, 1)

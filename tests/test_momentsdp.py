@@ -102,8 +102,8 @@ def test_rank_one_moment_matrices_exact():
         ring = buchberger_moller(ps)
         for k in (1, 2):
             t = build_moment_template(ring, k)
-            for s in range(len(ps)):
-                xi_full = ring.evaluate_basis(s)
+            for point in ps.points:
+                xi_full = [m.evaluate(point) for m in ring.basis]
                 y = [xi_full[l] for l in range(t.y_dim)]
                 matrix = assemble(t, y)
                 xi = [xi_full[l] for l in t.row_indices]

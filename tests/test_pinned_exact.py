@@ -4,7 +4,9 @@ Any change to how the exact layers compute (the elimination, the ring
 inverse, the facet scan) must leave every Fraction, pivot, basis and facet
 as it was.  The corpus below is rebuilt from fixed seeds and serialized as
 canonical JSON (sorted keys, rationals as "p/q"); its digest was recorded
-before the integer elimination replaced the Fraction one.  A second corpus,
+before the integer elimination replaced the Fraction one, and recomputed
+with the rings' leading monomials left out of the records on the code just
+before the ring stopped keeping them.  A second corpus,
 the quadric slices of the seeded point sets and normal forms of seeded
 polynomials, was recorded before monomials were evaluated in integers.
 """
@@ -23,7 +25,7 @@ from thetabody.exactalg import (
 from thetabody.geomexact import classify_01, facets
 from thetabody.quadrics import quadric_space_from_points
 
-PINNED_SHA256 = "e30b2063cdb3a2c723fe5a0d69e2758ea67b0e710dc496d1a3e0c90cf82bd2c6"
+PINNED_SHA256 = "b48c87bb336b041273fe95d4896602af901f3c5c2f5405467e2cfc90f4c4aaa8"
 PINNED_EVALUATION_SHA256 = "1aa19b98581b16bf4720f8807236ec8ccdb3675cab3399af73c4da7ae2e5d80a"
 
 
@@ -57,8 +59,8 @@ def _ring_record(ps):
     size = len(ring)
     return {
         "basis": [str(m) for m in ring.basis],
-        "leading": [str(m) for m in ring.leading],
-        "inverse": _fmt(ring._eval_inverse),
+        "inverse": [[format_rational(Fraction(v, den)) for v in row]
+                    for row, den in ring._inverse],
         "products": [
             sorted((l, format_rational(c)) for l, c in ring.product_normal_form(i, j).items())
             for i, j in itertools.combinations_with_replacement(range(size), 2)

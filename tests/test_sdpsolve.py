@@ -254,19 +254,27 @@ def test_curve_unbounded_theta_sdps_are_decided_before_the_loop(points, k):
     assert sol.objective == sum(c * sol.y[l] for l, c in problem.objective.items())
 
 
+def _fixed_floor(problem):
+    """-1e-7 (1 + ||F0||): the floor an A(y) reported Unbounded must clear,
+    F0 being A(y) with every free coordinate 0."""
+    pinned = [problem.fixed.get(l, 0.0) for l in range(problem.y_dim)]
+    return -1e-7 * (1.0 + np.linalg.norm(_assembled(problem, pinned)))
+
+
 def test_singular_kept_block_is_decided_by_the_loop():
     # grid3's level-1 SDP with -x1^2/2 added to the objective: it is still
     # unbounded along x2, but x1^2 no longer removes row 1, so the reduction
     # keeps rows {1, x1} with the singular block diag(1, 0) and the presolve
     # cannot show strict feasibility.  The loop decides it: the uncut steps
-    # let the gap rise while z grows, until the improving-ray test fires at
-    # a y far out, whose A(y) is PSD only up to a floor relative to |y|.
+    # let the gap rise while z grows, until the improving-ray test fires.
+    # The ray is PSD only up to a floor relative to its norm, so the ride
+    # along it is shortened until A(y) clears the fixed floor.
     problem = _theta_sdp(corpus.grid(3, 3), 1)
     (square,) = problem.cells[(1, 1)]
     problem.objective[square] = -0.5
     sol = solve(problem)
     assert sol.status == "Unbounded" and sol.iterations > 0
-    assert sol.min_eig >= -1e-7 * (1.0 + max(abs(v) for v in sol.y))
+    assert sol.min_eig >= _fixed_floor(problem)
 
 
 def _sweep_draws():
@@ -296,19 +304,20 @@ def test_seeded_sweep_decides_membership_and_level_one():
     # Membership queries whose PSD section is empty, and level-1 SDPs whose
     # TH1 is unbounded, are decided only when X or z may grow along a ray,
     # which raises the gap <Z, X>.  Draw 284 (8 points in R^3) still ends at
-    # IterLimit: its objective passes 1e22 at a PSD A(y), but its relative
-    # primal residual stays far above the threshold rule's 1e-5.
+    # IterLimit: its objective passes 1e22 at a PSD A(y), but neither the
+    # presolve nor the improving-ray test decides it.
     iter_limits = []
     for draw, (points, query, objective) in enumerate(_sweep_draws()):
         try:
             th1_membership(quadric_space_from_points(points), query)
         except SolverError as exc:
             pytest.fail(f"draw {draw}: {exc}")
-        sol = solve(_theta_sdp(points, 1, objective))
+        problem = _theta_sdp(points, 1, objective)
+        sol = solve(problem)
         if sol.status == "IterLimit":
             iter_limits.append(draw)
         if sol.status == "Unbounded":
-            assert sol.min_eig >= -1e-7 * (1.0 + max(abs(v) for v in sol.y)), draw
+            assert sol.min_eig >= _fixed_floor(problem), draw
     assert len(iter_limits) <= 1, iter_limits
 
 
