@@ -17,9 +17,10 @@ Both families come from one enumerator that extends each set by larger
 ground elements a level at a time, keeping the extensions a predicate admits
 (no neighbour inside the set; a bipartite edge subgraph).  Sets come sorted
 by size then lexicographically, and the enumeration aborts with a resource
-error when a configurable cap (default 20000 elements) is exceeded.  The
-level-k template is momentsdp.template_from_products over the set sizes, and
-both relaxations share one solve-and-project routine.
+error when a configurable cap (default 20000 elements) is exceeded, holding
+at most one set past it.  The level-k template is
+momentsdp.template_from_products over the set sizes, and both relaxations
+share one solve-and-project routine.
 
 That routine solves over the orbits of the graph's automorphisms that keep
 the objective (Gatermann-Parrilo, JPAA 192, 2004): every vertex permutation
@@ -35,14 +36,16 @@ finer orbits, so results stay exact, only the reduced SDP is larger.
 Vertex permutations act on stable sets directly and on odd-cycle-free edge
 sets through the edges they induce; union-find over that action numbers the
 orbits of the y-coordinates by least member, so a trivial group maps every
-coordinate to itself and y_0 stays alone.  Coordinate l of orbit o enters
-as z_o / sqrt(|o|) (momentsdp.orbit_problem): the F_l of one orbit have
-disjoint supports of equal norm, so the scaling keeps the data norms the
-solver starts from and tests against, and with them its iteration counts.
+coordinate to itself and y_0 stays alone.  momentsdp.build_theta_sdp, the one
+map from template to reduced SDP, enters coordinate l of orbit o as z_o /
+sqrt(|o|): the F_l of one orbit have disjoint supports of equal norm, so the
+scaling keeps the data norms the solver starts from and tests against, and
+with them its iteration counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -55,7 +58,7 @@ from .momentsdp import (
     SdpProblem,
     SolverOptions,
     build_theta_sdp,
-    orbit_problem,
+    orbit_scales,
     template_from_products,
 )
 
@@ -226,12 +229,14 @@ def _enumerate(
             raise ResourceLimitError(f"{kind} enumeration exceeded cap {cap}")
         if len(frontier[0]) == max_size:
             break
-        frontier = [
+        level = (
             elem + (g,)
             for elem in frontier
             for g in range(elem[-1] + 1 if elem else 0, len(ground))
             if admits(elem + (g,))
-        ]
+        )
+        # one set past the cap is enough to refuse: memory stays bounded by it
+        frontier = list(itertools.islice(level, cap + 1 - len(out)))
         if not frontier:
             exhausted = True
             break
@@ -242,6 +247,10 @@ def enumerate_stable_sets(
     graph: Graph, max_size: int, cap: int = DEFAULT_CAP
 ) -> CombBasis:
     """All stable sets of size <= max_size, sorted by size then lex."""
+    if max_size > 0 and 1 <= cap <= graph.n:
+        # the empty set and the n singletons pass the cap: refuse before
+        # building the adjacency
+        raise ResourceLimitError(f"{STABLE_SETS} enumeration exceeded cap {cap}")
     adj = [{u - 1 for u in nbrs} for nbrs in graph.adjacency()[1:]]
     return _enumerate(
         graph,
@@ -568,9 +577,9 @@ def _theta(
     template = moment_template(basis, k)
     generators, group_order = automorphism_group(basis.graph, weights)
     orbit = coordinate_orbits(basis, template.y_dim, generators)
-    reduced, expand = orbit_problem(build_theta_sdp(template, objective), orbit)
-    sol = solve(reduced, options)
-    sol.y = expand(sol.y)
+    problem = build_theta_sdp(template, objective, orbit)
+    sol = solve(problem, options)
+    sol.y = [sol.y[o] * s for o, s in zip(orbit, orbit_scales(orbit))]
     linear = template.linear_index
     return ThetaResult(
         value=sol.objective,
@@ -584,7 +593,7 @@ def _theta(
         solution=sol,
         template=template,
         group_order=group_order,
-        y_orbits=reduced.y_dim - len(reduced.fixed),
+        y_orbits=problem.y_dim - len(problem.fixed),
     )
 
 
@@ -619,7 +628,10 @@ def parse_weights(raw, graph: Graph) -> List[Fraction]:
                     u, v = int(parts[0]), int(parts[1])
                 else:
                     u, v = int(key[0]), int(key[1])
-                table[(min(u, v), max(u, v))] = parse_rational(value)
+                edge = (min(u, v), max(u, v))
+                if edge in table:
+                    raise InputError(f"edge {edge} is given two weights")
+                table[edge] = parse_rational(value)
             missing = [e for e in graph.edges if e not in table]
             if missing:
                 raise InputError(f"missing weight for edge {missing[0]}")

@@ -55,10 +55,11 @@ MAX_BM_POINTS = 64
 
 
 def parse_rational(value) -> Fraction:
-    """Coerce a JSON-ish scalar ("3/4", "2", int, Fraction) to a Fraction."""
+    """Coerce a JSON-ish scalar ("3/4", "2", int, Fraction) to a Fraction.
+    Booleans are not numbers here, although Python's bool is an int."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -66,6 +67,21 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"invalid rational literal {value!r}") from exc
     raise InputError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def to_float(value) -> float:
+    """A float as it is, or anything parse_rational accepts as the nearest
+    float; a rational beyond float range raises InputError naming it."""
+    if isinstance(value, float):
+        return value
+    value = parse_rational(value)
+    try:
+        return float(value)
+    except OverflowError:
+        text = format_rational(value)
+        if len(text) > 40:
+            text = f"{text[:20]}...({len(text)} characters)"
+        raise InputError(f"{text} lies beyond float range") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -16,10 +16,10 @@ builder: it lays out rows and y-coordinates as degree prefixes of any
 degree-sorted basis, given how to name a product and how to expand it.
 build_moment_template feeds it a point-set quotient ring (monomial products,
 normal forms); combopt feeds it combinatorial set systems (set unions,
-unit-vector or zero cells) with no ring attached.  orbit_problem is the one
-linear map on the numeric SDP: it restricts y to be constant on given orbits
-of its coordinates and expands the reduced solution back, which combopt uses
-for graph symmetry.
+unit-vector or zero cells) with no ring attached.  build_theta_sdp is the one
+map from a template to the reduced float SDP: in the same pass it restricts y
+to be constant on given orbits of its coordinates, which combopt finds from
+graph symmetry.
 
 SdpProblem and SolverOptions, the solver's input and its settings, live here
 and not in sdpsolve: this module never imports numpy at module level, so code
@@ -39,7 +39,7 @@ from .exactalg import (
     Monomial,
     QuotientRing,
     format_rational,
-    parse_rational,
+    to_float,
 )
 
 Cell = Dict[int, Fraction]
@@ -271,7 +271,7 @@ class SdpProblem:
             for entry in obj["cells"]:
                 key = (int(entry["row"]), int(entry["col"]))
                 cells[key] = {
-                    int(l): float(parse_rational(c) if isinstance(c, str) else c)
+                    int(l): to_float(c)
                     for l, c in entry["coeffs"].items()
                 }
             return SdpProblem(
@@ -279,11 +279,11 @@ class SdpProblem:
                 y_dim=int(obj["yDim"]),
                 cells=cells,
                 objective={
-                    int(l): float(parse_rational(c) if isinstance(c, str) else c)
+                    int(l): to_float(c)
                     for l, c in obj.get("objective", {}).items()
                 },
                 fixed={
-                    int(l): float(parse_rational(c) if isinstance(c, str) else c)
+                    int(l): to_float(c)
                     for l, c in obj.get("fixed", {"0": 1.0}).items()
                 },
                 y_labels=obj.get("labels"),
@@ -315,8 +315,17 @@ class SolverOptions:
         self.max_iter = max_iter
 
 
+def orbit_scales(orbit: Sequence[int]) -> List[float]:
+    """1/sqrt(|o|) for each coordinate l, o = orbit[l] its orbit: the
+    reduced coordinate z_o stands for y_l = z_o * scale[l]."""
+    size = Counter(orbit)
+    return [1.0 / math.sqrt(size[o]) for o in orbit]
+
+
 def build_theta_sdp(
-    template: MomentTemplate, objective: Mapping[Monomial, object]
+    template: MomentTemplate,
+    objective: Mapping[Monomial, object],
+    orbit: Optional[Sequence[int]] = None,
 ) -> SdpProblem:
     """Level-k theta-body relaxation of maximizing a linear polynomial.
 
@@ -325,6 +334,11 @@ def build_theta_sdp(
     degree-one basis slice differs from {1, x1, ..., xn}, the objective is
     rewritten through the ring's normal form first, so it always lands on
     y-coordinates of degree <= 1.
+
+    With orbit, orbit[l] numbering the orbit o of coordinate l (0 ..
+    count-1) and y_0 alone in its orbit, the problem has one coordinate z_o
+    per orbit, y_l = z_o / sqrt(|o|) (orbit_scales): F_o = sum_{l in o}
+    F_l / sqrt(|o|), and likewise c_o.  orbit=None is the identity.
     """
     if not objective:
         raise InputError("objective must not be empty")
@@ -345,10 +359,10 @@ def build_theta_sdp(
         for l, c in nf.items():
             if l >= template.y_dim:
                 raise AssertionError("linear objective escaped the y-basis")
-            coeffs[l] = coeffs.get(l, 0.0) + float(c)
+            coeffs[l] = coeffs.get(l, 0.0) + to_float(c)
     else:
         for m, raw in objective.items():
-            c = float(parse_rational(raw) if not isinstance(raw, float) else raw)
+            c = to_float(raw)
             if m.degree == 0:
                 coeffs[0] = coeffs.get(0, 0.0) + c
                 continue
@@ -358,58 +372,27 @@ def build_theta_sdp(
                 raise InputError(f"variable x{var} has no y-coordinate")
             coeffs[l] = coeffs.get(l, 0.0) + c
 
-    cells = {
-        key: {l: float(c) for l, c in vec.items()}
-        for key, vec in template.cells.items()
-    }
-    return SdpProblem(
-        side=template.side,
-        y_dim=template.y_dim,
-        cells=cells,
-        objective=coeffs,
-        fixed={0: 1.0},
-        y_labels=list(template.y_labels),
-    )
+    if orbit is None:
+        orbit = range(template.y_dim)
+    if len(orbit) != template.y_dim or orbit.count(orbit[0]) != 1:
+        raise InputError("orbits need one number per y-coordinate, y_0 alone in its orbit")
+    scale = orbit_scales(orbit)
+    first = {o: l for l, o in reversed(list(enumerate(orbit)))}  # least coordinate per orbit
 
-
-def orbit_problem(
-    problem: SdpProblem, orbit: Sequence[int]
-) -> Tuple[SdpProblem, Callable[[Sequence[float]], List[float]]]:
-    """The SDP restricted to y constant on orbits of its coordinates, and
-    the map from its solution back to the full y.
-
-    orbit[l] numbers the orbit o of coordinate l (0 .. count-1).  The
-    reduced problem has one coordinate z_o per orbit, with y_l =
-    z_o / sqrt(|o|): F_o = sum_{l in o} F_l / sqrt(|o|), and likewise c_o.
-    The returned function expands a reduced z to that y.  Pinned
-    coordinates must be alone in their orbit.  The identity map
-    (orbit[l] = l) gives a problem equal to the input.
-    """
-    if len(orbit) != problem.y_dim:
-        raise InputError(f"{len(orbit)} orbit numbers for {problem.y_dim} coordinates")
-    size = Counter(orbit)
-    if any(size[orbit[l]] != 1 for l in problem.fixed):
-        raise InputError("a pinned coordinate shares its orbit")
-    scale = [1.0 / math.sqrt(size[o]) for o in orbit]
-
-    def reduce(vec: Mapping[int, float]) -> Dict[int, float]:
+    def reduce(vec: Mapping[int, object]) -> Dict[int, float]:
         out: Dict[int, float] = {}
         for l, c in vec.items():
-            out[orbit[l]] = out.get(orbit[l], 0.0) + c * scale[l]
+            out[orbit[l]] = out.get(orbit[l], 0.0) + to_float(c) * scale[l]
         return out
 
-    labels = None
-    if problem.y_labels is not None:
-        first = {}
-        for l, o in enumerate(orbit):
-            first.setdefault(o, problem.y_labels[l])
-        labels = [first[o] for o in range(len(size))]
-    reduced = SdpProblem(
-        side=problem.side,
-        y_dim=len(size),
-        cells={key: reduce(vec) for key, vec in problem.cells.items()},
-        objective=reduce(problem.objective),
-        fixed={orbit[l]: v for l, v in problem.fixed.items()},
-        y_labels=labels,
+    # each distinct template vector is reduced once, for all the cells it is in
+    distinct = {id(vec): vec for vec in template.cells.values()}
+    reduced = {i: reduce(vec) for i, vec in distinct.items()}
+    return SdpProblem(
+        side=template.side,
+        y_dim=len(first),
+        cells={key: reduced[id(vec)] for key, vec in template.cells.items()},
+        objective=reduce(coeffs),
+        fixed={orbit[0]: 1.0},
+        y_labels=[template.y_labels[first[o]] for o in range(len(first))],
     )
-    return reduced, lambda z: [z[o] * scale[l] for l, o in enumerate(orbit)]

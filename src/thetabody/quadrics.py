@@ -45,6 +45,7 @@ from .exactalg import (
     parse_polynomial,
     parse_rational,
     rational_rref,
+    to_float,
 )
 from .momentsdp import SdpProblem, SolverOptions
 
@@ -448,7 +449,7 @@ def _section_cells(
     """SDP cells of A(u) = A(v_0) + sum_k u_k A(v_k), in row-major order."""
     cells: Dict[Tuple[int, int], Dict[int, float]] = {}
     for i, j, k, scale in _quadratic_layout(dim):
-        vec = {l: float(scale * v[k]) for l, v in enumerate(vectors) if v[k]}
+        vec = {l: to_float(scale * v[k]) for l, v in enumerate(vectors) if v[k]}
         if vec:
             cells[(i, j)] = vec
     return cells
@@ -651,7 +652,7 @@ def th1_membership(
         )
     unit, rest = split
     unit_at_z, *rest_at_z = _values_at(space._split_ints, at_z, scale)
-    constant = float(unit_at_z)
+    constant = to_float(unit_at_z)
     certificate = None
     if not rest:
         if not _is_psd_exact(_quadric(unit, n).a):
@@ -661,7 +662,7 @@ def th1_membership(
             )
         sup, weights, solver_status = constant, [], None
     else:
-        values = [float(v) for v in rest_at_z]
+        values = [to_float(v) for v in rest_at_z]
         objective = {k + 1: v for k, v in enumerate(values) if v}
         opts = options or SolverOptions()
         if objective:

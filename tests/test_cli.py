@@ -539,6 +539,38 @@ MALFORMED = {
     "graph-float-n": (["theta", "--graph", "{bad}"], '{"n": 3.5, "edges": [[1, 2]]}'),
     "graph-string-n": (["theta", "--graph", "{bad}"], '{"n": "3", "edges": [[1, 2]]}'),
     "graph-bool-edge": (["theta", "--graph", "{bad}"], '{"n": 3, "edges": [[true, 2]]}'),
+    # booleans are not numbers, though Python's bool is an int
+    "points-bool": (
+        ["exactness", "--points", "{bad}"], '{"dim": 2, "points": [[true, false], [0, 1], [1, 1]]}'
+    ),
+    "sdp-bool": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": 1, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1, "1": true}}]}',
+    ),
+    # the path 1-2-3 with edge (1, 2) weighted twice
+    "weights-twice": (
+        ["theta", "--graph", "{bad}", "--model", "cut", "--weights", '{"1,2": 1, "2,1": 5, "2,3": 1}'],
+        "p edge 3 2\ne 1 2\ne 2 3\n",
+    ),
+    # rationals beyond float range
+    "float-weight": (
+        ["theta", "--graph", "{bad}", "--model", "cut", "--weights", '[1, 1, "1e400"]'], K3_DIMACS
+    ),
+    "float-sdp": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": 2, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1}}, {"row": 0, "col": 1, "coeffs": {"1": "1e400"}}, '
+        '{"row": 1, "col": 1, "coeffs": {"0": 1}}]}',
+    ),
+    "float-th1-points": (
+        ["th1", "--points", "{bad}", "--query=1,0"],
+        '{"dim": 2, "points": [["1e400", 0], [0, 1], [1, 1]]}',
+    ),
+    "float-th1-gens": (
+        ["th1", "--gens", "{bad}", "--query=0,0"],
+        '{"dim": 2, "generators": ["x1^2 + x2^2 - 1e400"]}',
+    ),
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +185,21 @@ def test_enumeration_cap():
         enumerate_odd_cycle_free(Kmn(4, 4), 16, cap=100)
     with pytest.raises(InputError):
         enumerate_stable_sets(Kmn(2, 2), 2, cap=0)
+
+
+@pytest.mark.parametrize("n, cap", [(1000, 1050), (100_000, 1000)])
+def test_enumeration_cap_bounds_memory(n, cap):
+    # 1,000 isolated vertices have 499,500 stable pairs (49 MiB when a level
+    # was built whole before the cap test); 100,000 vertices pass the cap with
+    # their singletons, before their adjacency sets (21 MiB) are needed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            enumerate_stable_sets(Graph(n, []), 2, cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
 
 
 # ---------------------------------------------------------------- templates

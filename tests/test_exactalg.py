@@ -29,6 +29,7 @@ from thetabody.exactalg import (
     parse_polynomial,
     parse_rational,
     rational_rref,
+    to_float,
 )
 from thetabody.combopt import Graph
 from thetabody.geomexact import FacetInequality, facets
@@ -55,6 +56,10 @@ def test_rational_rejects_garbage():
         parse_rational("one half")
     with pytest.raises(InputError):
         parse_rational(1.5)  # floats are ambiguous; must be given as strings
+    with pytest.raises(InputError):
+        parse_rational(True)  # a bool is an int to Python, not a number to JSON
+    with pytest.raises(InputError, match=r"^10000000000000000000\.\.\.\(401 characters\) lies beyond"):
+        to_float("1e400")
 
 
 # ---------------------------------------------------------------- monomials

@@ -16,7 +16,7 @@ from thetabody.momentsdp import (
     assemble,
     build_moment_template,
     build_theta_sdp,
-    orbit_problem,
+    orbit_scales,
 )
 
 
@@ -186,9 +186,18 @@ def test_sdp_problem_validation():
         SdpProblem(side=1, y_dim=1, cells={(1, 0): {0: 1.0}}, objective={}, fixed={0: 1.0})
 
 
-def test_orbit_problem_scales_by_root_orbit_size():
+def test_theta_sdp_over_orbits_scales_by_root_orbit_size():
     # y_1, y_2 swap under the symmetry of M = [[1, y1, y2], [y1, 1, y3], [y2, y3, 1]]
     # that exchanges rows 1 and 2 (with y_3 fixed)
+    one = Fraction(1)
+    t = MomentTemplate(
+        level=1, ambient_dim=2, row_indices=[0, 1, 2], row_labels=["1", "a", "b"],
+        y_dim=4, y_labels=["1", "a", "b", "c"],
+        cells={(0, 0): {0: one}, (1, 1): {0: one}, (2, 2): {0: one},
+               (0, 1): {1: one}, (0, 2): {2: one}, (1, 2): {3: one}},
+        linear_index={1: 1, 2: 2},
+    )
+    objective = {mono(1, 0): 1, mono(0, 1): 1}
     problem = SdpProblem(
         side=3,
         y_dim=4,
@@ -198,17 +207,29 @@ def test_orbit_problem_scales_by_root_orbit_size():
         fixed={0: 1.0},
         y_labels=["1", "a", "b", "c"],
     )
-    same, expand = orbit_problem(problem, [0, 1, 2, 3])
-    assert same == problem and expand([1.0, 2.0, 3.0, 4.0]) == [1.0, 2.0, 3.0, 4.0]
-    reduced, expand = orbit_problem(problem, [0, 1, 1, 2])
+    assert build_theta_sdp(t, objective) == problem
+    assert build_theta_sdp(t, objective, [0, 1, 2, 3]) == problem
+    assert orbit_scales([0, 1, 2, 3]) == [1.0] * 4
+    orbit = [0, 1, 1, 2]
+    reduced = build_theta_sdp(t, objective, orbit)
     half = 1 / np.sqrt(2)
     assert reduced.y_dim == 3 and reduced.fixed == {0: 1.0}
     assert reduced.cells[(0, 1)] == {1: half} and reduced.cells[(0, 2)] == {1: half}
     assert reduced.cells[(1, 2)] == {2: 1.0}
     assert reduced.objective == {1: 2 * half}
     assert reduced.y_labels == ["1", "a", "c"]
-    assert expand([1.0, 2.0, 3.0]) == [1.0, 2 * half, 2 * half, 3.0]
+    z = [1.0, 2.0, 3.0]
+    assert [z[o] * s for o, s in zip(orbit, orbit_scales(orbit))] == [1.0, 2 * half, 2 * half, 3.0]
     with pytest.raises(InputError):
-        orbit_problem(problem, [0, 0, 1, 2])
+        build_theta_sdp(t, objective, [0, 0, 1, 2])
     with pytest.raises(InputError):
-        orbit_problem(problem, [0, 1, 1])
+        build_theta_sdp(t, objective, [0, 1, 1])
+
+
+def test_cells_sharing_a_template_vector_share_its_reduction():
+    ring = buchberger_moller(corpus.curve14())
+    t = build_moment_template(ring, 2)
+    problem = build_theta_sdp(t, {mono(1, 0): 1})
+    for a in t.cells:
+        for b in t.cells:
+            assert (problem.cells[a] is problem.cells[b]) == (t.cells[a] is t.cells[b])
