@@ -5,8 +5,9 @@ The package is organized as a pipeline:
 - ``exactalg``   exact rational groundwork: monomials, point sets, vanishing-
                  ideal quotient rings via evaluation/interpolation.
 - ``momentsdp``  symbolic moment-matrix templates over a quotient ring or a
-                 combinatorial basis, their instantiation as SDP data, and
-                 the solver's settings.
+                 combinatorial basis, and their instantiation as SDP data.
+- ``options``    the solver's settings (SolverOptions), with no imports
+                 beyond ``errors``.
 - ``sdpsolve``   a dense primal-dual interior-point SDP solver.
 - ``combopt``    stable-set and cut relaxations of graphs, built on
                  combinatorial bases instead of a quotient ring.
@@ -40,15 +41,16 @@ _HOMES = {
         "parse_polynomial",
         "rational_rref",
     ),
-    # moment templates, SDP data and solver settings
+    # moment templates and SDP data
     "momentsdp": (
         "MomentTemplate",
         "build_moment_template",
         "assemble",
         "SdpProblem",
-        "SolverOptions",
         "build_theta_sdp",
     ),
+    # solver settings
+    "options": ("SolverOptions",),
     # solver
     "sdpsolve": ("SdpSolution", "solve"),
     # graph models

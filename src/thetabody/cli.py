@@ -25,6 +25,11 @@ it runs when it runs, and theta loads neither geomexact nor quadrics.  numpy
 loads at the first SDP solve, since no module imports sdpsolve at import
 time: exactness, classify01 and moment-dump never load it, nor does a th1
 query decided exactly or a run that ends in invalid input before its solve.
+SolverOptions lives in the leaf module options, and quadrics imports
+momentsdp only to build a section SDP, so a th1 query decided exactly loads
+no momentsdp either.  Input digests use CPython's builtin SHA-256, so no
+subcommand loads hashlib's OpenSSL backend (about 3.7 MB of resident memory
+and 5 ms of a cold process).
 No class is a `@dataclass`: that module imports `inspect` and compiles
 each class's methods at import, 10 to 15 ms of a cold process that loads no
 numpy, more than the exact work of a typical `exactness` run.  Classes write
@@ -35,7 +40,6 @@ their `__init__` by hand, and the immutable value types derive from
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -46,12 +50,22 @@ from . import __version__
 from .errors import InputError, ResourceLimitError, SolverError, ThetaBodyError
 
 if TYPE_CHECKING:
-    from .momentsdp import SolverOptions
+    from .options import SolverOptions
+
+# CPython's builtin SHA-256 (_sha2 since 3.12, _sha256 before): hashlib would
+# load OpenSSL's libcrypto, which costs a cold process more than the hashing.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without the builtin hashes
+        from hashlib import sha256 as _sha256
 
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return _sha256(fh.read()).hexdigest()
 
 
 def _round_floats(obj):
@@ -93,7 +107,7 @@ def _report_skeleton(subcommand: str, digests: Dict[str, str], parameters: dict)
 
 def _solver_options(args) -> SolverOptions:
     """SolverOptions from the solver flags; an omitted flag keeps its default."""
-    from .momentsdp import SolverOptions
+    from .options import SolverOptions
 
     given = {"feas_tol": args.feas_tol, "gap_tol": args.gap_tol, "max_iter": args.max_iter}
     return SolverOptions(**{k: v for k, v in given.items() if v is not None})

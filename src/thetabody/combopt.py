@@ -56,11 +56,11 @@ from .exactalg import Monomial, _find, _Frozen, parse_rational
 from .momentsdp import (
     MomentTemplate,
     SdpProblem,
-    SolverOptions,
     build_theta_sdp,
     orbit_scales,
     template_from_products,
 )
+from .options import SolverOptions
 
 if TYPE_CHECKING:
     from .sdpsolve import SdpSolution

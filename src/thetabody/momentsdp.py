@@ -21,9 +21,10 @@ map from a template to the reduced float SDP: in the same pass it restricts y
 to be constant on given orbits of its coordinates, which combopt finds from
 graph symmetry.
 
-SdpProblem and SolverOptions, the solver's input and its settings, live here
-and not in sdpsolve: this module never imports numpy at module level, so code
-that only builds, validates or reports on an SDP runs without it.
+SdpProblem, the solver's input, lives here and not in sdpsolve: this module
+never imports numpy at module level, so code that only builds, validates or
+reports on an SDP runs without it.  The solver's settings, SolverOptions,
+live in the leaf module options and are re-exported here.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .exactalg import (
     format_rational,
     to_float,
 )
+from .options import SolverOptions  # noqa: F401  (re-exported)
 
 Cell = Dict[int, Fraction]
 
@@ -266,17 +268,25 @@ class SdpProblem:
 
     @staticmethod
     def from_json(obj) -> "SdpProblem":
+        def integer(value, what: str) -> int:
+            # int() would take true as 1 and truncate 1.5
+            if type(value) not in (int, float) or value % 1 != 0:
+                raise InputError(f"{what} must be an integer, not {value!r}")
+            return int(value)
+
         try:
             cells = {}
             for entry in obj["cells"]:
-                key = (int(entry["row"]), int(entry["col"]))
+                key = (integer(entry["row"], "a cell's row"), integer(entry["col"], "a cell's col"))
+                if key in cells:
+                    raise InputError(f"cell {key} is listed twice")
                 cells[key] = {
                     int(l): to_float(c)
                     for l, c in entry["coeffs"].items()
                 }
             return SdpProblem(
-                side=int(obj["side"]),
-                y_dim=int(obj["yDim"]),
+                side=integer(obj["side"], "side"),
+                y_dim=integer(obj["yDim"], "yDim"),
                 cells=cells,
                 objective={
                     int(l): to_float(c)
@@ -300,19 +310,6 @@ class SdpProblem:
             raise InputError(f"cannot read SDP file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
-
-
-class SolverOptions:
-    """Stopping rules of sdpsolve.solve."""
-
-    def __init__(self, feas_tol: float = 1e-8, gap_tol: float = 1e-7, max_iter: int = 200):
-        if not all(math.isfinite(t) and t > 0 for t in (feas_tol, gap_tol)):
-            raise InputError("tolerances must be finite and positive")
-        if max_iter < 1:
-            raise InputError("max_iter must be >= 1")
-        self.feas_tol = feas_tol
-        self.gap_tol = gap_tol
-        self.max_iter = max_iter
 
 
 def orbit_scales(orbit: Sequence[int]) -> List[float]:

@@ -47,9 +47,10 @@ from .exactalg import (
     rational_rref,
     to_float,
 )
-from .momentsdp import SdpProblem, SolverOptions
+from .options import SolverOptions
 
 if TYPE_CHECKING:
+    from .momentsdp import SdpProblem
     from .sdpsolve import SdpSolution
 
 BOUNDARY_TOL = 1e-7
@@ -462,8 +463,11 @@ def _section_problem(
     """SDP data for the cells of _section_cells PSD, coordinate 0 pinned.
 
     The cells may be shared between problems: nothing here or in the solver
-    changes them.
+    changes them.  momentsdp is imported here, not at module level, so a
+    query decided exactly never loads it.
     """
+    from .momentsdp import SdpProblem
+
     return SdpProblem(
         side=dim,
         y_dim=y_dim,

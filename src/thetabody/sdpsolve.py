@@ -26,19 +26,30 @@ F_j[S_j, S_j] are laid out once per solve, padded per column block to its
 widest support.  H is factored once per iteration, by Cholesky with
 escalating diagonal jitter, and the factor serves the predictor and the
 corrector (least squares if no jitter helps) through block forward and back
-substitution.  Z and X are kept as one (2, m, m) stack, so one batched
-Cholesky call factors both (only when it fails is each matrix factored on
-its own, with escalating jitter) and one call inverts both factors; Z^-1
-comes from the first.  The step-length search whitens a direction D as
-L^-1 D L^-T with those inverse factors: the predictor's pair (dZ, dX) takes
-one batched whitening and one eigvalsh for both smallest eigenvalues, and so
-does the corrector's pair.  A problem whose dense arrays would pass
+substitution.  The factor's diagonal blocks of _TRI_BLOCK rows are inverted
+once per iteration, in one batched call, so the four substitutions of an
+iteration are matrix products only.  Z and X are kept as one (2, m, m)
+stack, so one batched Cholesky call factors both (only when it fails is
+each matrix factored on its own, with escalating jitter) and one call
+inverts both factors; Z^-1 comes from the first.  The step-length search
+whitens a direction D as L^-1 D L^-T with those inverse factors: the
+predictor's pair (dZ, dX) takes one batched whitening and one eigvalsh for
+both smallest eigenvalues, and so does the corrector's pair.  A problem whose dense arrays would pass
 _MEMORY_LIMIT_BYTES is refused before any is allocated.  The step is
 min(1, 0.98 x the step to the boundary), shared by primal and dual, and is
 taken uncut: the gap <Z, X> may rise along it, which is how X or z grows
 along the ray that shows an SDP infeasible or unbounded.  Everything is
 plain numpy; given identical inputs the iterate sequence is bitwise
 reproducible.
+
+A pair is Optimal when rel_p = ||A(z) - Z|| / (1 + ||F0||) and
+rel_d = ||-c - (<F_i, X>)_i|| / (1 + ||c|| + ||X||) are at most feas_tol
+and the relative gap is at most gap_tol; NearOptimal, at the iteration
+limit, allows 100 times each.  The float error of <F_i, X> grows with ||X||,
+so rel_d is scaled by it: scaled by 1 + ||c|| alone, its rounding floor
+could sit at feas_tol (||X|| ~ 1e3 on a level-2 theta SDP of 14 sphere
+points), and whether such a run stopped turned on the last bits of its
+iterates.
 
 Before the loop, two exact rules read only the sparse entries, F0 and c
 (_presolve; entries with coefficient 0.0 count as absent).  A diagonal cell
@@ -80,7 +91,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .momentsdp import SdpProblem, SolverOptions
+from .momentsdp import SdpProblem
+from .options import SolverOptions
 
 OPTIMAL = "Optimal"
 NEAR_OPTIMAL = "NearOptimal"
@@ -166,33 +178,56 @@ def _step_to_boundary(inv_factors: np.ndarray, directions: np.ndarray) -> List[f
     return [np.inf if v >= -1e-14 else -1.0 / v for v in lam.tolist()]
 
 
-# Rows of the diagonal blocks in _tri_solve.  One solve with a lower factor
-# of side 305 took 0.24 ms with 32 or 48 rows, 0.30 ms with 64, 0.43 ms with
-# 16, and 2.1 ms as one np.linalg.solve (one BLAS thread, 2-CPU Xeon).  A
-# factor of at most 32 rows is solved by one np.linalg.solve.
+# Rows of the diagonal blocks in _tri_solve.  For a lower factor of side
+# 305, one iteration's block inverses and four substitutions took 0.47 ms
+# with 32 rows, 0.59 ms with 16, 0.62 ms with 48 and 1.09 ms with 64; an LU
+# solve per 32-row block took 1.19 ms, and four whole np.linalg.solve calls
+# 4.05 ms (one BLAS thread, 2-CPU Xeon).  A factor of at most 32 rows is
+# inverted whole.
 _TRI_BLOCK = 32
 
 
-def _tri_solve(factor: np.ndarray, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Solve L x = rhs, or L^T x = rhs if transpose, for lower-triangular L.
-
-    Block forward (back) substitution: np.linalg.solve, an LU, runs only on
-    the diagonal blocks of _TRI_BLOCK rows; the rest is matrix products.
-    """
+def _block_inverses(factor: np.ndarray) -> np.ndarray:
+    """Inverses of the diagonal blocks of a lower-triangular factor, of
+    min(n, _TRI_BLOCK) rows each, from one batched np.linalg.inv; the last
+    block is padded with the identity."""
     n = factor.shape[0]
     if n <= _TRI_BLOCK:
-        return np.linalg.solve(factor.T if transpose else factor, rhs)
+        return np.linalg.inv(factor)[None]
+    size = _TRI_BLOCK
+    count = -(-n // size)
+    blocks = np.zeros((count, size, size))
+    for s in range(0, n, size):
+        e = min(s + size, n)
+        blocks[s // size, : e - s, : e - s] = factor[s:e, s:e]
+    pad = np.arange(n - (count - 1) * size, size)
+    blocks[-1, pad, pad] = 1.0
+    return np.linalg.inv(blocks)
+
+
+def _tri_solve(factor: np.ndarray, inverses: np.ndarray, rhs: np.ndarray,
+               transpose: bool = False) -> np.ndarray:
+    """Solve L x = rhs, or L^T x = rhs if transpose, for lower-triangular L
+    with inverses = _block_inverses(L).
+
+    Block forward (back) substitution in matrix products only: each
+    diagonal block is applied through its inverse.
+    """
+    n = factor.shape[0]
+    size = inverses.shape[1]
+    if size == n:
+        return (inverses[0].T if transpose else inverses[0]) @ rhs
     x = np.array(rhs, dtype=float)
-    starts = range(0, n, _TRI_BLOCK)
+    starts = range(0, n, size)
     if transpose:
         for s in reversed(starts):
-            e = min(s + _TRI_BLOCK, n)
-            x[s:e] = np.linalg.solve(factor[s:e, s:e].T, x[s:e])
+            e = min(s + size, n)
+            x[s:e] = inverses[s // size, : e - s, : e - s].T @ x[s:e]
             x[:s] -= factor[s:e, :s].T @ x[s:e]
     else:
         for s in starts:
-            e = min(s + _TRI_BLOCK, n)
-            x[s:e] = np.linalg.solve(factor[s:e, s:e], x[s:e])
+            e = min(s + size, n)
+            x[s:e] = inverses[s // size, : e - s, : e - s] @ x[s:e]
             x[e:] -= factor[e:, s:e] @ x[s:e]
     return x
 
@@ -530,7 +565,7 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         p_obj = float(c_vec @ z)
         d_obj = float((f_zero * big_x).sum())
         rel_p = _norm(residual_p) / (1.0 + norm_f0)
-        rel_d = _norm(residual_d) / (1.0 + norm_c)
+        rel_d = _norm(residual_d) / (1.0 + norm_c + _norm(big_x))
         rel_gap = abs(gap) / (1.0 + abs(p_obj) + abs(d_obj))
         history.append(gap)
 
@@ -560,6 +595,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
         schur = _schur(f, blocks, zinv, big_x)
         schur = 0.5 * (schur + schur.T)
         schur_factor = _psd_factor(schur, 1e-13)
+        if schur_factor is not None:
+            schur_inverses = _block_inverses(schur_factor)
         zinv_rx = zinv @ (residual_p @ big_x)
 
         def direction(c_target):
@@ -571,7 +608,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
             if schur_factor is None:
                 dz = np.linalg.lstsq(schur, rhs, rcond=None)[0]
             else:
-                dz = _tri_solve(schur_factor, _tri_solve(schur_factor, rhs), transpose=True)
+                half = _tri_solve(schur_factor, schur_inverses, rhs)
+                dz = _tri_solve(schur_factor, schur_inverses, half, transpose=True)
             moved = f.combine(dz)
             # sum_j dz_j K_j = Z^-1 (sum_j dz_j F_j) X
             d_big_x = w - zinv @ moved @ big_x

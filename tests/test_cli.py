@@ -18,7 +18,7 @@ import pytest
 import corpus
 import thetabody
 from thetabody import __version__, geomexact
-from thetabody.cli import main
+from thetabody.cli import _digest, main
 from thetabody.exactalg import PointSet
 from thetabody.momentsdp import SdpProblem
 
@@ -548,6 +548,25 @@ MALFORMED = {
         '{"side": 1, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
         '"coeffs": {"0": 1, "1": true}}]}',
     ),
+    # a cell index that int() would read as 1, then the cell it would have
+    # been, and a cell listed twice: each silently replaced an entry
+    "sdp-bool-cell": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": 2, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1}}, {"row": true, "col": 1, "coeffs": {"1": 1}}, '
+        '{"row": 1, "col": 1, "coeffs": {"0": 1}}]}',
+    ),
+    "sdp-bool-side": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": true, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1, "1": 1}}]}',
+    ),
+    "sdp-cell-twice": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": 2, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1}}, {"row": 0, "col": 1, "coeffs": {"1": 1}}, '
+        '{"row": 0, "col": 1, "coeffs": {"1": 2}}, {"row": 1, "col": 1, "coeffs": {"0": 1}}]}',
+    ),
     # the path 1-2-3 with edge (1, 2) weighted twice
     "weights-twice": (
         ["theta", "--graph", "{bad}", "--model", "cut", "--weights", '{"1,2": 1, "2,1": 5, "2,3": 1}'],
@@ -671,6 +690,8 @@ SOLVER_SIDE = {"numpy", "thetabody.sdpsolve", "thetabody.combopt"}
 GEOMETRY = {"thetabody.geomexact", "thetabody.quadrics"}
 # @dataclass imports inspect, about 6 ms of a cold start; numpy loads both
 INTROSPECTION = {"dataclasses", "inspect"}
+# hashlib's OpenSSL backend: input digests use the builtin SHA-256
+OPENSSL = {"_hashlib"}
 
 
 def _fresh_process(files, script, argv=()):
@@ -688,23 +709,25 @@ def _fresh_process(files, script, argv=()):
 @pytest.mark.parametrize(
     "argv, code, absent",
     [
-        ((), 0, SOLVER_SIDE | GEOMETRY | INTROSPECTION),
-        (("exactness", "--points", "square"), 0, {"numpy"} | INTROSPECTION),
-        (("classify01", "--dim", "2"), 0, {"numpy"} | INTROSPECTION),
-        (("moment-dump", "--points", "square"), 0, {"numpy"} | INTROSPECTION),
-        (("theta", "--graph", "c5"), 0, GEOMETRY),
-        # numpy loads at the first SDP solve: th1 queries decided exactly
-        # and inputs rejected before the solve never load it
+        ((), 0, SOLVER_SIDE | GEOMETRY | INTROSPECTION | OPENSSL),
+        (("exactness", "--points", "square"), 0, {"numpy"} | INTROSPECTION | OPENSSL),
+        (("classify01", "--dim", "2"), 0, {"numpy"} | INTROSPECTION | OPENSSL),
+        (("moment-dump", "--points", "square"), 0, {"numpy"} | INTROSPECTION | OPENSSL),
+        (("theta", "--graph", "c5"), 0, GEOMETRY | OPENSSL),
+        # numpy loads at the first SDP solve, and momentsdp where a section
+        # SDP is built: th1 queries decided exactly and inputs rejected
+        # before the solve load neither
         (("th1", "--points", "circle10", "--query", "1,1"), 0,
-         {"numpy", "thetabody.sdpsolve"} | INTROSPECTION),
+         {"numpy", "thetabody.sdpsolve", "thetabody.momentsdp"} | INTROSPECTION | OPENSSL),
         (("th1", "--gens", "circle", "--query=-1/2,3/4"), 0,
-         {"numpy", "thetabody.sdpsolve"} | INTROSPECTION),
-        (("solve", "--sdp", "nan-sdp"), 2, {"numpy", "thetabody.sdpsolve"} | INTROSPECTION),
+         {"numpy", "thetabody.sdpsolve", "thetabody.momentsdp"} | INTROSPECTION | OPENSSL),
+        (("solve", "--sdp", "nan-sdp"), 2,
+         {"numpy", "thetabody.sdpsolve"} | INTROSPECTION | OPENSSL),
         (("theta", "--graph", "bad-graph"), 2,
-         {"numpy", "thetabody.sdpsolve"} | GEOMETRY | INTROSPECTION),
+         {"numpy", "thetabody.sdpsolve"} | GEOMETRY | INTROSPECTION | OPENSSL),
         # a malformed query is rejected before the quadric space is built
         (("th1", "--points", "quad4", "--query", "1,oops"), 2,
-         SOLVER_SIDE | GEOMETRY | INTROSPECTION),
+         SOLVER_SIDE | GEOMETRY | INTROSPECTION | OPENSSL),
     ],
     ids=["import", "exactness", "classify01", "moment-dump", "theta",
          "th1-points-exact", "th1-gens-exact", "solve-invalid", "theta-invalid",
@@ -732,8 +755,32 @@ def test_solver_options_resolve_without_numpy(files):
         "print(json.dumps(sorted(sys.modules)))\n"
     )
     modules = _fresh_process(files, script)
-    assert "thetabody.momentsdp" in modules
+    assert "thetabody.options" in modules
+    assert "thetabody.momentsdp" not in modules
     assert SOLVER_SIDE.isdisjoint(modules)
+
+
+def test_digest_matches_hashlib(files, tmp_path):
+    """The builtin SHA-256 of _digest gives hashlib's hex digest, on every
+    fixture, an empty file and one of many 64-byte blocks."""
+    (tmp_path / "empty").write_bytes(b"")
+    (tmp_path / "long").write_bytes(bytes(range(256)) * 1001)
+    paths = [*files.values(), tmp_path / "empty", tmp_path / "long"]
+    for path in paths:
+        assert _digest(str(path)) == hashlib.sha256(path.read_bytes()).hexdigest(), path
+
+
+def test_digest_falls_back_to_hashlib(files):
+    """An interpreter built without the builtin hashes digests through hashlib."""
+    script = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from thetabody.cli import _digest, _sha256\n"
+        "print(json.dumps([_sha256.__module__, _digest(sys.argv[1])]))\n"
+    )
+    module, digest = _fresh_process(files, script, ["c5"])
+    assert module == "_hashlib"
+    assert digest == hashlib.sha256(files["c5"].read_bytes()).hexdigest()
 
 
 def test_package_names_resolve_to_their_home_objects():

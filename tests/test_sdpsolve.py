@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -26,6 +27,7 @@ from thetabody.quadrics import quadric_space_from_points, th1_membership
 from thetabody.sdpsolve import (
     SdpSolution,
     SolverOptions,
+    _block_inverses,
     _centering_weight,
     _min_eig,
     _min_eig_at_least,
@@ -489,7 +491,7 @@ def test_tri_solve_matches_dense_solve(n, transpose):
     factor = np.linalg.cholesky(a @ a.T + n * np.eye(n))
     rhs = rng.standard_normal(n)
     expected = np.linalg.solve(factor.T if transpose else factor, rhs)
-    got = _tri_solve(factor, rhs, transpose=transpose)
+    got = _tri_solve(factor, _block_inverses(factor), rhs, transpose=transpose)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -530,15 +532,38 @@ def test_sphere_overflow_points_level_two():
 
 
 def test_sphere_overflow_level_two_stays_optimal():
-    # A knife edge: side 9, 13 free coordinates, Optimal at iteration 13 with
-    # rel_d just under feas_tol.  ||X|| is about 1.2e3, so <F_i, X> rounds at
-    # about 4e-8; a change in the last bits of the iteration (np.vdot for the
-    # inner products, or one batched inverse for the triangular solves) sent
-    # it to NearOptimal after 200 iterations.
+    # Side 9, 13 free coordinates, ||X|| about 1.2e3, so <F_i, X> rounds at
+    # about 4e-8.  While rel_d was scaled by 1 + ||c|| only, that rounding
+    # floor sat just under feas_tol: the run ended Optimal at iteration 13,
+    # and a change in the last bits of the iteration (np.vdot for the inner
+    # products, or one batched inverse for the triangular solves) sent it to
+    # NearOptimal after 200 iterations.  rel_d is now scaled by ||X|| too.
     problem = _theta_sdp(PointSet(3, corpus.SPHERE_OVERFLOW), 2, (-1, 3, -1))
     assert (problem.side, problem.y_dim - len(problem.fixed)) == (9, 13)
     sol = solve(problem)
     assert sol.status == "Optimal" and sol.iterations <= 13
+
+
+@pytest.mark.parametrize("toward", [math.inf, -math.inf])
+@pytest.mark.parametrize("coordinate", [1, 2, 3])
+def test_sphere_overflow_level_two_survives_one_ulp(coordinate, toward):
+    # One objective coefficient moved by one unit in the last place: with
+    # rel_d scaled by 1 + ||c|| only, three of these six took 16, 20 and 93
+    # iterations.
+    problem = _theta_sdp(PointSet(3, corpus.SPHERE_OVERFLOW), 2, (-1, 3, -1))
+    problem.objective[coordinate] = math.nextafter(problem.objective[coordinate], toward)
+    sol = solve(problem)
+    assert sol.status == "Optimal" and sol.iterations <= 13
+
+
+def test_sweep_draw_281_is_optimal_at_level_two():
+    # 7 points in R^3: the level-2 SDP converges to 8.3333 with min_eig
+    # 1e-13, but ||X|| is large enough that a dual residual scaled by
+    # 1 + ||c|| alone never fell under feas_tol, and it ended IterLimit.
+    points, _, objective = next(itertools.islice(_sweep_draws(), 281, None))
+    sol = solve(_theta_sdp(points, 2, objective))
+    assert sol.status == "Optimal"
+    assert abs(sol.objective - 25 / 3) <= 1e-6
 
 
 def test_centering_weight_clamps_before_cubing():
