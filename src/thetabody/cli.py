@@ -392,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     classify = subs.add_parser(
         "classify01", help="affine classes of full-dimensional 0/1 sets"
     )
-    classify.add_argument("--dim", type=int, required=True, help="cube dimension (1-3)")
+    classify.add_argument("--dim", type=int, required=True, help="cube dimension (1-4)")
     classify.set_defaults(run=_cmd_classify01)
 
     th1 = subs.add_parser(

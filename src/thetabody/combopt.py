@@ -28,11 +28,12 @@ for stable sets, those that keep each edge's exact weight for cuts.  The
 SDP, and the solver's starting point, are invariant under the group, so in
 exact arithmetic every iterate is too, and restricting y to the fixed
 subspace changes only rounding.  The group comes as a strong generating set
-over base points 1..n: for each base point, a backtracking search with
-colour (degree) refinement finds one automorphism per point missing from
-its orbit under the generators found so far.  The search stops after
-MAX_SEARCH_NODES consistency tests and keeps what it found; a subgroup has
-finer orbits, so results stay exact, only the reduced SDP is larger.
+over base points 1..n: for each base point, the backtracking search with
+colour refinement of the symmetry module finds one automorphism per point
+missing from its orbit under the generators found so far.  The search stops
+after MAX_SEARCH_NODES consistency tests and keeps what it found; a subgroup
+has finer orbits, so results stay exact, only the reduced SDP is larger, and
+the report's groupComplete says the order is a subgroup's.
 Vertex permutations act on stable sets directly and on odd-cycle-free edge
 sets through the edges they induce; union-find over that action numbers the
 orbits of the y-coordinates by least member, so a trivial group maps every
@@ -61,6 +62,7 @@ from .momentsdp import (
     template_from_products,
 )
 from .options import SolverOptions
+from .symmetry import MAX_SEARCH_NODES, _AutomorphismSearch, _orbit
 
 if TYPE_CHECKING:
     from .sdpsolve import SdpSolution
@@ -337,143 +339,18 @@ def moment_template(basis: CombBasis, k: int) -> MomentTemplate:
     )
 
 
-# Consistency tests the automorphism search may make for one graph.  Past it
-# the generators found so far are kept (a subgroup: finer orbits, same
-# results, a larger SDP).
-MAX_SEARCH_NODES = 20000
-
-
-def _refined_colors(nbrs: List[Dict[int, int]]) -> List[int]:
-    """Colour refinement of a weighted graph: vertices get equal colours
-    until their multisets of (edge weight, neighbour colour) tell them apart.
-    Every weight-preserving automorphism keeps the colours."""
-    colors = [0] * len(nbrs)
-    count = 1
-    while True:
-        signatures = [
-            (colors[v], tuple(sorted((w, colors[u]) for u, w in nbrs[v].items())))
-            for v in range(len(nbrs))
-        ]
-        rank = {s: r for r, s in enumerate(sorted(set(signatures)))}
-        colors = [rank[s] for s in signatures]
-        if len(rank) == count:
-            return colors
-        count = len(rank)
-
-
-class _AutomorphismSearch:
-    """Backtracking for weight-preserving vertex permutations (0-based)."""
-
-    def __init__(self, nbrs: List[Dict[int, int]], budget: int):
-        self.nbrs = nbrs
-        self.colors = _refined_colors(nbrs)
-        self.cells: Dict[int, List[int]] = {}
-        for v, c in enumerate(self.colors):
-            self.cells.setdefault(c, []).append(v)
-        self.budget = budget
-        self.spent = False
-        self._orders: Dict[int, List[int]] = {}
-
-    def _order(self, i: int) -> List[int]:
-        """Vertices i+1..n-1 in extension order once 0..i are mapped: next
-        the one with most mapped neighbours (its image is most constrained),
-        the least such vertex on ties."""
-        if i not in self._orders:
-            hits = [0] * len(self.nbrs)
-            for v in range(i + 1):
-                for u in self.nbrs[v]:
-                    hits[u] += 1
-            rest = set(range(i + 1, len(self.nbrs)))
-            order = []
-            while rest:
-                v = max(rest, key=lambda v: (hits[v], -v))
-                rest.remove(v)
-                order.append(v)
-                for u in self.nbrs[v]:
-                    hits[u] += 1
-            self._orders[i] = order
-        return self._orders[i]
-
-    def candidates(self, v: int, image: List[int]) -> List[int]:
-        """Vertices of v's colour next to the image of v's first mapped
-        neighbour, or all of v's colour if it has none."""
-        for u in self.nbrs[v]:
-            if image[u] >= 0:
-                c = self.colors[v]
-                return sorted(x for x in self.nbrs[image[u]] if self.colors[x] == c)
-        return self.cells[self.colors[v]]
-
-    def _fits(self, v: int, w: int, image: List[int], pre: List[int]) -> bool:
-        """Can v map to the free vertex w, given the vertices mapped so far?"""
-        self.budget -= 1
-        if self.budget < 0:
-            self.spent = True
-            return False
-        mapped = 0
-        for u, weight in self.nbrs[v].items():
-            if image[u] >= 0:
-                if self.nbrs[w].get(image[u]) != weight:
-                    return False
-                mapped += 1
-        return mapped == sum(1 for x in self.nbrs[w] if pre[x] >= 0)
-
-    def find(self, i: int, j: int) -> Optional[List[int]]:
-        """An automorphism fixing 0..i-1 and mapping i to j (one of
-        candidates(i, ...) with 0..i-1 fixed), or None."""
-        n = len(self.nbrs)
-        image = list(range(i)) + [-1] * (n - i)
-        pre = list(range(i)) + [-1] * (n - i)
-        if not self._fits(i, j, image, pre):
-            return None
-        image[i], pre[j] = j, i
-        order = self._order(i)
-        tries = [iter(())] * len(order)
-        depth = 0
-        if order:
-            tries[0] = iter(self.candidates(order[0], image))
-        while depth < len(order):
-            v = order[depth]
-            w = next(
-                (w for w in tries[depth] if pre[w] < 0 and self._fits(v, w, image, pre)),
-                None,
-            )
-            if self.spent:
-                return None
-            if w is None:
-                depth -= 1
-                if depth < 0:
-                    return None
-                pre[image[order[depth]]] = -1
-                image[order[depth]] = -1
-                continue
-            image[v], pre[w] = w, v
-            depth += 1
-            if depth < len(order):
-                tries[depth] = iter(self.candidates(order[depth], image))
-        return image
-
-
-def _orbit(point: int, generators: List[List[int]]) -> set:
-    orbit, todo = {point}, [point]
-    while todo:
-        p = todo.pop()
-        for g in generators:
-            if g[p] not in orbit:
-                orbit.add(g[p])
-                todo.append(g[p])
-    return orbit
-
-
 def automorphism_group(
     graph: Graph, weights: Optional[List[Fraction]] = None
-) -> Tuple[List[List[int]], int]:
-    """Strong generators and order of the graph's automorphism group.
+) -> Tuple[List[List[int]], int, bool]:
+    """Strong generators and order of the graph's automorphism group, and
+    whether the search finished.
 
     With weights (parallel to graph.edges) only permutations that keep every
     edge's exact weight count.  A generator g maps vertex v to g[v-1] + 1.
     Base points are 1..n; the order is the product of the basic orbit
     lengths.  Past MAX_SEARCH_NODES consistency tests the search stops: the
-    generators found so far generate a subgroup, whose order is returned.
+    generators found so far generate a subgroup, whose order is returned,
+    and the flag is False.
     """
     weights = weights or [Fraction(1)] * graph.m
     # equal weights get equal small ints, which hash and compare faster
@@ -497,9 +374,9 @@ def automorphism_group(
                 generators.append(g)
                 orbit = _orbit(i, generators)
             elif search.spent:
-                return generators, order * len(orbit)
+                return generators, order * len(orbit), False
         order *= len(orbit)
-    return generators, order
+    return generators, order, True
 
 
 def coordinate_orbits(
@@ -540,7 +417,7 @@ class ThetaResult:
 
     def __init__(self, value: float, x: List[float], status: str, level: int, kind: str,
                  solution: SdpSolution, template: MomentTemplate, group_order: int,
-                 y_orbits: int):
+                 group_complete: bool, y_orbits: int):
         self.value = value
         self.x = x
         self.status = status
@@ -549,6 +426,7 @@ class ThetaResult:
         self.solution = solution
         self.template = template
         self.group_order = group_order
+        self.group_complete = group_complete
         self.y_orbits = y_orbits
 
     def to_json(self) -> dict:
@@ -561,6 +439,7 @@ class ThetaResult:
             "matrixSide": self.template.side,
             "yDim": self.template.y_dim,
             "groupOrder": self.group_order,
+            "groupComplete": self.group_complete,
             "yOrbits": self.y_orbits,
         }
 
@@ -575,7 +454,7 @@ def _theta(
     """Solve the level-k relaxation of a linear objective over the basis,
     over the orbits of the automorphisms that keep the edge weights."""
     template = moment_template(basis, k)
-    generators, group_order = automorphism_group(basis.graph, weights)
+    generators, group_order, group_complete = automorphism_group(basis.graph, weights)
     orbit = coordinate_orbits(basis, template.y_dim, generators)
     problem = build_theta_sdp(template, objective, orbit)
     sol = solve(problem, options)
@@ -593,6 +472,7 @@ def _theta(
         solution=sol,
         template=template,
         group_order=group_order,
+        group_complete=group_complete,
         y_orbits=problem.y_dim - len(problem.fixed),
     )
 

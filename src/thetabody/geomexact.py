@@ -18,11 +18,17 @@ distinct values of its linear functional on the set.  Two-level sets are
 exactly the ones whose first theta relaxation already equals the convex hull,
 and max(levels - 1) over the facets bounds the level at which the hierarchy
 closes.  Consequences checked here: two-level sets in affine dimension d have
-at most 2^d facets and at most 2^d vertices, full-dimensional subsets of the
-0/1 cube in dimension <= 3 fall into finitely many affine-equivalence classes
-(classify_01 computes them), and a down-closed 0/1 family is two-level if and
-only if it is the family of stable sets of the graph it reconstructs and that
-graph's clique inequalities give all the non-trivial facets.
+at most 2^d facets and at most 2^d vertices, and a down-closed 0/1 family is
+two-level if and only if it is the family of stable sets of the graph it
+reconstructs and that graph's clique inequalities give all the non-trivial
+facets.
+
+classify_01 sorts the full-dimensional subsets of the 0/1 cube in dimension
+d <= 4 into affine-equivalence classes.  Two sets are equivalent exactly when
+their slack graphs are isomorphic: the complete bipartite graphs between
+points and facets whose edge weights are the facets' slacks, each facet row
+divided by its gcd.  The search for the isomorphism is the symmetry module's,
+which combopt uses for graph automorphisms.
 """
 
 from __future__ import annotations
@@ -345,34 +351,52 @@ def facet_vertex_report(
 # classification of full-dimensional 0/1 point sets up to affine equivalence
 
 
-def _affinely_equivalent(s_pts: List[tuple], t_pts: List[tuple], d: int) -> bool:
-    """Exact test for an invertible affine map carrying one set onto the other."""
-    if len(s_pts) != len(t_pts):
-        return False
-    inverse = _affine_frame(s_pts)[1].inverse()
-    # the barycentric coordinates of s_pts and the points of t_pts, times den
-    den = lcm(*(wd for _, wd in inverse))
-    coords = [
-        tuple(den // wd * sum(w * (x - y) for w, x, y in zip(row, p, s_pts[0]))
-              for row, wd in inverse)
-        for p in s_pts
+def _slack_rows(pts, facet_list: List[FacetInequality]) -> List[Tuple[int, ...]]:
+    """Each facet's slacks offset - normal . p over the integer points, as a
+    primitive integer row (each offset is some normal . p, an integer)."""
+    return [
+        _primitive([f.offset.numerator - sum(a * x for a, x in zip(f.normal, p)) for p in pts])
+        for f in facet_list
     ]
-    t_set = {tuple(den * x for x in q) for q in t_pts}
-    for target in itertools.permutations(t_pts, d + 1):
-        t0 = target[0]
-        image = set()
-        ok = True
-        for lam in coords:
-            q = tuple(
-                den * t0[j] + sum(lam[k] * (target[k + 1][j] - t0[j]) for k in range(d))
-                for j in range(d)
-            )
-            if q not in t_set:
-                ok = False
-                break
-            image.add(q)
-        if ok and len(image) == len(t_set):
+
+
+def _slack_equivalent(s_slacks: List[Tuple[int, ...]], t_slacks: List[Tuple[int, ...]]) -> bool:
+    """Whether an invertible affine map carries one full-dimensional point set
+    onto the other, given each set's facet slack rows from _slack_rows.
+
+    An affine map carries facets to facets and scales each facet's slacks by
+    a positive factor, which the primitive rows divide out.  Conversely, the
+    slack matrix of a full-dimensional set is [1 | points] times the facets'
+    (offset, -normal) columns, which have full row rank, so its columns span
+    the same space as [1 | points].  Slack matrices equal up to permuting
+    points and facets and scaling each facet's slacks give [1 | Q] = pi [1 | P] G
+    for a point permutation pi and an invertible G; both first columns are
+    all ones, so G's first column is e_0, and that is an affine map.
+
+    The two slack graphs (point p joined to facet f by weight slack + 1) go
+    into one graph, the first set's vertices first.  Each side is connected
+    and bipartite, so an automorphism that maps the first set's point 0 onto
+    a point of the second maps points onto points and facets onto facets.
+    """
+    # loaded here: exactness, which never compares two sets, skips it
+    from .symmetry import MAX_SEARCH_NODES, _AutomorphismSearch
+
+    nbrs: List[Dict[int, int]] = []
+    for rows in (s_slacks, t_slacks):
+        start, n = len(nbrs), len(rows[0])
+        nbrs += [{} for _ in range(n + len(rows))]
+        for f, row in enumerate(rows, start + n):
+            for p, slack in enumerate(row, start):
+                nbrs[p][f] = nbrs[f][p] = slack + 1
+    search = _AutomorphismSearch(nbrs, MAX_SEARCH_NODES)
+    second = len(s_slacks[0]) + len(s_slacks)
+    for j in search.candidates(0, [-1] * len(nbrs)):
+        if second <= j < second + len(t_slacks[0]) and search.find(0, j) is not None:
             return True
+        if search.spent:
+            raise ResourceLimitError(
+                f"affine equivalence undecided after {MAX_SEARCH_NODES} consistency tests"
+            )
     return False
 
 
@@ -416,6 +440,7 @@ def _class_geometry(pts: Tuple[Tuple[int, ...], ...]):
         vcount,
         report.exact,
         report.rank_bound,
+        report.facets,
     )
 
 
@@ -423,12 +448,13 @@ def classify_01(d: int) -> List[ZeroOneClass]:
     """Affine-equivalence classes of full-dimensional subsets of {0,1}^d.
 
     Subsets are first reduced modulo the symmetries of the cube (coordinate
-    permutations and flips), then merged under general invertible affine maps;
-    each class reports its hull statistics and two-level status.  Supported
-    for d <= 3 (255 subsets of the 3-cube); larger d is refused.
+    permutations and flips), then merged under general invertible affine maps
+    by _slack_equivalent; each class reports its hull statistics and two-level
+    status.  Supported for d <= 4 (65,535 subsets of the 4-cube); larger d is
+    refused, as the orbit union-find walks all 2^(2^d) masks.
     """
-    if d < 1 or d > 3:
-        raise InputError("classification is supported for dimensions 1..3")
+    if d < 1 or d > 4:
+        raise InputError("classification is supported for dimensions 1..4")
     verts = list(itertools.product((0, 1), repeat=d))
     vindex = {v: i for i, v in enumerate(verts)}
     # the cube group is generated by swapping the first two coordinates,
@@ -472,7 +498,8 @@ def classify_01(d: int) -> List[ZeroOneClass]:
         for a, b in itertools.combinations(members, 2):
             if _find(parent, a) == _find(parent, b):
                 continue
-            if _affinely_equivalent(list(rep_points[a]), list(rep_points[b]), d):
+            if _slack_equivalent(_slack_rows(rep_points[a], geometry[a][5]),
+                                 _slack_rows(rep_points[b], geometry[b][5])):
                 parent[_find(parent, b)] = _find(parent, a)
 
     classes: Dict[int, List[int]] = {}
@@ -483,7 +510,7 @@ def classify_01(d: int) -> List[ZeroOneClass]:
     for root, members in classes.items():
         lead = min(members)
         pts = rep_points[lead]
-        fc, _levels, vc, exact, bound = geometry[lead]
+        fc, _levels, vc, exact, bound, _facets = geometry[lead]
         out.append(
             ZeroOneClass(
                 dim=d,

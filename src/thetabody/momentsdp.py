@@ -274,6 +274,12 @@ class SdpProblem:
                 raise InputError(f"{what} must be an integer, not {value!r}")
             return int(value)
 
+        def index(key) -> int:
+            # int() would read "1_0" as 10 and " 1" as 1
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                raise InputError(f"a y-index must be a decimal integer, not {key!r}")
+            return int(key)
+
         try:
             cells = {}
             for entry in obj["cells"]:
@@ -281,7 +287,7 @@ class SdpProblem:
                 if key in cells:
                     raise InputError(f"cell {key} is listed twice")
                 cells[key] = {
-                    int(l): to_float(c)
+                    index(l): to_float(c)
                     for l, c in entry["coeffs"].items()
                 }
             return SdpProblem(
@@ -289,11 +295,11 @@ class SdpProblem:
                 y_dim=integer(obj["yDim"], "yDim"),
                 cells=cells,
                 objective={
-                    int(l): to_float(c)
+                    index(l): to_float(c)
                     for l, c in obj.get("objective", {}).items()
                 },
                 fixed={
-                    int(l): to_float(c)
+                    index(l): to_float(c)
                     for l, c in obj.get("fixed", {"0": 1.0}).items()
                 },
                 y_labels=obj.get("labels"),

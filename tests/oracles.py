@@ -183,6 +183,44 @@ def facet_levels_by_fraction_scan(normal, points):
     return offset, tuple(sorted(set(raw))), tuple(i for i, v in enumerate(raw) if v == offset)
 
 
+def affinely_equivalent_by_tuples(s_pts, t_pts, d):
+    """Whether an invertible affine map carries the full-dimensional integer
+    point set s_pts onto t_pts, by trying every (d+1)-tuple of t_pts as the
+    image of an affine frame of s_pts: P(n, d+1) tuples.
+
+    The test geomexact.classify_01 made before it searched slack graphs.
+    """
+    from thetabody.geomexact import _affine_frame
+
+    if len(s_pts) != len(t_pts):
+        return False
+    inverse = _affine_frame(s_pts)[1].inverse()
+    # the barycentric coordinates of s_pts and the points of t_pts, times den
+    den = math.lcm(*(wd for _, wd in inverse))
+    coords = [
+        tuple(den // wd * sum(w * (x - y) for w, x, y in zip(row, p, s_pts[0]))
+              for row, wd in inverse)
+        for p in s_pts
+    ]
+    t_set = {tuple(den * x for x in q) for q in t_pts}
+    for target in itertools.permutations(t_pts, d + 1):
+        t0 = target[0]
+        image = set()
+        ok = True
+        for lam in coords:
+            q = tuple(
+                den * t0[j] + sum(lam[k] * (target[k + 1][j] - t0[j]) for k in range(d))
+                for j in range(d)
+            )
+            if q not in t_set:
+                ok = False
+                break
+            image.add(q)
+        if ok and len(image) == len(t_set):
+            return True
+    return False
+
+
 def facets_by_subset_scan(points):
     """All facets of conv(points) by the exhaustive d-subset hyperplane scan.
 

@@ -561,6 +561,22 @@ MALFORMED = {
         '{"side": true, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
         '"coeffs": {"0": 1, "1": 1}}]}',
     ),
+    # int() would read these y-indices as 10, 1 and 1
+    "sdp-index-underscore": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": 1, "yDim": 11, "objective": {"1_0": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1}}]}',
+    ),
+    "sdp-index-space": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": 1, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1, " 1": 1}}]}',
+    ),
+    "sdp-index-plus": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": 1, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1, "1": 1}}], "fixed": {"+0": 1}}',
+    ),
     "sdp-cell-twice": (
         ["solve", "--sdp", "{bad}"],
         '{"side": 2, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
@@ -710,8 +726,11 @@ def _fresh_process(files, script, argv=()):
     "argv, code, absent",
     [
         ((), 0, SOLVER_SIDE | GEOMETRY | INTROSPECTION | OPENSSL),
-        (("exactness", "--points", "square"), 0, {"numpy"} | INTROSPECTION | OPENSSL),
-        (("classify01", "--dim", "2"), 0, {"numpy"} | INTROSPECTION | OPENSSL),
+        # exactness needs no symmetry search, classify01 no graph model
+        (("exactness", "--points", "square"), 0,
+         {"numpy", "thetabody.symmetry"} | INTROSPECTION | OPENSSL),
+        (("classify01", "--dim", "2"), 0,
+         {"numpy", "thetabody.combopt", "thetabody.momentsdp"} | INTROSPECTION | OPENSSL),
         (("moment-dump", "--points", "square"), 0, {"numpy"} | INTROSPECTION | OPENSSL),
         (("theta", "--graph", "c5"), 0, GEOMETRY | OPENSSL),
         # numpy loads at the first SDP solve, and momentsdp where a section

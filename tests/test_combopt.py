@@ -444,7 +444,7 @@ def test_trivial_group_hands_solve_the_unreduced_problem(monkeypatch):
     monkeypatch.setattr(combopt, "solve", capture)
     for graph, model, weights, k in cases:
         enumerate_basis, objective, w = _model(graph, model, weights)
-        assert automorphism_group(graph, w) == ([], 1)
+        assert automorphism_group(graph, w) == ([], 1, True)
         r = _relax(graph, model, weights, k)
         assert r.group_order == 1 and r.y_orbits == r.template.y_dim - 1
         expected = build_theta_sdp(moment_template(enumerate_basis(graph, 2 * k), k), objective)
@@ -470,8 +470,8 @@ def test_trivial_group_hands_solve_the_unreduced_problem(monkeypatch):
 )
 def test_automorphism_group_orders(graph, weights, order):
     w = None if weights is None else [Fraction(x) for x in weights]
-    generators, got = automorphism_group(graph, w)
-    assert got == order
+    generators, got, complete = automorphism_group(graph, w)
+    assert got == order and complete
     weight = {e: (1 if w is None else w[i]) for i, e in enumerate(graph.edges)}
     for g in generators:
         assert sorted(g) == list(range(graph.n))
@@ -491,6 +491,8 @@ def test_search_budget_keeps_values(monkeypatch, graph, model, k):
     monkeypatch.setattr(combopt, "MAX_SEARCH_NODES", 1)
     cut = _relax(graph, model, None, k)
     assert cut.group_order < full.group_order
+    assert full.to_json()["groupComplete"] is True
+    assert cut.to_json()["groupComplete"] is False
     assert cut.y_orbits > full.y_orbits
     assert abs(cut.value - full.value) <= 1e-9 * abs(full.value)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -391,7 +392,7 @@ def test_classify_01_low_dimensions():
     assert all(c.exact for c in two)
     assert [c.size for c in two] == [3, 4]
     with pytest.raises(InputError):
-        classify_01(4)
+        classify_01(5)
     with pytest.raises(InputError):
         classify_01(0)
 
@@ -418,6 +419,71 @@ def test_classify_01_dimension_three_frozen():
     # every full-dimensional subset of the 3-cube is accounted for
     assert sum(c.subset_count for c in classes) == 151
     assert all(c.rank_bound == 2 for c in classes if not c.exact)
+
+
+def test_classify_01_dimension_four():
+    # Bohn et al. (MPC 2019) count 19 two-level classes in the 4-cube; 202
+    # classes in all is what the tuple search of the oracles found
+    start = time.perf_counter()
+    classes = classify_01(4)
+    assert time.perf_counter() - start < 10.0
+    assert len(classes) == 202
+    assert sum(c.exact for c in classes) == 19
+    assert sum(c.subset_count for c in classes) == 60879
+
+
+def _unimodular_image(pts, rng):
+    """The points under a random integer map of determinant +-1 (three
+    shears and a coordinate permutation) and an integer shift, shuffled."""
+    d = len(pts[0])
+    matrix = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(3):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        matrix[i] = [a + c * b for a, b in zip(matrix[i], matrix[j])]
+    rng.shuffle(matrix)
+    shift = [rng.randint(-2, 2) for _ in range(d)]
+    image = [
+        tuple(sum(a * x for a, x in zip(row, p)) + s for row, s in zip(matrix, shift))
+        for p in pts
+    ]
+    rng.shuffle(image)
+    return image
+
+
+@pytest.mark.parametrize(
+    "d, sizes, draws, negatives",
+    [(3, range(4, 9), 30, 0), (4, range(5, 8), 12, 0), (4, [8], 36, 3)],
+    ids=["d3", "d4-small", "d4-eight"],
+)
+def test_slack_equivalence_matches_tuple_search(d, sizes, draws, negatives):
+    """The slack-graph decision agrees with the P(n, d+1) tuple search on the
+    pairs classify_01 decides: random full-dimensional cube subsets of one
+    size with equal facet count, facet levels and vertex count, the second
+    moved by a unimodular map that is no cube symmetry in general.  In the
+    3-cube these invariants already separate the classes; in the 4-cube
+    they first fail to at 8 points."""
+    rng = random.Random(26 + d)
+    cube = list(itertools.product((0, 1), repeat=d))
+    seen = {True: 0, False: 0}
+    for size in sizes:
+        keyed = []
+        for pts in (rng.sample(cube, size) for _ in range(draws)):
+            if affine_dimension(pts) == d:
+                geo = geomexact._class_geometry(tuple(pts))
+                keyed.append((geo[:3], pts, geo[5]))
+        keyed.sort(key=lambda entry: entry[:2])
+        for (s_key, s, s_facets), (t_key, t, _) in zip(keyed, keyed[1:]):
+            if s_key != t_key:
+                continue
+            t = _unimodular_image(t, rng)
+            expected = oracles.affinely_equivalent_by_tuples(s, t, d)
+            got = geomexact._slack_equivalent(
+                geomexact._slack_rows(s, s_facets), geomexact._slack_rows(t, facets(t))
+            )
+            assert got == expected, (s, t)
+            seen[expected] += 1
+    assert seen[True] >= 10 and seen[False] >= negatives
 
 
 def test_classify_01_matches_subset_scan_facets(monkeypatch):
