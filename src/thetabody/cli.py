@@ -32,9 +32,10 @@ subcommand loads hashlib's OpenSSL backend (about 3.7 MB of resident memory
 and 5 ms of a cold process).
 No class is a `@dataclass`: that module imports `inspect` and compiles
 each class's methods at import, 10 to 15 ms of a cold process that loads no
-numpy, more than the exact work of a typical `exactness` run.  Classes write
-their `__init__` by hand, and the immutable value types derive from
-`exactalg._Frozen`.
+numpy, more than the exact work of a typical `exactness` run.  The result
+types derive from `exactalg._Record`, which reads each class's field list
+for `__init__` and `to_json`, and the immutable value types from its
+subclass `exactalg._Frozen`; neither base loads or generates any code.
 """
 
 from __future__ import annotations
@@ -87,13 +88,15 @@ def _emit(report: dict, summary: str, started: float) -> None:
 
 
 def _read_json(path: str, what: str):
-    """The JSON value in a UTF-8 file; a file that cannot be read or decoded
-    is an InputError that names it."""
+    """The JSON value in a UTF-8 file; a file that cannot be read, decoded or
+    parsed is an InputError that names it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _report_skeleton(subcommand: str, digests: Dict[str, str], parameters: dict) -> dict:
@@ -451,9 +454,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 4
     except OSError as exc:  # a missing or unreadable file, met by _digest
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 2
     except ThetaBodyError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)

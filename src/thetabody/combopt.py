@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .exactalg import Monomial, _find, _Frozen, parse_rational
+from .exactalg import Monomial, _find, _Frozen, _Record, parse_rational
 from .momentsdp import (
     MomentTemplate,
     SdpProblem,
@@ -84,6 +84,8 @@ def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSo
 class Graph(_Frozen):
     """Simple undirected graph on vertices 1..n with sorted edge pairs."""
 
+    _fields = ("n", "edges")
+
     def __init__(self, n: int, edges):
         try:
             n = int(n)
@@ -107,9 +109,6 @@ class Graph(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(normalized))
 
-    def _key(self) -> tuple:
-        return (self.n, self.edges)
-
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -120,9 +119,6 @@ class Graph(_Frozen):
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
     @staticmethod
     def from_json(obj) -> "Graph":
@@ -182,22 +178,16 @@ class Graph(_Frozen):
         return Graph.from_dimacs(text)
 
 
-class CombBasis:
+class CombBasis(_Record):
     """A subset-closed family of ground-element sets, sorted by size then lex.
 
     kind is StableSets (ground = vertices) or OddCycleFreeEdgeSets (ground =
     edges).  Elements are tuples of 0-based ground indices; the empty tuple
-    is always first.
+    is always first.  exhausted is True when no element larger than those
+    listed exists.
     """
 
-    def __init__(self, kind: str, graph: Graph, ground: List, elements: List[Tuple[int, ...]],
-                 max_size: int, exhausted: bool = False):
-        self.kind = kind
-        self.graph = graph
-        self.ground = ground
-        self.elements = elements
-        self.max_size = max_size
-        self.exhausted = exhausted  # True when no element larger than those listed exists
+    _fields = ("kind", "graph", "ground", "elements", "max_size", "exhausted")
 
     def index(self) -> Dict[Tuple[int, ...], int]:
         return {e: i for i, e in enumerate(self.elements)}
@@ -242,7 +232,8 @@ def _enumerate(
         if not frontier:
             exhausted = True
             break
-    return CombBasis(kind, graph, ground, out, max_size, exhausted)
+    return CombBasis(kind=kind, graph=graph, ground=ground, elements=out, max_size=max_size,
+                     exhausted=exhausted)
 
 
 def enumerate_stable_sets(
@@ -412,36 +403,15 @@ def coordinate_orbits(
     return orbit
 
 
-class ThetaResult:
+class ThetaResult(_Record):
     """Outcome of a level-k theta relaxation over a graph model."""
 
-    def __init__(self, value: float, x: List[float], status: str, level: int, kind: str,
-                 solution: SdpSolution, template: MomentTemplate, group_order: int,
-                 group_complete: bool, y_orbits: int):
-        self.value = value
-        self.x = x
-        self.status = status
-        self.level = level
-        self.kind = kind
-        self.solution = solution
-        self.template = template
-        self.group_order = group_order
-        self.group_complete = group_complete
-        self.y_orbits = y_orbits
+    _fields = ("value", "x", "status", "level", "kind", "solution", "template", "group_order",
+               "group_complete", "y_orbits")
+    _internal = ("solution", "template")
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "x": list(self.x),
-            "status": self.status,
-            "level": self.level,
-            "kind": self.kind,
-            "matrixSide": self.template.side,
-            "yDim": self.template.y_dim,
-            "groupOrder": self.group_order,
-            "groupComplete": self.group_complete,
-            "yOrbits": self.y_orbits,
-        }
+        return {**super().to_json(), "matrixSide": self.template.side, "yDim": self.template.y_dim}
 
 
 def _theta(

@@ -92,13 +92,63 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class _Frozen:
+def _camel(name: str) -> str:
+    """A field's JSON key: affine_dim -> affineDim, is_01 -> is01."""
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+def _json_value(value):
+    """A field's JSON form: its own to_json(), a list of its elements' forms
+    for a tuple or list, else the value itself."""
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+class _Record:
+    """Base of the result types, which list their fields once: _fields are
+    required, _optional default to None, and _internal name the fields that
+    to_json leaves out.  __init__ takes the fields by position or keyword and
+    raises TypeError for an unknown, repeated or missing one; to_json writes
+    each field under its camelCase name.  Unlike a @dataclass this generates
+    no code, so defining a record loads and compiles nothing."""
+
+    _fields: Tuple[str, ...] = ()
+    _optional: Tuple[str, ...] = ()
+    _internal: Tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self).__name__
+        names = self._fields + self._optional
+        if len(args) > len(names):
+            raise TypeError(f"{cls} has {len(names)} fields, got {len(args)} arguments")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls} got an unknown or repeated field {name!r}")
+            values[name] = value
+        for name in names:
+            if name not in values and name not in self._optional:
+                raise TypeError(f"{cls} needs the field {name!r}")
+            object.__setattr__(self, name, values.get(name))  # _Frozen refuses setattr
+
+    def to_json(self) -> dict:
+        return {_camel(name): _json_value(getattr(self, name))
+                for name in self._fields + self._optional if name not in self._internal}
+
+
+class _Frozen(_Record):
     """Base of the immutable value types: Monomial, FacetInequality, Quadric
-    and Graph.  Their __init__ sets each field once with object.__setattr__;
-    after that no field can be assigned or deleted.  Instances are equal when
-    they have the same class and equal _key(), the tuple of their fields, and
-    hash as that tuple.  Set iteration order follows these hashes, and the
-    reports and pinned digests follow that order."""
+    and Graph.  Each field is set once, by _Record.__init__ or with
+    object.__setattr__ in a validating __init__; after that no field can be
+    assigned or deleted.  Instances are equal when they have the same class
+    and equal _key(), the tuple of their _fields, and hash as that tuple.  Set
+    iteration order follows these hashes, and the reports and pinned digests
+    follow that order."""
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -123,14 +173,13 @@ class Monomial(_Frozen):
     sparse polynomial dictionaries.
     """
 
+    _fields = ("exponents",)
+
     def __init__(self, exponents: Sequence[int]):
         exponents = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exponents):
             raise InputError("monomial exponents must be non-negative")
         object.__setattr__(self, "exponents", exponents)
-
-    def _key(self) -> tuple:
-        return (self.exponents,)
 
     # _Frozen's two methods written out: monomials key every sparse
     # polynomial, and the _key() call would double the cost of a lookup

@@ -36,14 +36,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactalg import (
-    PointSet, _divide_gcd, _Elimination, _find, _Frozen, _scaled_coordinates, format_rational)
-
-if TYPE_CHECKING:
-    from .combopt import Graph
+    PointSet, _divide_gcd, _Elimination, _find, _Frozen, _Record, _scaled_coordinates,
+    format_rational)
 
 MAX_POINTS = 64
 MAX_AFFINE_DIM = 8
@@ -66,15 +64,7 @@ class FacetInequality(_Frozen):
     denominators; offset and values are Fractions.
     """
 
-    def __init__(self, normal: Tuple[int, ...], offset: Fraction,
-                 values: Tuple[Fraction, ...], tight: Tuple[int, ...]):
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "tight", tight)
-
-    def _key(self) -> tuple:
-        return (self.normal, self.offset, self.values, self.tight)
+    _fields = ("normal", "offset", "values", "tight")
 
     @property
     def level_count(self) -> int:
@@ -228,26 +218,17 @@ def facets(points) -> List[FacetInequality]:
     return out
 
 
-class ExactnessReport:
-    """Two-level test of a point set with the certifying facet data."""
+class ExactnessReport(_Record):
+    """Two-level test of a point set with the certifying facet data; failing
+    is a facet with more than two levels, or None."""
 
-    def __init__(self, exact: bool, affine_dim: int, rank_bound: int,
-                 facets: List[FacetInequality], failing: Optional[FacetInequality]):
-        self.exact = exact
-        self.affine_dim = affine_dim
-        self.rank_bound = rank_bound
-        self.facets = facets
-        self.failing = failing
+    _fields = ("exact", "affine_dim", "rank_bound", "facets", "failing")
 
     def to_json(self) -> dict:
-        return {
-            "exact": self.exact,
-            "affineDim": self.affine_dim,
-            "rankBound": self.rank_bound,
-            "facetCount": len(self.facets),
-            "facets": [f.to_json() for f in self.facets],
-            "failingFacet": self.failing.to_json() if self.failing else None,
-        }
+        out = super().to_json()
+        out["facetCount"] = len(self.facets)
+        out["failingFacet"] = out.pop("failing")
+        return out
 
 
 def is_exact(points) -> ExactnessReport:
@@ -298,27 +279,11 @@ def vertex_indices(points, facet_list: Optional[List[FacetInequality]] = None) -
     return out
 
 
-class FacetVertexReport:
-    """Facet/vertex counts against the 2^d bound for two-level sets."""
+class FacetVertexReport(_Record):
+    """Facet/vertex counts against the 2^d bound for two-level sets;
+    within_bounds is None for a set that is not two-level."""
 
-    def __init__(self, affine_dim: int, facet_count: int, vertex_count: int,
-                 bound: int, exact: bool, within_bounds: Optional[bool]):
-        self.affine_dim = affine_dim
-        self.facet_count = facet_count
-        self.vertex_count = vertex_count
-        self.bound = bound
-        self.exact = exact
-        self.within_bounds = within_bounds
-
-    def to_json(self) -> dict:
-        return {
-            "affineDim": self.affine_dim,
-            "facetCount": self.facet_count,
-            "vertexCount": self.vertex_count,
-            "bound": self.bound,
-            "exact": self.exact,
-            "withinBounds": self.within_bounds,
-        }
+    _fields = ("affine_dim", "facet_count", "vertex_count", "bound", "exact", "within_bounds")
 
 
 def facet_vertex_report(
@@ -400,34 +365,11 @@ def _slack_equivalent(s_slacks: List[Tuple[int, ...]], t_slacks: List[Tuple[int,
     return False
 
 
-class ZeroOneClass:
+class ZeroOneClass(_Record):
     """One affine-equivalence class of full-dimensional 0/1 point sets."""
 
-    def __init__(self, dim: int, size: int, representative: Tuple[Tuple[int, ...], ...],
-                 orbit_count: int, subset_count: int, exact: bool, rank_bound: int,
-                 facet_count: int, vertex_count: int):
-        self.dim = dim
-        self.size = size
-        self.representative = representative
-        self.orbit_count = orbit_count
-        self.subset_count = subset_count
-        self.exact = exact
-        self.rank_bound = rank_bound
-        self.facet_count = facet_count
-        self.vertex_count = vertex_count
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "size": self.size,
-            "representative": [list(p) for p in self.representative],
-            "orbitCount": self.orbit_count,
-            "subsetCount": self.subset_count,
-            "exact": self.exact,
-            "rankBound": self.rank_bound,
-            "facetCount": self.facet_count,
-            "vertexCount": self.vertex_count,
-        }
+    _fields = ("dim", "size", "representative", "orbit_count", "subset_count", "exact",
+               "rank_bound", "facet_count", "vertex_count")
 
 
 def _class_geometry(pts: Tuple[Tuple[int, ...], ...]):
@@ -464,17 +406,16 @@ def classify_01(d: int) -> List[ZeroOneClass]:
         [vindex[v[1:] + v[:1]] for v in verts],
         [vindex[(1 - v[0],) + v[1:]] for v in verts],
     ]
-    # union-find over the masks, each tree rooted at its orbit's least mask
+    # union-find over the masks, each tree rooted at its orbit's least mask;
+    # a mask's image is the image of the mask without its lowest bit, met
+    # earlier, joined with that bit's image
     least = list(range(1 << len(verts)))
-    for mask in range(1, len(least)):
-        for table in generators:
-            image = 0
-            rem = mask
-            while rem:
-                low = rem & -rem
-                image |= 1 << table[low.bit_length() - 1]
-                rem ^= low
-            a, b = _find(least, mask), _find(least, image)
+    for table in generators:
+        image = [0] * len(least)
+        for mask in range(1, len(least)):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << table[low.bit_length() - 1]
+            a, b = _find(least, mask), _find(least, image[mask])
             least[max(a, b)] = min(a, b)
 
     orbits: Dict[int, List[int]] = {}
@@ -532,47 +473,20 @@ def classify_01(d: int) -> List[ZeroOneClass]:
 # down-closed 0/1 families and stable-set structure
 
 
-class DownClosedReport:
+class DownClosedReport(_Record):
     """Structure of a 0/1 family under coordinate deletion.
 
     For a down-closed full-dimensional family the reconstructed graph joins
     i and j when e_i + e_j is outside the family; the family is two-level
     exactly when it equals the stable sets of that graph and the graph's
-    nonnegativity/clique inequalities give all facets.
+    nonnegativity/clique inequalities give all facets.  The witness of a
+    set that is not down-closed 0/1 is a point outside {0,1}^n, or a member
+    and the coordinate whose deletion leaves the family.
     """
 
-    def __init__(self, is_01: bool, down_closed: bool, witness: Optional[tuple],
-                 full_dimensional: Optional[bool] = None, exact: Optional[bool] = None,
-                 rank_bound: Optional[int] = None, graph: Optional[Graph] = None,
-                 matches_stable_sets: Optional[bool] = None,
-                 facet_forms_ok: Optional[bool] = None,
-                 clique_facets: Optional[List[Tuple[int, ...]]] = None):
-        self.is_01 = is_01
-        self.down_closed = down_closed
-        self.witness = witness
-        self.full_dimensional = full_dimensional
-        self.exact = exact
-        self.rank_bound = rank_bound
-        self.graph = graph
-        self.matches_stable_sets = matches_stable_sets
-        self.facet_forms_ok = facet_forms_ok
-        self.clique_facets = clique_facets
-
-    def to_json(self) -> dict:
-        return {
-            "is01": self.is_01,
-            "downClosed": self.down_closed,
-            "witness": list(self.witness) if self.witness else None,
-            "fullDimensional": self.full_dimensional,
-            "exact": self.exact,
-            "rankBound": self.rank_bound,
-            "graph": self.graph.to_json() if self.graph else None,
-            "matchesStableSets": self.matches_stable_sets,
-            "facetFormsOk": self.facet_forms_ok,
-            "cliqueFacets": [list(c) for c in self.clique_facets]
-            if self.clique_facets is not None
-            else None,
-        }
+    _fields = ("is_01", "down_closed", "witness")
+    _optional = ("full_dimensional", "exact", "rank_bound", "graph", "matches_stable_sets",
+                 "facet_forms_ok", "clique_facets")
 
 
 def down_closed_analysis(points) -> DownClosedReport:

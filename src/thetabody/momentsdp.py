@@ -39,6 +39,7 @@ from .errors import InputError
 from .exactalg import (
     Monomial,
     QuotientRing,
+    _Record,
     format_rational,
     to_float,
 )
@@ -47,7 +48,7 @@ from .options import SolverOptions  # noqa: F401  (re-exported)
 Cell = Dict[int, Fraction]
 
 
-class MomentTemplate:
+class MomentTemplate(_Record):
     """Symbolic level-k moment matrix over a truncated basis.
 
     Fields:
@@ -67,19 +68,9 @@ class MomentTemplate:
                     no ring is attached)
     """
 
-    def __init__(self, level: int, ambient_dim: int, row_indices: List[int],
-                 row_labels: List[str], y_dim: int, y_labels: List[str],
-                 cells: Dict[Tuple[int, int], Cell], ring: Optional[QuotientRing] = None,
-                 linear_index: Optional[Dict[int, int]] = None):
-        self.level = level
-        self.ambient_dim = ambient_dim
-        self.row_indices = row_indices
-        self.row_labels = row_labels
-        self.y_dim = y_dim
-        self.y_labels = y_labels
-        self.cells = cells
-        self.ring = ring
-        self.linear_index = {} if linear_index is None else linear_index
+    _fields = ("level", "ambient_dim", "row_indices", "row_labels", "y_dim", "y_labels",
+               "cells", "linear_index")
+    _optional = ("ring",)
 
     @property
     def side(self) -> int:

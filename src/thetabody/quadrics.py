@@ -37,6 +37,7 @@ from .exactalg import (
     Monomial,
     PointSet,
     _Frozen,
+    _Record,
     _over_lcm,
     _scaled_coordinates,
     display_key,
@@ -82,6 +83,8 @@ def _deg2_monomials(dim: int) -> Tuple[Monomial, ...]:
 class Quadric(_Frozen):
     """q(x) = x^T A x + b^T x + c over the rationals, A symmetric."""
 
+    _fields = ("a", "b", "c")
+
     def __init__(self, a: Tuple[Tuple[Fraction, ...], ...], b: Tuple[Fraction, ...], c: Fraction):
         n = len(b)
         if len(a) != n or any(len(row) != n for row in a):
@@ -93,9 +96,6 @@ class Quadric(_Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-
-    def _key(self) -> tuple:
-        return (self.a, self.b, self.c)
 
     @property
     def dim(self) -> int:
@@ -478,36 +478,12 @@ def _section_problem(
     )
 
 
-class ConvexQuadricReport:
-    """Existence of a member with PSD, nonzero quadratic part."""
+class ConvexQuadricReport(_Record):
+    """Existence of a member with PSD, nonzero quadratic part.  The interval
+    is a pair of floats and extremes a pair of Quadrics."""
 
-    def __init__(self, exists: bool, verified: bool, status: str, detail: str,
-                 margin: Optional[float] = None, definite: Optional[bool] = None,
-                 certificate: Optional[Quadric] = None,
-                 interval: Optional[Tuple[float, float]] = None,
-                 extremes: Optional[Tuple[Quadric, Quadric]] = None):
-        self.exists = exists
-        self.verified = verified
-        self.status = status
-        self.detail = detail
-        self.margin = margin
-        self.definite = definite
-        self.certificate = certificate
-        self.interval = interval
-        self.extremes = extremes
-
-    def to_json(self) -> dict:
-        return {
-            "exists": self.exists,
-            "margin": self.margin,
-            "definite": self.definite,
-            "verified": self.verified,
-            "certificate": self.certificate.to_json() if self.certificate else None,
-            "interval": list(self.interval) if self.interval else None,
-            "extremes": [q.to_json() for q in self.extremes] if self.extremes else None,
-            "status": self.status,
-            "detail": self.detail,
-        }
+    _fields = ("exists", "verified", "status", "detail")
+    _optional = ("margin", "definite", "certificate", "interval", "extremes")
 
 
 def has_convex_quadric(
@@ -591,28 +567,12 @@ def has_convex_quadric(
     )
 
 
-class MembershipReport:
-    """Outcome of separating a query point with convex quadrics."""
+class MembershipReport(_Record):
+    """Outcome of separating a query point with convex quadrics; certificate
+    and ray are Quadrics."""
 
-    def __init__(self, status: str, detail: str, supremum: Optional[float] = None,
-                 certificate: Optional[Quadric] = None, ray: Optional[Quadric] = None,
-                 solver_status: Optional[str] = None):
-        self.status = status
-        self.detail = detail
-        self.supremum = supremum
-        self.certificate = certificate
-        self.ray = ray
-        self.solver_status = solver_status
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "supremum": self.supremum,
-            "certificate": self.certificate.to_json() if self.certificate else None,
-            "ray": self.ray.to_json() if self.ray else None,
-            "solverStatus": self.solver_status,
-            "detail": self.detail,
-        }
+    _fields = ("status", "detail")
+    _optional = ("supremum", "certificate", "ray", "solver_status")
 
 
 def th1_membership(

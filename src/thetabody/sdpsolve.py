@@ -91,6 +91,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
+from .exactalg import _Record
 from .momentsdp import SdpProblem
 from .options import SolverOptions
 
@@ -107,30 +108,13 @@ STEP_FRACTION = 0.98
 UNBOUNDED_THRESHOLD = 1e12
 
 
-class SdpSolution:
-    def __init__(self, y: List[float], objective: float, status: str, duality_gap: float,
-                 min_eig: float, iterations: int,
-                 certificate: Optional[List[List[float]]] = None,
-                 gap_history: Optional[List[float]] = None):
-        self.y = y
-        self.objective = objective
-        self.status = status
-        self.duality_gap = duality_gap
-        self.min_eig = min_eig
-        self.iterations = iterations
-        self.certificate = certificate
-        self.gap_history = [] if gap_history is None else gap_history
+class SdpSolution(_Record):
+    """The solver's result; certificate is a matrix (nested lists) or None,
+    and gap_history, the gap after each iteration, stays out of to_json."""
 
-    def to_json(self) -> dict:
-        return {
-            "y": list(self.y),
-            "objective": self.objective,
-            "status": self.status,
-            "dualityGap": self.duality_gap,
-            "minEig": self.min_eig,
-            "iterations": self.iterations,
-            "certificate": self.certificate,
-        }
+    _fields = ("y", "objective", "status", "duality_gap", "min_eig", "iterations",
+               "certificate", "gap_history")
+    _internal = ("gap_history",)
 
 
 def _psd_factor(matrix: np.ndarray, jitter_base: float) -> Optional[np.ndarray]:

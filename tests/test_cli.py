@@ -480,7 +480,7 @@ FILE_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8", "bad-json"])
 @pytest.mark.parametrize("argv", FILE_FLAGS.values(), ids=FILE_FLAGS)
 def test_unreadable_file_exits_2(files, tmp_path, capsys, argv, kind):
     bad = tmp_path / "unreadable.json"
@@ -488,11 +488,15 @@ def test_unreadable_file_exits_2(files, tmp_path, capsys, argv, kind):
         bad.mkdir()
     elif kind == "non-utf8":
         bad.write_bytes(b'{"dim": 1, "points": [["\xff\xfe"]]}\n')
+    elif kind == "bad-json":
+        bad.write_text('{"dim": 2, "generators": [')
     argv = [a.format(bad=bad, k3=files["k3"]) for a in argv]
     code, report, err = run(capsys, *argv)
     assert code == 2 and report is None and err.startswith("error:")
     if kind == "non-utf8":
         assert str(bad) in err
+    if kind == "bad-json":
+        assert f"invalid JSON in {bad}" in err
     if kind == "missing" and "--weights" in argv:
         assert f"--weights value {str(bad)!r} is neither a readable file nor inline JSON" in err
 
@@ -654,6 +658,7 @@ def test_nonpositive_solver_flags_exit_2(files, capsys):
         ("--feas-tol", "inf"),
         ("--gap-tol", "nan"),
         ("--gap-tol", "inf"),
+        ("--feas-tol", "1e-300"),
         ("--cap", 0),
         ("--cap", -1),
     ):

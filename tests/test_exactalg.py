@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -31,9 +32,23 @@ from thetabody.exactalg import (
     rational_rref,
     to_float,
 )
-from thetabody.combopt import Graph
-from thetabody.geomexact import FacetInequality, facets
-from thetabody.quadrics import Quadric, quadric_space_from_points
+from thetabody.combopt import Graph, stable_set_theta
+from thetabody.geomexact import (
+    FacetInequality,
+    FacetVertexReport,
+    classify_01,
+    down_closed_analysis,
+    facet_vertex_report,
+    facets,
+    is_exact,
+)
+from thetabody.quadrics import (
+    MembershipReport,
+    Quadric,
+    has_convex_quadric,
+    quadric_space_from_points,
+    th1_membership,
+)
 
 
 def mono(*exps):
@@ -99,6 +114,64 @@ def test_value_types_are_immutable_and_hash_as_their_fields(make, fields):
     with pytest.raises(AttributeError):
         delattr(value, name)
     assert value == make()
+
+
+def _theta_c5():
+    return stable_set_theta(Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), 1)
+
+
+SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+DOWN_CLOSED_KEYS = {
+    "cliqueFacets", "downClosed", "exact", "facetFormsOk", "fullDimensional", "graph", "is01",
+    "matchesStableSets", "rankBound", "witness"}
+
+# to_json keys of each result type, written down before the types shared
+# exactalg._Record, with one result made by the code that returns it
+REPORT_KEYS = {
+    "ThetaResult": (_theta_c5, {
+        "groupComplete", "groupOrder", "kind", "level", "matrixSide", "status", "value", "x",
+        "yDim", "yOrbits"}),
+    "SdpSolution": (lambda: _theta_c5().solution, {
+        "certificate", "dualityGap", "iterations", "minEig", "objective", "status", "y"}),
+    "MomentTemplate": (lambda: _theta_c5().template, {"cells", "level", "rows", "y"}),
+    "ExactnessReport": (lambda: is_exact(SQUARE + [(2, 0)]), {
+        "affineDim", "exact", "facetCount", "facets", "failingFacet", "rankBound"}),
+    "FacetVertexReport": (lambda: facet_vertex_report(SQUARE), {
+        "affineDim", "bound", "exact", "facetCount", "vertexCount", "withinBounds"}),
+    "ZeroOneClass": (lambda: classify_01(2)[0], {
+        "dim", "exact", "facetCount", "orbitCount", "rankBound", "representative", "size",
+        "subsetCount", "vertexCount"}),
+    "DownClosedReport": (
+        lambda: down_closed_analysis([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), DOWN_CLOSED_KEYS),
+    "DownClosedReport-witness": (lambda: down_closed_analysis([(0, 0), (1, 1)]), DOWN_CLOSED_KEYS),
+    "ConvexQuadricReport": (lambda: has_convex_quadric(quadric_space_from_points(SQUARE)), {
+        "certificate", "definite", "detail", "exists", "extremes", "interval", "margin", "status",
+        "verified"}),
+    "MembershipReport": (lambda: th1_membership(quadric_space_from_points(SQUARE), (2, 2)), {
+        "certificate", "detail", "ray", "solverStatus", "status", "supremum"}),
+}
+
+
+@pytest.mark.parametrize("make, keys", REPORT_KEYS.values(), ids=REPORT_KEYS)
+def test_report_keys_are_pinned_and_serialize(make, keys):
+    out = make().to_json()
+    assert set(out) == keys
+    json.dumps(out, allow_nan=False)
+
+
+def test_record_rejects_unknown_repeated_and_missing_fields():
+    report = MembershipReport("Inside", detail="nothing separates")
+    assert (report.status, report.supremum, report.ray) == ("Inside", None, None)
+    with pytest.raises(TypeError, match="unknown or repeated field 'supremem'"):
+        MembershipReport(status="Inside", detail="", supremem=1.0)
+    with pytest.raises(TypeError, match="unknown or repeated field 'status'"):
+        MembershipReport("Inside", "", status="Outside")
+    with pytest.raises(TypeError, match="needs the field 'detail'"):
+        MembershipReport(status="Inside")
+    with pytest.raises(TypeError, match="has 6 fields, got 7 arguments"):
+        MembershipReport(*range(7))
+    with pytest.raises(TypeError, match="needs the field 'within_bounds'"):
+        FacetVertexReport(affine_dim=2, facet_count=4, vertex_count=4, bound=4, exact=True)
 
 
 def test_monomial_str_parse_round_trip():

@@ -417,9 +417,12 @@ def test_option_validation():
         {"max_iter": 0},
         {"feas_tol": math.nan},
         {"gap_tol": math.inf},
+        {"feas_tol": 1e-13},
+        {"gap_tol": 1e-300},
     ):
         with pytest.raises(InputError):
             SolverOptions(**bad)
+    SolverOptions(feas_tol=1e-12, gap_tol=1e-12)  # the floor itself is accepted
 
 
 def test_optimal_status_is_certified():
