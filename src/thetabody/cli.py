@@ -10,10 +10,13 @@ moment-dump  emit the symbolic moment-matrix template of a point set
 solve        solve a raw SDP problem given as JSON
 
 Every run writes a single JSON report to stdout and a one-line human summary
-to stderr.  Reports embed the tool version, a SHA-256 digest of each input
-file, the effective parameters, the result payload, solver diagnostics where
-a solver ran, and the wall time.  Identical invocations produce identical
-reports except for the wall time.
+to stderr.  Each command returns its report's inputDigest (a SHA-256 digest
+of each input file, taken after the file is read), parameters (the effective
+values), result and, where a solver ran, solver diagnostics, with the summary
+and the exit code.  main builds the rest of the report: it reads the clock
+before it dispatches, adds subcommand, version and wallTimeSeconds (so the
+wall time spans the command's own imports), rounds floats and writes both.
+Identical invocations produce identical reports except for the wall time.
 
 Exit codes: 0 success (for solver-backed commands: a conclusive answer),
 2 invalid input, 3 a resource cap was hit, 4 the solver failed to converge.
@@ -45,7 +48,7 @@ import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import __version__
 from .errors import InputError, ResourceLimitError, SolverError, ThetaBodyError
@@ -80,40 +83,17 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(report: dict, summary: str, started: float) -> None:
-    report["wallTimeSeconds"] = round(time.monotonic() - started, 6)
-    json.dump(_round_floats(report), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    print(summary, file=sys.stderr)
-
-
-def _read_json(path: str, what: str):
-    """The JSON value in a UTF-8 file; a file that cannot be read, decoded or
-    parsed is an InputError that names it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def _report_skeleton(subcommand: str, digests: Dict[str, str], parameters: dict) -> dict:
-    return {
-        "subcommand": subcommand,
-        "version": __version__,
-        "inputDigest": digests,
-        "parameters": parameters,
-    }
-
-
 def _solver_options(args) -> SolverOptions:
     """SolverOptions from the solver flags; an omitted flag keeps its default."""
     from .options import SolverOptions
 
     given = {"feas_tol": args.feas_tol, "gap_tol": args.gap_tol, "max_iter": args.max_iter}
     return SolverOptions(**{k: v for k, v in given.items() if v is not None})
+
+
+def _solver_parameters(options: SolverOptions) -> dict:
+    """The solver settings a report echoes in its parameters."""
+    return {"feasTol": options.feas_tol, "gapTol": options.gap_tol, "maxIter": options.max_iter}
 
 
 def _solver_diagnostics(solution) -> dict:
@@ -133,20 +113,21 @@ def _add_solver_flags(sub) -> None:
 
 # ------------------------------------------------------------------ theta
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args) -> Tuple[dict, str, int]:
     from .combopt import DEFAULT_CAP, Graph, cut_theta, parse_weights, stable_set_theta
+    from .exactalg import read_file
 
-    started = time.monotonic()
     graph = Graph.from_file(args.graph)
     options = _solver_options(args)
     cap = DEFAULT_CAP if args.cap is None else args.cap
     digests = {"graph": _digest(args.graph)}
-    weights = None
-    weights_param: Optional[object] = None
-    if args.model == "cut" and args.weights is not None:
+    weights = raw = None
+    if args.weights is not None:
+        if args.model != "cut":
+            raise InputError("--weights only applies to the cut model")
         if os.path.exists(args.weights):
+            raw = read_file(args.weights, "weights")
             digests["weights"] = _digest(args.weights)
-            raw = _read_json(args.weights, "weights")
         else:
             try:
                 raw = json.loads(args.weights)
@@ -156,96 +137,87 @@ def _cmd_theta(args) -> int:
                     f"nor inline JSON ({exc})"
                 ) from exc
         weights = parse_weights(raw, graph)
-        weights_param = raw
-    elif args.weights is not None:
-        raise InputError("--weights only applies to the cut model")
 
     if args.model == "stable":
         result = stable_set_theta(graph, args.level, options=options, cap=cap)
     else:
         result = cut_theta(graph, weights, args.level, options=options, cap=cap)
 
-    report = _report_skeleton(
-        "theta",
-        digests,
-        {
+    report = {
+        "inputDigest": digests,
+        "parameters": {
             "model": args.model,
             "level": args.level,
-            "weights": weights_param,
+            "weights": raw,
             "cap": cap,
-            "feasTol": options.feas_tol,
-            "gapTol": options.gap_tol,
-            "maxIter": options.max_iter,
+            **_solver_parameters(options),
             "vertices": graph.n,
             "edges": [list(e) for e in graph.edges],
         },
-    )
-    report["result"] = result.to_json()
-    report["solver"] = _solver_diagnostics(result.solution)
+        "result": result.to_json(),
+        "solver": _solver_diagnostics(result.solution),
+    }
     summary = (
         f"theta[{args.model}] level {args.level} on {graph.n} vertices / "
         f"{len(graph.edges)} edges: value {result.value:.6f} ({result.status})"
     )
-    _emit(report, summary, started)
-    return 0 if result.status in ("Optimal", "NearOptimal") else 4
+    return report, summary, 0 if result.status in ("Optimal", "NearOptimal") else 4
 
 
 # -------------------------------------------------------------- exactness
 
-def _cmd_exactness(args) -> int:
+def _cmd_exactness(args) -> Tuple[dict, str, int]:
     from .exactalg import PointSet
     from .geomexact import facet_vertex_report, is_exact
 
-    started = time.monotonic()
     points = PointSet.from_file(args.points)
-    report_body = is_exact(points)
-    counts = facet_vertex_report(points, report_body)
-    report = _report_skeleton(
-        "exactness",
-        {"points": _digest(args.points)},
-        {"pointCount": len(points.points), "ambientDim": points.dim},
-    )
-    report["result"] = report_body.to_json()
-    report["result"]["counts"] = counts.to_json()
-    verdict = "exact at level one" if report_body.exact else (
-        f"not exact; rank bound {report_body.rank_bound}"
+    exactness = is_exact(points)
+    report = {
+        "inputDigest": {"points": _digest(args.points)},
+        "parameters": {"pointCount": len(points.points), "ambientDim": points.dim},
+        "result": {
+            **exactness.to_json(),
+            "counts": facet_vertex_report(points, exactness).to_json(),
+        },
+    }
+    verdict = "exact at level one" if exactness.exact else (
+        f"not exact; rank bound {exactness.rank_bound}"
     )
     summary = (
         f"exactness on {len(points.points)} points (affine dim "
-        f"{report_body.affine_dim}): {verdict}"
+        f"{exactness.affine_dim}): {verdict}"
     )
-    _emit(report, summary, started)
-    return 0
+    return report, summary, 0
 
 
 # ------------------------------------------------------------- classify01
 
-def _cmd_classify01(args) -> int:
+def _cmd_classify01(args) -> Tuple[dict, str, int]:
     from .geomexact import classify_01
 
-    started = time.monotonic()
     classes = classify_01(args.dim)
-    report = _report_skeleton("classify01", {}, {"dim": args.dim})
     exact_count = sum(1 for c in classes if c.exact)
-    report["result"] = {
-        "classCount": len(classes),
-        "exactCount": exact_count,
-        "classes": [c.to_json() for c in classes],
+    report = {
+        "inputDigest": {},
+        "parameters": {"dim": args.dim},
+        "result": {
+            "classCount": len(classes),
+            "exactCount": exact_count,
+            "classes": [c.to_json() for c in classes],
+        },
     }
     summary = (
         f"classify01 dim {args.dim}: {len(classes)} affine classes, "
         f"{exact_count} exact at level one"
     )
-    _emit(report, summary, started)
-    return 0
+    return report, summary, 0
 
 
 # -------------------------------------------------------------------- th1
 
-def _cmd_th1(args) -> int:
-    from .exactalg import PointSet, parse_rational
+def _cmd_th1(args) -> Tuple[dict, str, int]:
+    from .exactalg import PointSet, parse_integer, parse_rational, read_file
 
-    started = time.monotonic()
     query = tuple(parse_rational(c) for c in args.query.split(","))
     options = _solver_options(args)
     from .quadrics import (
@@ -254,105 +226,84 @@ def _cmd_th1(args) -> int:
         th1_membership,
     )
 
-    digests: Dict[str, str] = {}
     if args.points is not None:
-        digests["points"] = _digest(args.points)
-        space = quadric_space_from_points(PointSet.from_file(args.points))
-        source = {"points": args.points}
+        flag, path = "points", args.points
+        space = quadric_space_from_points(PointSet.from_file(path))
     else:
-        digests["gens"] = _digest(args.gens)
-        payload = _read_json(args.gens, "generator")
+        flag, path = "gens", args.gens
+        payload = read_file(path, "generator")
         if not isinstance(payload, dict) or "dim" not in payload:
             raise InputError("generator file must be {\"dim\": n, \"generators\": [...]}")
         gens = payload.get("generators", [])
         if not isinstance(gens, list):
             raise InputError("\"generators\" must be a list of polynomial strings")
-        space = quadric_space_from_generators(payload["dim"], gens)
-        source = {"gens": args.gens}
+        space = quadric_space_from_generators(parse_integer(payload["dim"], "dim"), gens)
     result = th1_membership(space, query, options)
-    report = _report_skeleton(
-        "th1",
-        digests,
-        {
-            **source,
+    report = {
+        "inputDigest": {flag: _digest(path)},
+        "parameters": {
+            flag: path,
             "query": [str(c) for c in query],
             "sliceDimension": space.dimension,
-            "feasTol": options.feas_tol,
-            "gapTol": options.gap_tol,
-            "maxIter": options.max_iter,
+            **_solver_parameters(options),
         },
-    )
-    report["result"] = result.to_json()
+        "result": result.to_json(),
+    }
     if result.solver_status is not None:
         report["solver"] = {"status": result.solver_status}
-    summary = f"th1 membership of ({args.query}): {result.status}"
-    _emit(report, summary, started)
-    return 0
+    return report, f"th1 membership of ({args.query}): {result.status}", 0
 
 
 # ------------------------------------------------------------ moment-dump
 
-def _cmd_moment_dump(args) -> int:
+def _cmd_moment_dump(args) -> Tuple[dict, str, int]:
     from .exactalg import PointSet, buchberger_moller
     from .momentsdp import build_moment_template
 
-    started = time.monotonic()
     points = PointSet.from_file(args.points)
-    ring = buchberger_moller(points)
-    template = build_moment_template(ring, args.level)
-    report = _report_skeleton(
-        "moment-dump",
-        {"points": _digest(args.points)},
-        {
+    template = build_moment_template(buchberger_moller(points), args.level)
+    report = {
+        "inputDigest": {"points": _digest(args.points)},
+        "parameters": {
             "level": args.level,
             "pointCount": len(points.points),
             "ambientDim": points.dim,
         },
-    )
-    report["result"] = template.to_json()
+        "result": template.to_json(),
+    }
     summary = (
         f"moment template at level {args.level}: {template.side}x{template.side} "
         f"matrix over {template.y_dim} moment variables"
     )
-    _emit(report, summary, started)
-    return 0
+    return report, summary, 0
 
 
 # ------------------------------------------------------------------ solve
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> Tuple[dict, str, int]:
     from .momentsdp import SdpProblem
 
-    started = time.monotonic()
     problem = SdpProblem.from_file(args.sdp)
     options = _solver_options(args)
     from .sdpsolve import solve
 
     solution = solve(problem, options)
-    report = _report_skeleton(
-        "solve",
-        {"sdp": _digest(args.sdp)},
-        {
+    report = {
+        "inputDigest": {"sdp": _digest(args.sdp)},
+        "parameters": {
             "matrixSide": problem.side,
             "yDim": problem.y_dim,
-            "feasTol": options.feas_tol,
-            "gapTol": options.gap_tol,
-            "maxIter": options.max_iter,
+            **_solver_parameters(options),
         },
-    )
-    report["result"] = solution.to_json()
-    report["solver"] = _solver_diagnostics(solution)
+        "result": solution.to_json(),
+        "solver": _solver_diagnostics(solution),
+    }
     summary = (
         f"solve {problem.side}x{problem.side} SDP: status {solution.status}, "
         f"objective {solution.objective:.6f}"
     )
-    _emit(report, summary, started)
-    return 0 if solution.status in (
-        "Optimal",
-        "NearOptimal",
-        "Infeasible",
-        "Unbounded",
-    ) else 4
+    conclusive = ("Optimal", "NearOptimal", "Infeasible", "Unbounded")
+    return report, summary, 0 if solution.status in conclusive else 4
 
 
 # ------------------------------------------------------------------- main
@@ -363,58 +314,38 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Semidefinite relaxations of convex hulls of finite "
         "point sets and graph polytopes, with exactness certificates.",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    theta = subs.add_parser(
-        "theta", help="solve a level-k relaxation of a graph model"
-    )
+    theta = subs.add_parser("theta", help="solve a level-k relaxation of a graph model")
     theta.add_argument("--graph", required=True, help="DIMACS or JSON graph file")
     theta.add_argument(
         "--model", choices=("stable", "cut"), default="stable",
         help="stable-set body or cut body",
     )
     theta.add_argument("--level", type=int, default=1, help="relaxation level k >= 1")
-    theta.add_argument(
-        "--weights",
-        default=None,
-        help="cut model edge weights: JSON file path or inline JSON",
-    )
+    theta.add_argument("--weights", help="cut model edge weights: JSON file path or inline JSON")
     theta.add_argument("--cap", type=int, help="cap on enumerated basis elements")
     _add_solver_flags(theta)
     theta.set_defaults(run=_cmd_theta)
 
-    exactness = subs.add_parser(
-        "exactness", help="two-level / level-one-exactness certificate"
-    )
+    exactness = subs.add_parser("exactness", help="two-level / level-one-exactness certificate")
     exactness.add_argument("--points", required=True, help="point-set JSON file")
     exactness.set_defaults(run=_cmd_exactness)
 
-    classify = subs.add_parser(
-        "classify01", help="affine classes of full-dimensional 0/1 sets"
-    )
+    classify = subs.add_parser("classify01", help="affine classes of full-dimensional 0/1 sets")
     classify.add_argument("--dim", type=int, required=True, help="cube dimension (1-4)")
     classify.set_defaults(run=_cmd_classify01)
 
-    th1 = subs.add_parser(
-        "th1", help="membership of a query point in the first relaxation"
-    )
+    th1 = subs.add_parser("th1", help="membership of a query point in the first relaxation")
     group = th1.add_mutually_exclusive_group(required=True)
-    group.add_argument("--points", default=None, help="point-set JSON file")
-    group.add_argument(
-        "--gens", default=None, help='generator JSON file {"dim": n, "generators": [...]}'
-    )
-    th1.add_argument(
-        "--query", required=True, help="comma-separated rational coordinates"
-    )
+    group.add_argument("--points", help="point-set JSON file")
+    group.add_argument("--gens", help='generator JSON file {"dim": n, "generators": [...]}')
+    th1.add_argument("--query", required=True, help="comma-separated rational coordinates")
     _add_solver_flags(th1)
     th1.set_defaults(run=_cmd_th1)
 
-    dump = subs.add_parser(
-        "moment-dump", help="symbolic moment-matrix template of a point set"
-    )
+    dump = subs.add_parser("moment-dump", help="symbolic moment-matrix template of a point set")
     dump.add_argument("--points", required=True, help="point-set JSON file")
     dump.add_argument("--level", type=int, default=1, help="template level k >= 1")
     dump.set_defaults(run=_cmd_moment_dump)
@@ -441,23 +372,28 @@ def _attach_query(argv: List[str]) -> List[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_query(sys.argv[1:] if argv is None else argv))
+    started = time.monotonic()
     try:
-        return args.run(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report, summary, code = args.run(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:  # a missing or unreadable file, met by _digest
+    # InputError, or OSError from a file that vanished between its read and _digest
+    except (ThetaBodyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ThetaBodyError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report.update(
+        subcommand=args.subcommand,
+        version=__version__,
+        wallTimeSeconds=round(time.monotonic() - started, 6),
+    )
+    json.dump(_round_floats(report), sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    print(summary, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

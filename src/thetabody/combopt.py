@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .exactalg import Monomial, _find, _Frozen, _Record, parse_rational
+from .exactalg import Monomial, _find, _Frozen, _Record, parse_rational, read_file
 from .momentsdp import (
     MomentTemplate,
     SdpProblem,
@@ -164,18 +164,13 @@ class Graph(_Frozen):
 
     @staticmethod
     def from_file(path: str) -> "Graph":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read graph file {path}: {exc}") from exc
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            try:
+        """A graph file: JSON when its text starts with "{", else DIMACS."""
+        def parse(text: str) -> "Graph":
+            if text.lstrip().startswith("{"):
                 return Graph.from_json(json.loads(text))
-            except json.JSONDecodeError as exc:
-                raise InputError(f"invalid JSON in {path}: {exc}") from exc
-        return Graph.from_dimacs(text)
+            return Graph.from_dimacs(text)
+
+        return read_file(path, "graph", parse)
 
 
 class CombBasis(_Record):

@@ -69,6 +69,28 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def parse_integer(value, what: str) -> int:
+    """An integral JSON number (1 or 1.0) as an int; int() would take true
+    as 1, "2" as 2 and truncate 2.5, so each of those is an InputError."""
+    if type(value) not in (int, float) or value % 1 != 0:
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
+def read_file(path: str, what: str, parse=json.loads):
+    """parse applied to the text of a UTF-8 file.  A file that cannot be read
+    or decoded, or JSON that does not parse, is an InputError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+
+
 def to_float(value) -> float:
     """A float as it is, or anything parse_rational accepts as the nearest
     float; a rational beyond float range raises InputError naming it."""
@@ -384,7 +406,7 @@ class PointSet:
     def from_json(obj) -> "PointSet":
         if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
             raise InputError('point set JSON needs keys "dim" and "points"')
-        return PointSet(obj["dim"], obj["points"])
+        return PointSet(parse_integer(obj["dim"], "dim"), obj["points"])
 
     @staticmethod
     def coerce(points) -> "PointSet":
@@ -401,14 +423,7 @@ class PointSet:
 
     @staticmethod
     def from_file(path: str) -> "PointSet":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                obj = json.load(handle)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read point set file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON in {path}: {exc}") from exc
-        return PointSet.from_json(obj)
+        return PointSet.from_json(read_file(path, "point set"))
 
 
 def _over_lcm(values: Sequence) -> Tuple[List[int], int]:

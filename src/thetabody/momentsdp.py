@@ -29,7 +29,6 @@ live in the leaf module options and are re-exported here.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -41,6 +40,8 @@ from .exactalg import (
     QuotientRing,
     _Record,
     format_rational,
+    parse_integer,
+    read_file,
     to_float,
 )
 from .options import SolverOptions  # noqa: F401  (re-exported)
@@ -259,12 +260,6 @@ class SdpProblem:
 
     @staticmethod
     def from_json(obj) -> "SdpProblem":
-        def integer(value, what: str) -> int:
-            # int() would take true as 1 and truncate 1.5
-            if type(value) not in (int, float) or value % 1 != 0:
-                raise InputError(f"{what} must be an integer, not {value!r}")
-            return int(value)
-
         def index(key) -> int:
             # int() would read "1_0" as 10 and " 1" as 1
             if not (isinstance(key, str) and key.isascii() and key.isdigit()):
@@ -274,7 +269,10 @@ class SdpProblem:
         try:
             cells = {}
             for entry in obj["cells"]:
-                key = (integer(entry["row"], "a cell's row"), integer(entry["col"], "a cell's col"))
+                key = (
+                    parse_integer(entry["row"], "a cell's row"),
+                    parse_integer(entry["col"], "a cell's col"),
+                )
                 if key in cells:
                     raise InputError(f"cell {key} is listed twice")
                 cells[key] = {
@@ -282,8 +280,8 @@ class SdpProblem:
                     for l, c in entry["coeffs"].items()
                 }
             return SdpProblem(
-                side=integer(obj["side"], "side"),
-                y_dim=integer(obj["yDim"], "yDim"),
+                side=parse_integer(obj["side"], "side"),
+                y_dim=parse_integer(obj["yDim"], "yDim"),
                 cells=cells,
                 objective={
                     index(l): to_float(c)
@@ -300,13 +298,7 @@ class SdpProblem:
 
     @staticmethod
     def from_file(path: str) -> "SdpProblem":
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return SdpProblem.from_json(json.load(handle))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read SDP file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON in {path}: {exc}") from exc
+        return SdpProblem.from_json(read_file(path, "SDP"))
 
 
 def orbit_scales(orbit: Sequence[int]) -> List[float]:

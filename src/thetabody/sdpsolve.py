@@ -79,8 +79,8 @@ computed when a diagonal entry of sum dz_i F_i is below twice the floor, or
 a 2x2 principal submatrix minus twice the floor is not PSD: the smallest
 eigenvalue is at most that of every principal submatrix, and eigvalsh errs
 by far less than the floor, so the test could not pass.
-A candidate optimum must also pass a shifted-Cholesky feasibility check
-(eigen-floor >= -PSD_TOL) on the assembled A(z) before it is called Optimal.
+A candidate optimum is called Optimal only if the smallest eigenvalue of the
+assembled A(z), from eigvalsh, is at least -PSD_TOL; otherwise NearOptimal.
 """
 
 from __future__ import annotations

@@ -72,6 +72,13 @@ def files(tmp_path):
                   {"row": 0, "col": 1, "coeffs": {"1": float("nan")}},
                   {"row": 1, "col": 1, "coeffs": {"0": 1}}],
     }))
+    d["disk-sdp"] = tmp_path / "disk-sdp.json"
+    d["disk-sdp"].write_text(json.dumps({
+        "side": 2, "yDim": 2, "objective": {"1": 1},
+        "cells": [{"row": 0, "col": 0, "coeffs": {"0": 1}},
+                  {"row": 0, "col": 1, "coeffs": {"1": 1}},
+                  {"row": 1, "col": 1, "coeffs": {"0": 1}}],
+    }))
     d["bad-graph"] = tmp_path / "bad-graph.json"
     d["bad-graph"].write_text(json.dumps({"n": 3, "edges": [[1, 4]]}))
     return d
@@ -499,6 +506,8 @@ def test_unreadable_file_exits_2(files, tmp_path, capsys, argv, kind):
         assert f"invalid JSON in {bad}" in err
     if kind == "missing" and "--weights" in argv:
         assert f"--weights value {str(bad)!r} is neither a readable file nor inline JSON" in err
+    elif kind in ("missing", "directory"):
+        assert "cannot read" in err and str(bad) in err
 
 
 MALFORMED = {
@@ -514,6 +523,18 @@ MALFORMED = {
     ),
     "points-dim": (["exactness", "--points", "{bad}"], '{"dim": "x", "points": [[0]]}'),
     "points-scalar": (["exactness", "--points", "{bad}"], '{"dim": 1, "points": 5}'),
+    # int() would truncate 2.5 and read true as 1 and "2" as 2
+    "points-dim-fraction": (
+        ["exactness", "--points", "{bad}"], '{"dim": 2.5, "points": [[0, 0], [1, 0], [0, 1]]}'
+    ),
+    "points-dim-bool": (["exactness", "--points", "{bad}"], '{"dim": true, "points": [[0], [1]]}'),
+    "points-dim-string": (
+        ["exactness", "--points", "{bad}"], '{"dim": "2", "points": [[0, 0], [1, 0], [0, 1]]}'
+    ),
+    "gens-dim-fraction": (
+        ["th1", "--gens", "{bad}", "--query", "0,0"], '{"dim": 2.5, "generators": ["x1^2 - x1"]}'
+    ),
+    "gens-dim-bool": (["th1", "--gens", "{bad}", "--query", "0"], '{"dim": true, "generators": []}'),
     "points-rows": (["moment-dump", "--points", "{bad}"], '{"dim": 1, "points": [0, 1]}'),
     "gens-dim": (["th1", "--gens", "{bad}", "--query", "0,0"], '{"dim": "abc", "generators": []}'),
     "gens-dim-null": (["th1", "--gens", "{bad}", "--query", "0"], '{"dim": null, "generators": []}'),
@@ -685,6 +706,35 @@ def test_wall_time_and_float_rounding(files, capsys):
     # 12-significant-digit policy: re-rounding changes nothing
     value = report["result"]["value"]
     assert value == float(f"{value:.12g}")
+
+
+REPORT_KEYS = {"subcommand", "version", "inputDigest", "parameters", "result", "wallTimeSeconds"}
+SOLVER_PARAMETERS = {"feasTol", "gapTol", "maxIter"}
+
+
+@pytest.mark.parametrize(
+    "argv, solver",
+    [
+        (("theta", "--graph", "c5"), True),
+        (("exactness", "--points", "square"), False),
+        (("classify01", "--dim", "2"), False),
+        (("th1", "--points", "circle10", "--query", "1,1"), False),
+        (("th1", "--points", "quad4", "--query", "5,5"), True),
+        (("moment-dump", "--points", "segment"), False),
+        (("solve", "--sdp", "disk-sdp"), True),
+    ],
+    ids=["theta", "exactness", "classify01", "th1-exact", "th1-section-sdp",
+         "moment-dump", "solve"],
+)
+def test_report_shape(files, capsys, argv, solver):
+    """Every report has the same top-level keys, plus solver where a solver
+    ran, and the solver-backed commands echo the solver settings."""
+    code, report, _ = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 0
+    assert set(report) == REPORT_KEYS | ({"solver"} if solver else set())
+    assert report["subcommand"] == argv[0]
+    if argv[0] in ("theta", "th1", "solve"):
+        assert SOLVER_PARAMETERS <= set(report["parameters"])
 
 
 def test_version_flag(capsys):
