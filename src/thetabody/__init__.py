@@ -6,11 +6,14 @@ The package is organized as a pipeline:
                  ideal quotient rings via evaluation/interpolation.
 - ``momentsdp``  symbolic moment-matrix templates over a quotient ring or a
                  combinatorial basis, and their instantiation as SDP data.
-- ``options``    the solver's settings (SolverOptions), with no imports
-                 beyond ``errors``.
+- ``options``    the solver's settings (SolverOptions), importing only
+                 ``errors`` and ``exactalg``.
 - ``sdpsolve``   a dense primal-dual interior-point SDP solver.
 - ``combopt``    stable-set and cut relaxations of graphs, built on
                  combinatorial bases instead of a quotient ring.
+- ``symmetry``   the one search for weight-preserving bijections of a
+                 weighted graph: graph automorphisms for ``combopt``, affine
+                 equivalence of point sets for ``geomexact``.
 - ``geomexact``  exact convex-hull geometry: facet enumeration, two-level
                  certificates, 0/1 classification, down-closed analysis.
 - ``quadrics``   degree-two slices of vanishing ideals: convex-quadric

@@ -28,7 +28,7 @@ it runs when it runs, and theta loads neither geomexact nor quadrics.  numpy
 loads at the first SDP solve, since no module imports sdpsolve at import
 time: exactness, classify01 and moment-dump never load it, nor does a th1
 query decided exactly or a run that ends in invalid input before its solve.
-SolverOptions lives in the leaf module options, and quadrics imports
+SolverOptions lives in options, not momentsdp, and quadrics imports
 momentsdp only to build a section SDP, so a th1 query decided exactly loads
 no momentsdp either.  Input digests use CPython's builtin SHA-256, so no
 subcommand loads hashlib's OpenSSL backend (about 3.7 MB of resident memory
@@ -105,23 +105,33 @@ def _solver_diagnostics(solution) -> dict:
     }
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value, by exactalg's rule for integer tokens."""
+    from .exactalg import parse_decimal
+
+    try:
+        return parse_decimal(text, "the value")
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_solver_flags(sub) -> None:
     sub.add_argument("--feas-tol", type=float, help="feasibility tolerance")
     sub.add_argument("--gap-tol", type=float, help="duality-gap tolerance")
-    sub.add_argument("--max-iter", type=int, help="iteration limit")
+    sub.add_argument("--max-iter", type=_integer, help="iteration limit")
 
 
 # ------------------------------------------------------------------ theta
 
 def _cmd_theta(args) -> Tuple[dict, str, int]:
-    from .combopt import DEFAULT_CAP, Graph, cut_theta, parse_weights, stable_set_theta
+    from .combopt import DEFAULT_CAP, Graph, cut_theta, stable_set_theta
     from .exactalg import read_file
 
     graph = Graph.from_file(args.graph)
     options = _solver_options(args)
     cap = DEFAULT_CAP if args.cap is None else args.cap
     digests = {"graph": _digest(args.graph)}
-    weights = raw = None
+    raw = None
     if args.weights is not None:
         if args.model != "cut":
             raise InputError("--weights only applies to the cut model")
@@ -136,12 +146,11 @@ def _cmd_theta(args) -> Tuple[dict, str, int]:
                     f"--weights value {args.weights!r} is neither a readable file "
                     f"nor inline JSON ({exc})"
                 ) from exc
-        weights = parse_weights(raw, graph)
 
     if args.model == "stable":
         result = stable_set_theta(graph, args.level, options=options, cap=cap)
     else:
-        result = cut_theta(graph, weights, args.level, options=options, cap=cap)
+        result = cut_theta(graph, raw, args.level, options=options, cap=cap)
 
     report = {
         "inputDigest": digests,
@@ -216,7 +225,7 @@ def _cmd_classify01(args) -> Tuple[dict, str, int]:
 # -------------------------------------------------------------------- th1
 
 def _cmd_th1(args) -> Tuple[dict, str, int]:
-    from .exactalg import PointSet, parse_integer, parse_rational, read_file
+    from .exactalg import PointSet, parse_rational, read_file
 
     query = tuple(parse_rational(c) for c in args.query.split(","))
     options = _solver_options(args)
@@ -237,7 +246,7 @@ def _cmd_th1(args) -> Tuple[dict, str, int]:
         gens = payload.get("generators", [])
         if not isinstance(gens, list):
             raise InputError("\"generators\" must be a list of polynomial strings")
-        space = quadric_space_from_generators(parse_integer(payload["dim"], "dim"), gens)
+        space = quadric_space_from_generators(payload["dim"], gens)
     result = th1_membership(space, query, options)
     report = {
         "inputDigest": {flag: _digest(path)},
@@ -323,9 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--model", choices=("stable", "cut"), default="stable",
         help="stable-set body or cut body",
     )
-    theta.add_argument("--level", type=int, default=1, help="relaxation level k >= 1")
+    theta.add_argument("--level", type=_integer, default=1, help="relaxation level k >= 1")
     theta.add_argument("--weights", help="cut model edge weights: JSON file path or inline JSON")
-    theta.add_argument("--cap", type=int, help="cap on enumerated basis elements")
+    theta.add_argument("--cap", type=_integer, help="cap on enumerated basis elements")
     _add_solver_flags(theta)
     theta.set_defaults(run=_cmd_theta)
 
@@ -334,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exactness.set_defaults(run=_cmd_exactness)
 
     classify = subs.add_parser("classify01", help="affine classes of full-dimensional 0/1 sets")
-    classify.add_argument("--dim", type=int, required=True, help="cube dimension (1-4)")
+    classify.add_argument("--dim", type=_integer, required=True, help="cube dimension (1-4)")
     classify.set_defaults(run=_cmd_classify01)
 
     th1 = subs.add_parser("th1", help="membership of a query point in the first relaxation")
@@ -347,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dump = subs.add_parser("moment-dump", help="symbolic moment-matrix template of a point set")
     dump.add_argument("--points", required=True, help="point-set JSON file")
-    dump.add_argument("--level", type=int, default=1, help="template level k >= 1")
+    dump.add_argument("--level", type=_integer, default=1, help="template level k >= 1")
     dump.set_defaults(run=_cmd_moment_dump)
 
     raw = subs.add_parser("solve", help="solve a raw SDP problem from JSON")

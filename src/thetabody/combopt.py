@@ -53,7 +53,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .exactalg import Monomial, _find, _Frozen, _Record, parse_rational, read_file
+from .exactalg import (
+    Monomial, _find, _Frozen, _Record, parse_decimal, parse_integer, parse_rational, read_file)
 from .momentsdp import (
     MomentTemplate,
     SdpProblem,
@@ -87,27 +88,19 @@ class Graph(_Frozen):
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges):
+        n = parse_integer(n, "a vertex count", 1)
         try:
-            n = int(n)
-            pairs = [(int(e[0]), int(e[1])) for e in edges]
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            pairs = [(parse_integer(u, "an endpoint"), parse_integer(v, "an endpoint"))
+                     for u, v in edges]
+        except (TypeError, ValueError) as exc:
             raise InputError(f"invalid graph: {exc}") from exc
-        if n < 1:
-            raise InputError("graph needs at least one vertex")
-        seen = set()
-        normalized = []
         for u, v in pairs:
             if u == v:
                 raise InputError(f"loop at vertex {u} is not allowed")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InputError(f"edge ({u},{v}) outside vertex range 1..{n}")
-            pair = (min(u, v), max(u, v))
-            if pair not in seen:
-                seen.add(pair)
-                normalized.append(pair)
-        normalized.sort()
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs})))
 
     @property
     def m(self) -> int:
@@ -124,12 +117,10 @@ class Graph(_Frozen):
     def from_json(obj) -> "Graph":
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise InputError('graph JSON needs keys "n" and "edges"')
-        n, edges = obj["n"], obj["edges"]
-        ok = type(edges) is list and all(type(e) is list and len(e) == 2 for e in edges)
-        ends = [n] + [v for e in edges for v in e] if ok else []
-        if not ok or not all(type(v) in (int, float) and v % 1 == 0 for v in ends):
-            raise InputError('graph JSON needs an integral "n" and integral [u, v] edges')
-        return Graph(n, edges)
+        edges = obj["edges"]
+        if type(edges) is not list or not all(type(e) is list and len(e) == 2 for e in edges):
+            raise InputError("graph JSON edges must be [u, v] lists of integral numbers")
+        return Graph(obj["n"], edges)
 
     @staticmethod
     def from_dimacs(text: str) -> "Graph":
@@ -143,19 +134,13 @@ class Graph(_Frozen):
             if tokens[0] == "p":
                 if len(tokens) < 4:
                     raise InputError(f"line {lineno}: malformed problem line")
-                try:
-                    n = int(tokens[2])
-                except ValueError as exc:
-                    raise InputError(f"line {lineno}: bad vertex count") from exc
+                n = parse_decimal(tokens[2], f"line {lineno}: the vertex count")
             elif tokens[0] == "e":
                 if n is None:
                     raise InputError(f"line {lineno}: edge before problem line")
                 if len(tokens) != 3:
                     raise InputError(f"line {lineno}: malformed edge line")
-                try:
-                    edges.append((int(tokens[1]), int(tokens[2])))
-                except ValueError as exc:
-                    raise InputError(f"line {lineno}: bad edge endpoints") from exc
+                edges.append([parse_decimal(t, f"line {lineno}: an endpoint") for t in tokens[1:]])
             else:
                 raise InputError(f"line {lineno}: unknown record {tokens[0]!r}")
         if n is None:
@@ -203,10 +188,7 @@ def _enumerate(
     A set extends by a larger ground index when admits(extended set) holds;
     sets come level by level, sorted by size then lex.
     """
-    if max_size < 0:
-        raise InputError("max_size must be >= 0")
-    if cap < 1:
-        raise InputError(f"cap must be >= 1, got {cap}")
+    max_size, cap = parse_integer(max_size, "max_size", 0), parse_integer(cap, "cap", 1)
     out: List[Tuple[int, ...]] = []
     frontier: List[Tuple[int, ...]] = [()]
     exhausted = False
@@ -235,7 +217,7 @@ def enumerate_stable_sets(
     graph: Graph, max_size: int, cap: int = DEFAULT_CAP
 ) -> CombBasis:
     """All stable sets of size <= max_size, sorted by size then lex."""
-    if max_size > 0 and 1 <= cap <= graph.n:
+    if max_size > 0 and parse_integer(cap, "cap", 1) <= graph.n:
         # the empty set and the n singletons pass the cap: refuse before
         # building the adjacency
         raise ResourceLimitError(f"{STABLE_SETS} enumeration exceeded cap {cap}")
@@ -449,8 +431,7 @@ def stable_set_theta(
     cap: int = DEFAULT_CAP,
 ) -> ThetaResult:
     """Level-k theta relaxation of the maximum stable set of the graph."""
-    if k < 1:
-        raise InputError("level must be >= 1")
+    k = parse_integer(k, "level", 1)
     objective = {Monomial.variable(v, graph.n): 1 for v in range(1, graph.n + 1)}
     return _theta(
         enumerate_stable_sets(graph, 2 * k, cap=cap), k, objective, None, options
@@ -470,9 +451,9 @@ def parse_weights(raw, graph: Graph) -> List[Fraction]:
                     parts = re.split(r"[,\s]+", key.strip())
                     if len(parts) != 2:
                         raise InputError(f"bad edge key {key!r}")
-                    u, v = int(parts[0]), int(parts[1])
+                    u, v = (parse_decimal(p, "an edge key's vertex") for p in parts)
                 else:
-                    u, v = int(key[0]), int(key[1])
+                    u, v = (parse_integer(p, "an edge key's vertex") for p in key)
                 edge = (min(u, v), max(u, v))
                 if edge in table:
                     raise InputError(f"edge {edge} is given two weights")
@@ -485,7 +466,7 @@ def parse_weights(raw, graph: Graph) -> List[Fraction]:
                 raise InputError(f"weight given for non-edge {extras[0]}")
             return [table[e] for e in graph.edges]
         weights = [parse_rational(w) for w in raw]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"invalid weights: {exc}") from exc
     if len(weights) != graph.m:
         raise InputError(
@@ -507,8 +488,7 @@ def cut_theta(
     moment matrices of the cut ideal (edge sets contained in a cut are
     exactly the odd-cycle-free ones).
     """
-    if k < 1:
-        raise InputError("level must be >= 1")
+    k = parse_integer(k, "level", 1)
     wlist = parse_weights(weights, graph)
     negative = [w for w in wlist if w < 0]
     if negative:

@@ -38,8 +38,8 @@ import heapq
 import json
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from operator import index as _index, mul
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 
@@ -69,12 +69,29 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def parse_integer(value, what: str) -> int:
-    """An integral JSON number (1 or 1.0) as an int; int() would take true
-    as 1, "2" as 2 and truncate 2.5, so each of those is an InputError."""
-    if type(value) not in (int, float) or value % 1 != 0:
-        raise InputError(f"{what} must be an integer, not {value!r}")
-    return int(value)
+def parse_integer(value, what: str, least: Optional[int] = None) -> int:
+    """The one rule for an integer given as a number: what operator.index
+    takes (an int, a numpy integer) or an integral finite float.  int()
+    would take true as 1 and "2" as 2 and truncate 2.5: a bool, a string
+    and anything else is an InputError, and so is a number below least."""
+    integral = isinstance(value, float) and value.is_integer()
+    try:
+        number = int(value) if integral else _index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise InputError(f"{what} must be an integral number, not {value!r}")
+    if least is not None and number < least:
+        raise InputError(f"{what} must be >= {least}, not {number}")
+    return number
+
+
+def parse_decimal(text, what: str) -> int:
+    """The one rule for an integer given as a token: ASCII -?[0-9]+.  int()
+    would also read "1_0" as 10, " 1" and "+1" as 1 and non-ASCII digits."""
+    if not (isinstance(text, str) and text.isascii() and text.removeprefix("-").isdigit()):
+        raise InputError(f"{what} must be a decimal integer, not {text!r}")
+    return int(text)
 
 
 def read_file(path: str, what: str, parse=json.loads):
@@ -280,17 +297,11 @@ def parse_monomial(text: str, dim: int) -> Monomial:
     exps = [0] * dim
     for factor in text.split("*"):
         factor = factor.strip()
-        if "^" in factor:
-            base, _, power = factor.partition("^")
-        else:
-            base, power = factor, "1"
+        base, caret, power = factor.partition("^")
         if not base.startswith("x"):
             raise InputError(f"invalid monomial factor {factor!r}")
-        try:
-            index = int(base[1:])
-            exponent = int(power)
-        except ValueError as exc:
-            raise InputError(f"invalid monomial factor {factor!r}") from exc
+        index = parse_decimal(base[1:].rstrip(), f"the variable index in {factor!r}")
+        exponent = parse_decimal(power.lstrip() if caret else "1", f"the exponent in {factor!r}")
         if not 1 <= index <= dim:
             raise InputError(f"variable x{index} out of range for dimension {dim}")
         if exponent < 0:
@@ -355,13 +366,11 @@ class PointSet:
     __slots__ = ("dim", "points")
 
     def __init__(self, dim: int, points: Iterable[Sequence]):
+        dim = parse_integer(dim, "dim", 1)
         try:
-            dim = int(dim)
             raw = [row if isinstance(row, str) else tuple(row) for row in points]
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise InputError(f"invalid point set: {exc}") from exc
-        if dim < 1:
-            raise InputError("point set dimension must be >= 1")
         rows: List[Tuple[Fraction, ...]] = []
         for row in raw:
             if isinstance(row, str):
@@ -406,7 +415,7 @@ class PointSet:
     def from_json(obj) -> "PointSet":
         if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
             raise InputError('point set JSON needs keys "dim" and "points"')
-        return PointSet(parse_integer(obj["dim"], "dim"), obj["points"])
+        return PointSet(obj["dim"], obj["points"])
 
     @staticmethod
     def coerce(points) -> "PointSet":

@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError, ResourceLimitError
 from .exactalg import (
     PointSet, _divide_gcd, _Elimination, _find, _Frozen, _Record, _scaled_coordinates,
-    format_rational)
+    format_rational, parse_integer)
 
 MAX_POINTS = 64
 MAX_AFFINE_DIM = 8
@@ -395,6 +395,7 @@ def classify_01(d: int) -> List[ZeroOneClass]:
     status.  Supported for d <= 4 (65,535 subsets of the 4-cube); larger d is
     refused, as the orbit union-find walks all 2^(2^d) masks.
     """
+    d = parse_integer(d, "dim")
     if d < 1 or d > 4:
         raise InputError("classification is supported for dimensions 1..4")
     verts = list(itertools.product((0, 1), repeat=d))

@@ -24,7 +24,7 @@ graph symmetry.
 SdpProblem, the solver's input, lives here and not in sdpsolve: this module
 never imports numpy at module level, so code that only builds, validates or
 reports on an SDP runs without it.  The solver's settings, SolverOptions,
-live in the leaf module options and are re-exported here.
+live in the module options and are re-exported here.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .exactalg import (
     QuotientRing,
     _Record,
     format_rational,
+    parse_decimal,
     parse_integer,
     read_file,
     to_float,
@@ -119,8 +120,7 @@ def template_from_products(
     linear maps ambient variables to the basis index of their degree-one
     element; entries that are None or beyond the y-coordinates are dropped.
     """
-    if k < 1:
-        raise InputError("moment level must be >= 1")
+    k = parse_integer(k, "level", 1)
     assert list(degrees) == sorted(degrees)
     rows = [l for l, d in enumerate(degrees) if d <= k]
     y_dim = sum(1 for d in degrees if d <= 2 * k)
@@ -218,8 +218,7 @@ class SdpProblem:
     def __init__(self, side: int, y_dim: int, cells: Dict[Tuple[int, int], Dict[int, float]],
                  objective: Dict[int, float], fixed: Dict[int, float],
                  y_labels: Optional[List[str]] = None):
-        if side < 1 or y_dim < 0:
-            raise InputError("SDP needs side >= 1 and y_dim >= 0")
+        side, y_dim = parse_integer(side, "side", 1), parse_integer(y_dim, "yDim", 0)
         for (i, j), vec in cells.items():
             if not (0 <= i <= j < side):
                 raise InputError(f"cell ({i},{j}) outside matrix")
@@ -260,11 +259,8 @@ class SdpProblem:
 
     @staticmethod
     def from_json(obj) -> "SdpProblem":
-        def index(key) -> int:
-            # int() would read "1_0" as 10 and " 1" as 1
-            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
-                raise InputError(f"a y-index must be a decimal integer, not {key!r}")
-            return int(key)
+        def vector(coeffs) -> Dict[int, float]:
+            return {parse_decimal(l, "a y-index"): to_float(c) for l, c in coeffs.items()}
 
         try:
             cells = {}
@@ -275,22 +271,13 @@ class SdpProblem:
                 )
                 if key in cells:
                     raise InputError(f"cell {key} is listed twice")
-                cells[key] = {
-                    index(l): to_float(c)
-                    for l, c in entry["coeffs"].items()
-                }
+                cells[key] = vector(entry["coeffs"])
             return SdpProblem(
-                side=parse_integer(obj["side"], "side"),
-                y_dim=parse_integer(obj["yDim"], "yDim"),
+                side=obj["side"],
+                y_dim=obj["yDim"],
                 cells=cells,
-                objective={
-                    index(l): to_float(c)
-                    for l, c in obj.get("objective", {}).items()
-                },
-                fixed={
-                    index(l): to_float(c)
-                    for l, c in obj.get("fixed", {"0": 1.0}).items()
-                },
+                objective=vector(obj.get("objective", {})),
+                fixed=vector(obj.get("fixed", {"0": 1.0})),
                 y_labels=obj.get("labels"),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -1,12 +1,13 @@
-"""The solver's settings, in a leaf module that imports neither numpy nor
-the moment-template code: a command reads its solver flags into
-SolverOptions before it knows whether any SDP will be solved."""
+"""The solver's settings, in a module that imports neither numpy nor the
+moment-template code, only errors and exactalg: a command reads its solver
+flags into SolverOptions before it knows whether any SDP will be solved."""
 
 from __future__ import annotations
 
 import math
 
 from .errors import InputError
+from .exactalg import parse_integer
 
 
 # Least tolerance accepted.  Below what float residuals reach, the solver
@@ -23,8 +24,6 @@ class SolverOptions:
     def __init__(self, feas_tol: float = 1e-8, gap_tol: float = 1e-7, max_iter: int = 200):
         if not all(math.isfinite(t) and t >= MIN_TOL for t in (feas_tol, gap_tol)):
             raise InputError(f"tolerances must be finite and at least {MIN_TOL:g}")
-        if max_iter < 1:
-            raise InputError("max_iter must be >= 1")
         self.feas_tol = feas_tol
         self.gap_tol = gap_tol
-        self.max_iter = max_iter
+        self.max_iter = parse_integer(max_iter, "max_iter", 1)

@@ -631,6 +631,53 @@ MALFORMED = {
         ["th1", "--gens", "{bad}", "--query=0,0"],
         '{"dim": 2, "generators": ["x1^2 + x2^2 - 1e400"]}',
     ),
+    # One integer rule at every reader.  A JSON count is an integral number:
+    # not 2.5, true or "2".  A text token is ASCII -?[0-9]+: int() would read
+    # "1_0" as 10, " 1" as 1 and a full-width "３" as 3.
+    "graph-bool-n": (["theta", "--graph", "{bad}"], '{"n": true, "edges": []}'),
+    "dimacs-underscore": (["theta", "--graph", "{bad}"], "p edge 1_0 1\ne 1 2\n"),
+    "dimacs-non-ascii": (["theta", "--graph", "{bad}"], "p edge ３ 1\ne 1 2\n"),
+    "dimacs-fraction": (["theta", "--graph", "{bad}"], "p edge 3 1\ne 1 2.5\n"),
+    "dimacs-non-ascii-endpoint": (["theta", "--graph", "{bad}"], "p edge 3 1\ne 1 ２\n"),
+    "weights-key-underscore": (
+        ["theta", "--graph", "{bad}", "--model", "cut", "--weights", '{"1,1_0": 2}'],
+        "p edge 10 1\ne 1 10\n",
+    ),
+    "weights-key-non-ascii": (
+        ["theta", "--graph", "{bad}", "--model", "cut", "--weights", '{"1,２": 2}'],
+        "p edge 2 1\ne 1 2\n",
+    ),
+    "sdp-index-non-ascii": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": 1, "yDim": 2, "objective": {"１": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1, "1": 1}}]}',
+    ),
+    "sdp-side-fraction": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": 1.5, "yDim": 2, "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1, "1": 1}}]}',
+    ),
+    "sdp-ydim-string": (
+        ["solve", "--sdp", "{bad}"],
+        '{"side": 1, "yDim": "2", "objective": {"1": 1}, "cells": [{"row": 0, "col": 0, '
+        '"coeffs": {"0": 1, "1": 1}}]}',
+    ),
+    "gens-dim-string": (
+        ["th1", "--gens", "{bad}", "--query", "0,0"], '{"dim": "2", "generators": ["x1^2 - x1"]}'
+    ),
+    "gens-index-underscore": (
+        ["th1", "--gens", "{bad}", "--query", "0,0,0,0,0,0,0,0,0,0"],
+        '{"dim": 10, "generators": ["x1_0^2 - x1_0"]}',
+    ),
+    "gens-index-space": (
+        ["th1", "--gens", "{bad}", "--query", "0"], '{"dim": 1, "generators": ["x 1^2 - x1"]}'
+    ),
+    "gens-index-non-ascii": (
+        ["th1", "--gens", "{bad}", "--query", "0"], '{"dim": 1, "generators": ["x１^2 - x1"]}'
+    ),
+    "gens-exponent-underscore": (
+        ["th1", "--gens", "{bad}", "--query", "0"], '{"dim": 1, "generators": ["x1^0_2 - x1"]}'
+    ),
 }
 
 
@@ -687,6 +734,34 @@ def test_nonpositive_solver_flags_exit_2(files, capsys):
             capsys, "theta", "--graph", files["c5"], "--level", 1, flag, value
         )
         assert code == 2 and report is None, (flag, value)
+
+
+@pytest.mark.parametrize("argv", [
+    ("theta", "--graph", "c5", "--level", "1_0"),
+    ("theta", "--graph", "c5", "--level", " 1"),
+    ("theta", "--graph", "c5", "--level", "１"),
+    ("theta", "--graph", "c5", "--cap", "1_00"),
+    ("theta", "--graph", "c5", "--max-iter", "1_0"),
+    ("classify01", "--dim", "２"),
+    ("moment-dump", "--points", "square", "--level", "+1"),
+])
+def test_integer_flags_are_ascii_decimals(files, capsys, argv):
+    """argparse's type=int read "1_0" as 10, " 1" and "+1" as 1 and a
+    full-width digit as its value; integer flags take exactalg's token rule."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(files.get(a, a)) for a in argv])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--points", {"dim": 17, "points": [[1] * 17]}),
+    ("--gens", {"dim": 17, "generators": ["x1^2 - x1"]}),
+])
+def test_th1_slice_cap_exits_3(capsys, tmp_path, flag, content):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(content))
+    code, report, err = run(capsys, "th1", flag, path, "--query", ",".join(["1"] * 17))
+    assert code == 3 and report is None and "resource limit" in err
 
 
 def test_reports_are_deterministic(files, capsys):

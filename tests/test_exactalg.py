@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,7 +33,7 @@ from thetabody.exactalg import (
     rational_rref,
     to_float,
 )
-from thetabody.combopt import Graph, stable_set_theta
+from thetabody.combopt import Graph, cut_theta, parse_weights, stable_set_theta
 from thetabody.geomexact import (
     FacetInequality,
     FacetVertexReport,
@@ -42,10 +43,13 @@ from thetabody.geomexact import (
     facets,
     is_exact,
 )
+from thetabody.momentsdp import SdpProblem, build_moment_template
+from thetabody.options import SolverOptions
 from thetabody.quadrics import (
     MembershipReport,
     Quadric,
     has_convex_quadric,
+    quadric_space_from_generators,
     quadric_space_from_points,
     th1_membership,
 )
@@ -75,6 +79,50 @@ def test_rational_rejects_garbage():
         parse_rational(True)  # a bool is an int to Python, not a number to JSON
     with pytest.raises(InputError, match=r"^10000000000000000000\.\.\.\(401 characters\) lies beyond"):
         to_float("1e400")
+
+
+# ---------------------------------------------------------------- integers
+
+P3 = Graph(3, [(1, 2), (2, 3)])
+C5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+
+# Integers given as numbers to the library, each in a form the one rule
+# (exactalg.parse_integer) refuses: int() truncated 2.5 and read True as 1.
+NOT_INTEGERS = {
+    "point-set-dim": lambda: PointSet(2.5, [[0, 0], [1, 0], [0, 1]]),
+    "point-set-bool-dim": lambda: PointSet(True, [[0], [1]]),
+    "graph-n": lambda: Graph(2.7, [(1, 2)]),
+    "graph-endpoint": lambda: Graph(3, [(1.9, 2)]),
+    "generators-dim": lambda: quadric_space_from_generators(2.9, ["x1^2 - x1"]),
+    "sdp-side": lambda: SdpProblem(2.5, 2, {(0, 0): {0: 1.0}}, {1: 1.0}, {0: 1.0}),
+    "max-iter": lambda: SolverOptions(max_iter=2.5),
+    "stable-level": lambda: stable_set_theta(C5, 1.5),
+    "cut-level": lambda: cut_theta(C5, None, 1.5),
+    "stable-cap": lambda: stable_set_theta(C5, 1, cap=2.5),
+    "cut-cap": lambda: cut_theta(C5, None, 1, cap=2.5),
+    "moment-level": lambda: build_moment_template(buchberger_moller(corpus.quad4()), 1.5),
+    "classify-dim": lambda: classify_01(2.5),
+    "weights-key": lambda: parse_weights({(1.5, 2): 1, (2, 3): 1}, P3),
+    "monomial-index": lambda: parse_monomial("x1_0", 10),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+def test_library_refuses_non_integers(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    i = np.int64
+    assert PointSet(i(2), [[0, 0]]).dim == 2
+    assert Graph(i(3), [(i(1), i(2))]) == Graph(3, [(1, 2)])
+    assert quadric_space_from_generators(i(2), ["x1^2 - x1"]).ambient_dim == 2
+    assert SdpProblem(i(1), i(1), {(0, 0): {0: 1.0}}, {}, {0: 1.0}).side == 1
+    assert SolverOptions(max_iter=i(5)).max_iter == 5
+    assert stable_set_theta(C5, i(1)).value == pytest.approx(math.sqrt(5), abs=1e-6)
+    assert parse_weights({(i(1), i(2)): 1, (2, i(3)): 2}, P3) == [1, 2]
+    assert exactalg.parse_integer(2.0, "n") == 2 and exactalg.parse_decimal("-7", "n") == -7
 
 
 # ---------------------------------------------------------------- monomials

@@ -11,7 +11,7 @@ import pytest
 
 import corpus
 import thetabody.quadrics as quadrics
-from thetabody.errors import InputError
+from thetabody.errors import InputError, ResourceLimitError
 from thetabody.exactalg import Monomial, _over_lcm, parse_polynomial, rational_rref
 from thetabody.quadrics import (
     Quadric,
@@ -101,6 +101,19 @@ def test_quad4_interval_endpoints():
         det = q.a[0][0] * q.a[1][1] - q.a[0][1] * q.a[1][0]
         assert abs(float(det)) <= 1e-7
         assert abs(float(q.trace()) - 1.0) <= 1e-8
+
+
+def test_slice_dimension_is_capped():
+    """Both entry points refuse a slice past MAX_SLICE_DIM before building
+    it: one point in dimension 40 took 30 s and 79 MB without the cap."""
+    cap = quadrics.MAX_SLICE_DIM
+    assert quadric_space_from_generators(cap, ["x1^2 - x1"]).ambient_dim == cap
+    with pytest.raises(ResourceLimitError):
+        quadric_space_from_generators(cap + 1, ["x1^2 - x1"])
+    with pytest.raises(ResourceLimitError):
+        quadric_space_from_points([[1] * (cap + 1)])
+    with pytest.raises(ResourceLimitError):
+        quadric_space_from_generators(10**9, [])
 
 
 def test_generators_expand_linear_by_variables():
