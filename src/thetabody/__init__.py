@@ -5,7 +5,7 @@ The package is organized as a pipeline:
 - ``exactalg``   exact rational groundwork: monomials, point sets, vanishing-
                  ideal quotient rings via evaluation/interpolation.
 - ``momentsdp``  symbolic moment-matrix templates over a quotient ring or a
-                 combinatorial basis, and their instantiation as SDP data.
+                 combinatorial basis, SDP data and ``solve``, the solver's door.
 - ``options``    the solver's settings (SolverOptions), importing only
                  ``errors`` and ``exactalg``.
 - ``sdpsolve``   a dense primal-dual interior-point SDP solver.
@@ -21,8 +21,8 @@ The package is organized as a pipeline:
 - ``cli``        the ``thetabody`` command-line entry point.
 
 The names in ``__all__`` load on first access (PEP 562): ``import thetabody``
-imports no submodule, and ``thetabody.solve`` imports ``sdpsolve`` (and with
-it numpy) only when first asked for.
+imports no submodule, and ``thetabody.solve`` (``momentsdp.solve``) imports
+``sdpsolve``, and with it numpy, only when first called.
 """
 
 import importlib
@@ -51,11 +51,12 @@ _HOMES = {
         "assemble",
         "SdpProblem",
         "build_theta_sdp",
+        "solve",
     ),
     # solver settings
     "options": ("SolverOptions",),
     # solver
-    "sdpsolve": ("SdpSolution", "solve"),
+    "sdpsolve": ("SdpSolution",),
     # graph models
     "combopt": (
         "Graph",

@@ -24,15 +24,15 @@ Exit codes: 0 success (for solver-backed commands: a conclusive answer),
 Tolerances and caps are set only by flags.  An omitted flag parses as None,
 and the command fills it in from SolverOptions() or combopt.DEFAULT_CAP, so
 building the parser imports neither module.  Each command imports the modules
-it runs when it runs, and theta loads neither geomexact nor quadrics.  numpy
-loads at the first SDP solve, since no module imports sdpsolve at import
-time: exactness, classify01 and moment-dump never load it, nor does a th1
-query decided exactly or a run that ends in invalid input before its solve.
-SolverOptions lives in options, not momentsdp, and quadrics imports
-momentsdp only to build a section SDP, so a th1 query decided exactly loads
-no momentsdp either.  Input digests use CPython's builtin SHA-256, so no
-subcommand loads hashlib's OpenSSL backend (about 3.7 MB of resident memory
-and 5 ms of a cold process).
+it runs when it runs, and theta loads neither geomexact nor quadrics.  Every
+SDP goes through momentsdp.solve, the one door to the solver, which imports
+sdpsolve and numpy when called: exactness, classify01 and moment-dump never
+load numpy, nor does a th1 query decided exactly or a run that ends in
+invalid input before its solve.  SolverOptions lives in options, not
+momentsdp, and quadrics imports momentsdp only to build a section SDP, so a
+th1 query decided exactly loads no momentsdp either.  Input digests use
+CPython's builtin SHA-256, so no subcommand loads hashlib's OpenSSL backend
+(about 3.7 MB of resident memory and 5 ms of a cold process).
 No class is a `@dataclass`: that module imports `inspect` and compiles
 each class's methods at import, 10 to 15 ms of a cold process that loads no
 numpy, more than the exact work of a typical `exactness` run.  The result
@@ -126,6 +126,7 @@ def _add_solver_flags(sub) -> None:
 def _cmd_theta(args) -> Tuple[dict, str, int]:
     from .combopt import DEFAULT_CAP, Graph, cut_theta, stable_set_theta
     from .exactalg import read_file
+    from .momentsdp import CONCLUSIVE
 
     graph = Graph.from_file(args.graph)
     options = _solver_options(args)
@@ -170,7 +171,7 @@ def _cmd_theta(args) -> Tuple[dict, str, int]:
         f"theta[{args.model}] level {args.level} on {graph.n} vertices / "
         f"{len(graph.edges)} edges: value {result.value:.6f} ({result.status})"
     )
-    return report, summary, 0 if result.status in ("Optimal", "NearOptimal") else 4
+    return report, summary, 0 if result.status in CONCLUSIVE else 4
 
 
 # -------------------------------------------------------------- exactness
@@ -290,12 +291,10 @@ def _cmd_moment_dump(args) -> Tuple[dict, str, int]:
 # ------------------------------------------------------------------ solve
 
 def _cmd_solve(args) -> Tuple[dict, str, int]:
-    from .momentsdp import SdpProblem
+    from .momentsdp import ITER_LIMIT, SdpProblem, solve
 
     problem = SdpProblem.from_file(args.sdp)
     options = _solver_options(args)
-    from .sdpsolve import solve
-
     solution = solve(problem, options)
     report = {
         "inputDigest": {"sdp": _digest(args.sdp)},
@@ -311,8 +310,7 @@ def _cmd_solve(args) -> Tuple[dict, str, int]:
         f"solve {problem.side}x{problem.side} SDP: status {solution.status}, "
         f"objective {solution.objective:.6f}"
     )
-    conclusive = ("Optimal", "NearOptimal", "Infeasible", "Unbounded")
-    return report, summary, 0 if solution.status in conclusive else 4
+    return report, summary, 4 if solution.status == ITER_LIMIT else 0
 
 
 # ------------------------------------------------------------------- main

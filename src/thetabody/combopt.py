@@ -20,7 +20,8 @@ by size then lexicographically, and the enumeration aborts with a resource
 error when a configurable cap (default 20000 elements) is exceeded, holding
 at most one set past it.  The level-k template is
 momentsdp.template_from_products over the set sizes, and both relaxations
-share one solve-and-project routine.
+share one solve-and-project routine, which hands its SDP to momentsdp.solve,
+the door to the solver: numpy loads only there.
 
 That routine solves over the orbits of the graph's automorphisms that keep
 the objective (Gatermann-Parrilo, JPAA 192, 2004): every vertex permutation
@@ -50,36 +51,19 @@ import itertools
 import json
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactalg import (
     Monomial, _find, _Frozen, _Record, parse_decimal, parse_integer, parse_rational, read_file)
-from .momentsdp import (
-    MomentTemplate,
-    SdpProblem,
-    build_theta_sdp,
-    orbit_scales,
-    template_from_products,
-)
+from .momentsdp import MomentTemplate, build_theta_sdp, orbit_scales, solve, template_from_products
 from .options import SolverOptions
 from .symmetry import MAX_SEARCH_NODES, _AutomorphismSearch, _orbit
-
-if TYPE_CHECKING:
-    from .sdpsolve import SdpSolution
 
 STABLE_SETS = "StableSets"
 ODD_CYCLE_FREE = "OddCycleFreeEdgeSets"
 
 DEFAULT_CAP = 20000
-
-
-def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSolution:
-    """sdpsolve.solve, looked up at each call: sdpsolve loads numpy, which
-    reading a graph, enumerating its sets or rejecting bad input never needs."""
-    from . import sdpsolve
-
-    return sdpsolve.solve(problem, options)
 
 
 class Graph(_Frozen):

@@ -21,18 +21,19 @@ map from a template to the reduced float SDP: in the same pass it restricts y
 to be constant on given orbits of its coordinates, which combopt finds from
 graph symmetry.
 
-SdpProblem, the solver's input, lives here and not in sdpsolve: this module
-never imports numpy at module level, so code that only builds, validates or
-reports on an SDP runs without it.  The solver's settings, SolverOptions,
-live in the module options and are re-exported here.
+This module is the one door to the solver: it holds SdpProblem, the names of
+the five statuses and solve, which imports sdpsolve, and with it numpy, only
+when called.  Code that only builds, checks or reports on an SDP runs without
+numpy.  SolverOptions lives in the module options and is re-exported here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .exactalg import (
@@ -45,9 +46,20 @@ from .exactalg import (
     read_file,
     to_float,
 )
-from .options import SolverOptions  # noqa: F401  (re-exported)
+from .options import SolverOptions
+
+if TYPE_CHECKING:
+    from .sdpsolve import SdpSolution
 
 Cell = Dict[int, Fraction]
+
+# The solver's statuses; one in CONCLUSIVE comes with an optimum.
+OPTIMAL = "Optimal"
+NEAR_OPTIMAL = "NearOptimal"
+INFEASIBLE = "Infeasible"
+UNBOUNDED = "Unbounded"
+ITER_LIMIT = "IterLimit"
+CONCLUSIVE = (OPTIMAL, NEAR_OPTIMAL)
 
 
 class MomentTemplate(_Record):
@@ -212,32 +224,39 @@ class SdpProblem:
 
     cells maps (i, j), i <= j, to sparse {y-index: coefficient}; `fixed`
     pins coordinates (always at least y_0 = 1 for moment problems).  This is
-    the float layer handed to the interior-point solver.
+    the float layer handed to the interior-point solver.  One pass reads
+    all keys by exactalg's integer rule (0.0 is 0; 0.5 or True is refused)
+    and checks every coefficient finite; dicts keyed by ints are kept.
     """
 
     def __init__(self, side: int, y_dim: int, cells: Dict[Tuple[int, int], Dict[int, float]],
                  objective: Dict[int, float], fixed: Dict[int, float],
                  y_labels: Optional[List[str]] = None):
         side, y_dim = parse_integer(side, "side", 1), parse_integer(y_dim, "yDim", 0)
-        for (i, j), vec in cells.items():
-            if not (0 <= i <= j < side):
-                raise InputError(f"cell ({i},{j}) outside matrix")
-            for l in vec:
+        ints, not_cell = True, object()  # not_cell keys the objective and the fixed values
+        for key, vec in itertools.chain(cells.items(), ((not_cell, objective), (not_cell, fixed))):
+            if key is not not_cell:
+                i, j = key
+                if type(i) is not int or type(j) is not int:
+                    ints = False
+                    i, j = parse_integer(i, "a cell's row"), parse_integer(j, "a cell's col")
+                if not 0 <= i <= j < side:
+                    raise InputError(f"cell ({i},{j}) outside matrix")
+            for l, c in vec.items():
+                if type(l) is not int:
+                    ints = False
+                    l = parse_integer(l, "a y-index")
                 if not 0 <= l < y_dim:
-                    raise InputError(f"cell ({i},{j}) uses unknown y[{l}]")
-        for l in list(objective) + list(fixed):
-            if not 0 <= l < y_dim:
-                raise InputError(f"unknown y-index {l}")
-        values = [c for vec in cells.values() for c in vec.values()]
-        values += list(objective.values()) + list(fixed.values())
-        if not all(math.isfinite(c) for c in values):
-            raise InputError("SDP coefficients must be finite (no NaN or infinity)")
-        self.side = side
-        self.y_dim = y_dim
-        self.cells = cells
-        self.objective = objective
-        self.fixed = fixed
-        self.y_labels = y_labels
+                    raise InputError(f"unknown y-index {l}" if key is not_cell
+                                     else f"cell ({i},{j}) uses unknown y[{l}]")
+                if not math.isfinite(c):
+                    raise InputError("SDP coefficients must be finite (no NaN or infinity)")
+        if not ints:  # every key passed the rule above, so int() reads it
+            cells = {(int(i), int(j)): {int(l): c for l, c in vec.items()}
+                     for (i, j), vec in cells.items()}
+            objective, fixed = ({int(l): c for l, c in v.items()} for v in (objective, fixed))
+        self.side, self.y_dim, self.y_labels = side, y_dim, y_labels
+        self.cells, self.objective, self.fixed = cells, objective, fixed
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -286,6 +305,14 @@ class SdpProblem:
     @staticmethod
     def from_file(path: str) -> "SdpProblem":
         return SdpProblem.from_json(read_file(path, "SDP"))
+
+
+def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSolution:
+    """sdpsolve.solve, looked up at each call: sdpsolve loads numpy, which
+    building, reading or refusing a problem never needs."""
+    from . import sdpsolve
+
+    return sdpsolve.solve(problem, options)
 
 
 def orbit_scales(orbit: Sequence[int]) -> List[float]:

@@ -5,6 +5,7 @@ flags into SolverOptions before it knows whether any SDP will be solved."""
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 from .errors import InputError
 from .exactalg import parse_integer
@@ -22,7 +23,7 @@ class SolverOptions:
     """Stopping rules of sdpsolve.solve."""
 
     def __init__(self, feas_tol: float = 1e-8, gap_tol: float = 1e-7, max_iter: int = 200):
-        if not all(math.isfinite(t) and t >= MIN_TOL for t in (feas_tol, gap_tol)):
+        if not all(isinstance(t, Real) and MIN_TOL <= t < math.inf for t in (feas_tol, gap_tol)):
             raise InputError(f"tolerances must be finite and at least {MIN_TOL:g}")
         self.feas_tol = feas_tol
         self.gap_tol = gap_tol

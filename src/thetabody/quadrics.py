@@ -10,12 +10,13 @@ matrix.  Convex quadrics in the degree-2 slice are therefore exact separators:
 a query point z with q(z) > 0 is certified outside.
 
 The slice is handled exactly (rational row reduction); the optimization over
-it is a small SDP.  Since a PSD matrix with zero trace is zero, the side
-condition "A PSD, A != 0" is normalized to "trace A = 1" by an exact change of
-basis of the coefficient space, and directions with A = 0 (affine-linear
-members of the slice) are split off beforehand: they are the recession
-directions of the section, so the supremum of q(z) is finite exactly when all
-of them vanish at z — otherwise +-g is returned as an improving ray.
+it is a small SDP, built and passed to momentsdp.solve only when a query needs
+it.  Since a PSD matrix with zero trace is zero, the side condition "A PSD,
+A != 0" is normalized to "trace A = 1" by an exact change of basis of the
+coefficient space, and directions with A = 0 (affine-linear members of the
+slice) are split off beforehand: they are the recession directions of the
+section, so the supremum of q(z) is finite exactly when all of them vanish at
+z — otherwise +-g is returned as an improving ray.
 
 A space is stored only as the row-reduced coefficient vectors of a basis over
 the monomials 1, x1..xn, x_i x_j (display order).  Every linear operation
@@ -52,7 +53,6 @@ from .exactalg import (
 from .options import SolverOptions
 
 if TYPE_CHECKING:
-    from .momentsdp import SdpProblem
     from .sdpsolve import SdpSolution
 
 BOUNDARY_TOL = 1e-7
@@ -66,14 +66,6 @@ MAX_SLICE_DIM = 16
 INSIDE = "Inside"
 OUTSIDE = "Outside"
 BORDERLINE = "Borderline"
-
-
-def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSolution:
-    """sdpsolve.solve, looked up at each call: sdpsolve loads numpy, which a
-    query decided exactly never needs."""
-    from . import sdpsolve
-
-    return sdpsolve.solve(problem, options)
 
 
 def _slice_dim(dim: int) -> int:
@@ -466,19 +458,20 @@ def _section_cells(
     return cells
 
 
-def _section_problem(
+def _solve_section(
     dim: int, cells: Dict[Tuple[int, int], Dict[int, float]], y_dim: int,
-    objective: Dict[int, float],
-) -> SdpProblem:
-    """SDP data for the cells of _section_cells PSD, coordinate 0 pinned.
+    objective: Dict[int, float], options: SolverOptions, what: str, empty_ok: bool = False,
+) -> SdpSolution:
+    """Solve the SDP of the cells of _section_cells PSD, coordinate 0 pinned.
 
-    The cells may be shared between problems: nothing here or in the solver
-    changes them.  momentsdp is imported here, not at module level, so a
-    query decided exactly never loads it.
+    A solution that is not conclusive (or Infeasible, when empty_ok) is a
+    SolverError naming `what`.  The cells may be shared between problems:
+    nothing here or in the solver changes them.  momentsdp is imported here,
+    not at module level, so a query decided exactly never loads it.
     """
-    from .momentsdp import SdpProblem
+    from .momentsdp import CONCLUSIVE, INFEASIBLE, SdpProblem, solve
 
-    return SdpProblem(
+    problem = SdpProblem(
         side=dim,
         y_dim=y_dim,
         cells=cells,
@@ -486,6 +479,10 @@ def _section_problem(
         fixed={0: 1.0},
         y_labels=["traceUnit"] + [f"s{l}" for l in range(1, y_dim)],
     )
+    sol = solve(problem, options)
+    if sol.status not in CONCLUSIVE and not (empty_ok and sol.status == INFEASIBLE):
+        raise SolverError(f"{what} ended with status {sol.status}")
+    return sol
 
 
 class ConvexQuadricReport(_Record):
@@ -540,9 +537,7 @@ def has_convex_quadric(
     # the slack touches go last, after the section's own cells
     cells = _section_cells(n, [unit] + rest + [slack])
     cells = dict(sorted(cells.items(), key=lambda kv: list(kv[1]) == [s]))
-    sol = solve(_section_problem(n, cells, s + 1, {s: 1.0}), opts)
-    if sol.status not in ("Optimal", "NearOptimal"):
-        raise SolverError(f"convex-quadric search ended with status {sol.status}")
+    sol = _solve_section(n, cells, s + 1, {s: 1.0}, opts, "convex-quadric search")
     margin = sol.objective
     exists = margin >= -BOUNDARY_TOL
     weights = list(sol.y[1 : len(rest) + 1])
@@ -554,12 +549,8 @@ def has_convex_quadric(
     if len(rest) == 1 and exists:
         ends = []
         for direction in (-1.0, 1.0):
-            problem = _section_problem(n, space._section, len(rest) + 1, {1: direction})
-            side_sol = solve(problem, opts)
-            if side_sol.status not in ("Optimal", "NearOptimal"):
-                raise SolverError(
-                    f"section sweep ended with status {side_sol.status}"
-                )
+            side_sol = _solve_section(
+                n, space._section, len(rest) + 1, {1: direction}, opts, "section sweep")
             ends.append(direction * side_sol.objective)
         interval = (min(ends), max(ends))
         extremes = tuple(_quadric(_combine(unit, rest, [w]), n) for w in interval)
@@ -636,11 +627,14 @@ def th1_membership(
             )
         sup, weights, solver_status = constant, [], None
     else:
+        from .momentsdp import CONCLUSIVE  # the section SDP below loads it anyway
+
         values = [to_float(v) for v in rest_at_z]
         objective = {k + 1: v for k, v in enumerate(values) if v}
         opts = options or SolverOptions()
         if objective:
-            sol = solve(_section_problem(n, space._section, len(rest) + 1, objective), opts)
+            sol = _solve_section(n, space._section, len(rest) + 1, objective, opts,
+                                 "membership SDP", empty_ok=True)
         else:
             # with no objective the SDP is the same at every such query, and
             # so is the member its weights pick: keep both on the space, once
@@ -648,20 +642,19 @@ def th1_membership(
             solves = space._zero_objective_solves
             key = tuple(vars(opts).values())
             if key not in solves:
-                sol = solve(_section_problem(n, space._section, len(rest) + 1, objective), opts)
+                sol = _solve_section(n, space._section, len(rest) + 1, objective, opts,
+                                     "membership SDP", empty_ok=True)
                 member = None
-                if sol.status in ("Optimal", "NearOptimal"):
+                if sol.status in CONCLUSIVE:
                     member = _quadric(_combine(unit, rest, sol.y[1:]), n)
                 solves[key] = (sol, member)
             sol, certificate = solves[key]
-        if sol.status == "Infeasible":
+        if sol.status not in CONCLUSIVE:  # Infeasible
             return MembershipReport(
                 status=INSIDE,
                 solver_status=sol.status,
                 detail="the PSD section is empty; no separator exists",
             )
-        if sol.status not in ("Optimal", "NearOptimal"):
-            raise SolverError(f"membership SDP ended with status {sol.status}")
         sup, weights, solver_status = sol.objective + constant, list(sol.y[1:]), sol.status
     detail = "supremum of q(z) over members with PSD part and trace 1"
     if sup < -BOUNDARY_TOL:

@@ -86,20 +86,14 @@ assembled A(z), from eigvalsh, is at least -PSD_TOL; otherwise NearOptimal.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .exactalg import _Record
-from .momentsdp import SdpProblem
+from .momentsdp import INFEASIBLE, ITER_LIMIT, NEAR_OPTIMAL, OPTIMAL, UNBOUNDED, SdpProblem
 from .options import SolverOptions
-
-OPTIMAL = "Optimal"
-NEAR_OPTIMAL = "NearOptimal"
-INFEASIBLE = "Infeasible"
-UNBOUNDED = "Unbounded"
-ITER_LIMIT = "IterLimit"
 
 # Eigen-floor an Optimal A(z) must clear, fraction-to-boundary step rule and
 # the objective gain the ray rule rides toward before it reports Unbounded.
@@ -465,7 +459,7 @@ def _presolve(f: _SparseF, f_zero: np.ndarray, c_vec: np.ndarray, floor: float):
 
 
 def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSolution:
-    """Solve an SdpProblem; see the module docstring for the algorithm."""
+    """Solve an SdpProblem (callers go through momentsdp.solve); see the module docstring."""
     opts = options or SolverOptions()
     m = problem.side
     d = problem.y_dim - len(problem.fixed)

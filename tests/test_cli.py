@@ -705,6 +705,21 @@ def test_iteration_starvation_exits_4(files, capsys):
     assert report["result"]["status"] == "IterLimit"
 
 
+def test_solver_failure_exits_4(files, capsys):
+    # a section SDP that ends without an optimum is a SolverError: no report
+    code, report, err = run(
+        capsys, "th1", "--points", files["quad4"], "--query", "5,5", "--max-iter", 1
+    )
+    assert code == 4 and report is None
+    assert err == "solver failure: membership SDP ended with status IterLimit\n"
+
+
+def test_solve_at_iteration_limit_exits_4(files, capsys):
+    code, report, err = run(capsys, "solve", "--sdp", files["disk-sdp"], "--max-iter", 1)
+    assert code == 4
+    assert report["result"]["status"] == "IterLimit" and "IterLimit" in err
+
+
 def test_cap_flag(files, capsys):
     code, _, _ = run(
         capsys, "theta", "--graph", files["c5"], "--level", 2, "--cap", 3

@@ -96,6 +96,16 @@ NOT_INTEGERS = {
     "generators-dim": lambda: quadric_space_from_generators(2.9, ["x1^2 - x1"]),
     "sdp-side": lambda: SdpProblem(2.5, 2, {(0, 0): {0: 1.0}}, {1: 1.0}, {0: 1.0}),
     "max-iter": lambda: SolverOptions(max_iter=2.5),
+    "gap-tol-string": lambda: SolverOptions(gap_tol="1e-7"),
+    "feas-tol-string": lambda: SolverOptions(feas_tol="1e-8"),
+    "feas-tol-none": lambda: SolverOptions(feas_tol=None),
+    "sdp-cell-fraction": lambda: SdpProblem(2, 2, {(0.5, 1): {1: 1.0}}, {1: 1.0}, {0: 1.0}),
+    "sdp-cell-string": lambda: SdpProblem(2, 2, {("0", 1): {1: 1.0}}, {1: 1.0}, {0: 1.0}),
+    "sdp-cell-bool": lambda: SdpProblem(2, 2, {(True, 1): {1: 1.0}}, {1: 1.0}, {0: 1.0}),
+    "sdp-cell-col-bool": lambda: SdpProblem(2, 2, {(0, True): {1: 1.0}}, {1: 1.0}, {0: 1.0}),
+    "sdp-y-index": lambda: SdpProblem(2, 2, {(0, 1): {0.5: 1.0}}, {1: 1.0}, {0: 1.0}),
+    "sdp-objective-index": lambda: SdpProblem(2, 2, {(0, 1): {1: 1.0}}, {True: 1.0}, {0: 1.0}),
+    "sdp-fixed-index": lambda: SdpProblem(2, 2, {(0, 1): {1: 1.0}}, {1: 1.0}, {"0": 1.0}),
     "stable-level": lambda: stable_set_theta(C5, 1.5),
     "cut-level": lambda: cut_theta(C5, None, 1.5),
     "stable-cap": lambda: stable_set_theta(C5, 1, cap=2.5),

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import corpus
+import thetabody.momentsdp as momentsdp
 from thetabody.errors import InputError
 from thetabody.exactalg import Monomial, buchberger_moller
 from thetabody.momentsdp import (
@@ -17,6 +20,7 @@ from thetabody.momentsdp import (
     build_moment_template,
     build_theta_sdp,
     orbit_scales,
+    solve,
 )
 
 
@@ -186,6 +190,38 @@ def test_sdp_problem_validation():
         SdpProblem(side=1, y_dim=1, cells={(1, 0): {0: 1.0}}, objective={}, fixed={0: 1.0})
 
 
+DISK_CELLS = {(0, 0): {0: 1.0}, (0, 1): {1: 1.0}, (1, 1): {0: 1.0}}
+
+
+def _disk(cells):
+    """max y_1 over [[1, y_1], [y_1, 1]] PSD, with the cells given."""
+    return SdpProblem(2, 2, cells, {1: 1.0}, {0: 1.0})
+
+
+def test_cell_keys_follow_the_integer_rule():
+    # an integral float key is read as its int and solves like the int-keyed
+    # twin; a numpy integer key solves too (test_exactalg's NOT_INTEGERS has
+    # the keys that are refused)
+    twin = solve(_disk(DISK_CELLS))
+    assert twin.status == "Optimal"
+    zero = np.int64(0)
+    for cells in ({(0.0, 0.0): {0: 1.0}, (0, 1): {1: 1.0}, (1, 1): {0: 1.0}},
+                  {(zero, zero): {0: 1.0}, (0, 1): {1: 1.0}, (1, 1): {0: 1.0}},
+                  {(0, 0): {0.0: 1.0}, (0, 1): {1.0: 1.0}, (1, 1): {zero: 1.0}}):
+        problem = _disk(cells)
+        assert problem == _disk(DISK_CELLS)
+        assert all(type(k) is int for key in problem.cells for k in key)
+        assert all(type(l) is int for vec in problem.cells.values() for l in vec)
+        sol = solve(problem)
+        assert vars(sol) == vars(twin)
+
+
+def test_int_keyed_dicts_are_kept():
+    problem = _disk(DISK_CELLS)
+    assert problem.cells is DISK_CELLS
+    assert all(problem.cells[key] is vec for key, vec in DISK_CELLS.items())
+
+
 def test_theta_sdp_over_orbits_scales_by_root_orbit_size():
     # y_1, y_2 swap under the symmetry of M = [[1, y1, y2], [y1, 1, y3], [y2, y3, 1]]
     # that exchanges rows 1 and 2 (with y_3 fixed)
@@ -233,3 +269,60 @@ def test_cells_sharing_a_template_vector_share_its_reduction():
     for a in t.cells:
         for b in t.cells:
             assert (problem.cells[a] is problem.cells[b]) == (t.cells[a] is t.cells[b])
+
+
+# ------------------------------------------------------------ solver door
+
+STATUS_NAMES = ("OPTIMAL", "NEAR_OPTIMAL", "INFEASIBLE", "UNBOUNDED", "ITER_LIMIT")
+
+
+def _sdpsolve_imports(tree):
+    """Lines of the imports of sdpsolve that run: those under
+    `if TYPE_CHECKING:` never do."""
+    typing_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING"
+        for inner in ast.walk(node)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "sdpsolve" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_momentsdp_is_the_one_door_to_the_solver():
+    """Only momentsdp imports sdpsolve, and a solver status is spelled as a
+    string only where momentsdp names it."""
+    statuses = {getattr(momentsdp, name) for name in STATUS_NAMES}
+    assert momentsdp.CONCLUSIVE == (momentsdp.OPTIMAL, momentsdp.NEAR_OPTIMAL)
+    found = []
+    for path in sorted(Path(momentsdp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        definitions = set()
+        if path.stem == "momentsdp":
+            definitions = {
+                id(node.value)
+                for node in tree.body
+                if isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) in STATUS_NAMES
+            }
+        else:
+            found += [f"{path.name}:{line} imports sdpsolve" for line in _sdpsolve_imports(tree)]
+        found += [
+            f"{path.name}:{node.lineno} spells {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in statuses and id(node) not in definitions
+        ]
+    assert found == []

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import corpus
+import thetabody.momentsdp as momentsdp
 import thetabody.quadrics as quadrics
 from thetabody.errors import InputError, ResourceLimitError
 from thetabody.exactalg import Monomial, _over_lcm, parse_polynomial, rational_rref
@@ -406,7 +407,7 @@ def test_section_sdp_data_is_pinned(monkeypatch):
     # the lead and the row-major RREF columns and cells decide these numbers;
     # any change to them shows here
     seen = []
-    real = quadrics.solve
+    real = momentsdp.solve
 
     def spy(problem, options=None):
         payload = problem.to_json()
@@ -415,7 +416,7 @@ def test_section_sdp_data_is_pinned(monkeypatch):
         seen.append(payload)
         return real(problem, options)
 
-    monkeypatch.setattr(quadrics, "solve", spy)
+    monkeypatch.setattr(momentsdp, "solve", spy)
 
     def captured(call):
         seen.clear()
@@ -509,7 +510,7 @@ def test_on_variety_queries_share_one_section_solve(monkeypatch):
     queries = list(points) + elsewhere
     objectives = []
     combines = []
-    real_solve, real_combine = quadrics.solve, quadrics._combine
+    real_solve, real_combine = momentsdp.solve, quadrics._combine
 
     def counted(problem, options):
         objectives.append(dict(problem.objective))
@@ -519,7 +520,7 @@ def test_on_variety_queries_share_one_section_solve(monkeypatch):
         combines.append(len(weights))
         return real_combine(unit, rest, weights)
 
-    monkeypatch.setattr(quadrics, "solve", counted)
+    monkeypatch.setattr(momentsdp, "solve", counted)
     monkeypatch.setattr(quadrics, "_combine", counted_combine)
 
     def solves():

@@ -25,6 +25,7 @@ from thetabody.exactalg import Monomial, PointSet, buchberger_moller
 from thetabody.momentsdp import SdpProblem, build_moment_template, build_theta_sdp
 from thetabody.quadrics import quadric_space_from_points, th1_membership
 from thetabody.sdpsolve import (
+    PSD_TOL,
     SdpSolution,
     SolverOptions,
     _block_inverses,
@@ -125,6 +126,26 @@ def test_iteration_limit_status():
     sol = solve(arrow_3x3(1.0, 1.0), SolverOptions(max_iter=1))
     assert sol.status in ("IterLimit", "NearOptimal")
     assert sol.iterations <= 1
+
+
+def test_near_optimal_at_the_iteration_limit():
+    # the disk optimum takes 6 iterations; after 5 every measure is within
+    # 100 times its tolerance, the gap not within the tolerance itself
+    assert solve(arrow_3x3(1.0, 1.0)).iterations == 6
+    sol = solve(arrow_3x3(1.0, 1.0), SolverOptions(max_iter=5))
+    assert sol.status == "NearOptimal" and sol.iterations == 5
+    assert 1e-7 < sol.duality_gap <= 1e-5
+
+
+def test_converged_pair_failing_the_eigenvalue_check_is_near_optimal():
+    # max y2 - y1 over [[y1 - 1, y2], [y2, y1 + 1]] PSD: loose tolerances stop
+    # the loop after 3 iterations at an A(z) with an eigenvalue near -7e-3
+    p = problem_from(2, 3, {(0, 0): {0: -1.0, 1: 1.0}, (0, 1): {2: 1.0},
+                            (1, 1): {0: 1.0, 1: 1.0}}, {1: -1.0, 2: 1.0})
+    options = SolverOptions(feas_tol=0.03, gap_tol=0.03)
+    sol = solve(p, options)
+    assert sol.status == "NearOptimal" and sol.iterations == 3 < options.max_iter
+    assert sol.min_eig < -PSD_TOL
 
 
 def test_deterministic_bitwise():
