@@ -10,13 +10,15 @@ moment-dump  emit the symbolic moment-matrix template of a point set
 solve        solve a raw SDP problem given as JSON
 
 Every run writes a single JSON report to stdout and a one-line human summary
-to stderr.  Each command returns its report's inputDigest (a SHA-256 digest
-of each input file, taken after the file is read), parameters (the effective
-values), result and, where a solver ran, solver diagnostics, with the summary
-and the exit code.  main builds the rest of the report: it reads the clock
-before it dispatches, adds subcommand, version and wallTimeSeconds (so the
-wall time spans the command's own imports), rounds floats and writes both.
-Identical invocations produce identical reports except for the wall time.
+to stderr.  Each command returns its report's inputDigest (the SHA-256 digest
+of each input file's bytes), parameters (the effective values), result and,
+where a solver ran, solver diagnostics, with the summary and the exit code.
+Input files are opened only by exactalg.read_file, which reads each one once
+and returns its parsed value with the digest of the bytes it parsed.  main
+builds the rest of the report: it reads the clock before it dispatches, adds
+subcommand, version and wallTimeSeconds (so the wall time spans the command's
+own imports), rounds floats and writes both.  Identical invocations produce
+identical reports except for the wall time.
 
 Exit codes: 0 success (for solver-backed commands: a conclusive answer),
 2 invalid input, 3 a resource cap was hit, 4 the solver failed to converge.
@@ -30,7 +32,7 @@ sdpsolve and numpy when called: exactness, classify01 and moment-dump never
 load numpy, nor does a th1 query decided exactly or a run that ends in
 invalid input before its solve.  SolverOptions lives in options, not
 momentsdp, and quadrics imports momentsdp only to build a section SDP, so a
-th1 query decided exactly loads no momentsdp either.  Input digests use
+th1 query decided exactly loads no momentsdp either.  read_file digests with
 CPython's builtin SHA-256, so no subcommand loads hashlib's OpenSSL backend
 (about 3.7 MB of resident memory and 5 ms of a cold process).
 No class is a `@dataclass`: that module imports `inspect` and compiles
@@ -55,21 +57,6 @@ from .errors import InputError, ResourceLimitError, SolverError, ThetaBodyError
 
 if TYPE_CHECKING:
     from .options import SolverOptions
-
-# CPython's builtin SHA-256 (_sha2 since 3.12, _sha256 before): hashlib would
-# load OpenSSL's libcrypto, which costs a cold process more than the hashing.
-try:
-    from _sha2 import sha256 as _sha256
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256
-    except ImportError:  # an interpreter built without the builtin hashes
-        from hashlib import sha256 as _sha256
-
-
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _sha256(fh.read()).hexdigest()
 
 
 def _round_floats(obj):
@@ -128,17 +115,16 @@ def _cmd_theta(args) -> Tuple[dict, str, int]:
     from .exactalg import read_file
     from .momentsdp import CONCLUSIVE
 
-    graph = Graph.from_file(args.graph)
+    graph, digest = read_file(args.graph, "graph", Graph.from_text)
     options = _solver_options(args)
     cap = DEFAULT_CAP if args.cap is None else args.cap
-    digests = {"graph": _digest(args.graph)}
+    digests = {"graph": digest}
     raw = None
     if args.weights is not None:
         if args.model != "cut":
             raise InputError("--weights only applies to the cut model")
         if os.path.exists(args.weights):
-            raw = read_file(args.weights, "weights")
-            digests["weights"] = _digest(args.weights)
+            raw, digests["weights"] = read_file(args.weights, "weights")
         else:
             try:
                 raw = json.loads(args.weights)
@@ -177,13 +163,14 @@ def _cmd_theta(args) -> Tuple[dict, str, int]:
 # -------------------------------------------------------------- exactness
 
 def _cmd_exactness(args) -> Tuple[dict, str, int]:
-    from .exactalg import PointSet
+    from .exactalg import PointSet, read_file
     from .geomexact import facet_vertex_report, is_exact
 
-    points = PointSet.from_file(args.points)
+    payload, digest = read_file(args.points, "point set")
+    points = PointSet.from_json(payload)
     exactness = is_exact(points)
     report = {
-        "inputDigest": {"points": _digest(args.points)},
+        "inputDigest": {"points": digest},
         "parameters": {"pointCount": len(points.points), "ambientDim": points.dim},
         "result": {
             **exactness.to_json(),
@@ -238,10 +225,11 @@ def _cmd_th1(args) -> Tuple[dict, str, int]:
 
     if args.points is not None:
         flag, path = "points", args.points
-        space = quadric_space_from_points(PointSet.from_file(path))
+        payload, digest = read_file(path, "point set")
+        space = quadric_space_from_points(PointSet.from_json(payload))
     else:
         flag, path = "gens", args.gens
-        payload = read_file(path, "generator")
+        payload, digest = read_file(path, "generator")
         if not isinstance(payload, dict) or "dim" not in payload:
             raise InputError("generator file must be {\"dim\": n, \"generators\": [...]}")
         gens = payload.get("generators", [])
@@ -250,7 +238,7 @@ def _cmd_th1(args) -> Tuple[dict, str, int]:
         space = quadric_space_from_generators(payload["dim"], gens)
     result = th1_membership(space, query, options)
     report = {
-        "inputDigest": {flag: _digest(path)},
+        "inputDigest": {flag: digest},
         "parameters": {
             flag: path,
             "query": [str(c) for c in query],
@@ -267,13 +255,14 @@ def _cmd_th1(args) -> Tuple[dict, str, int]:
 # ------------------------------------------------------------ moment-dump
 
 def _cmd_moment_dump(args) -> Tuple[dict, str, int]:
-    from .exactalg import PointSet, buchberger_moller
+    from .exactalg import PointSet, buchberger_moller, read_file
     from .momentsdp import build_moment_template
 
-    points = PointSet.from_file(args.points)
+    payload, digest = read_file(args.points, "point set")
+    points = PointSet.from_json(payload)
     template = build_moment_template(buchberger_moller(points), args.level)
     report = {
-        "inputDigest": {"points": _digest(args.points)},
+        "inputDigest": {"points": digest},
         "parameters": {
             "level": args.level,
             "pointCount": len(points.points),
@@ -291,13 +280,15 @@ def _cmd_moment_dump(args) -> Tuple[dict, str, int]:
 # ------------------------------------------------------------------ solve
 
 def _cmd_solve(args) -> Tuple[dict, str, int]:
+    from .exactalg import read_file
     from .momentsdp import ITER_LIMIT, SdpProblem, solve
 
-    problem = SdpProblem.from_file(args.sdp)
+    payload, digest = read_file(args.sdp, "SDP")
+    problem = SdpProblem.from_json(payload)
     options = _solver_options(args)
     solution = solve(problem, options)
     report = {
-        "inputDigest": {"sdp": _digest(args.sdp)},
+        "inputDigest": {"sdp": digest},
         "parameters": {
             "matrixSide": problem.side,
             "yDim": problem.y_dim,
@@ -388,8 +379,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
-    # InputError, or OSError from a file that vanished between its read and _digest
-    except (ThetaBodyError, OSError) as exc:
+    except ThetaBodyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.update(

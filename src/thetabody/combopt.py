@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactalg import (
-    Monomial, _find, _Frozen, _Record, parse_decimal, parse_integer, parse_rational, read_file)
+    Monomial, _find, _Frozen, _Record, parse_decimal, parse_integer, parse_rational)
 from .momentsdp import MomentTemplate, build_theta_sdp, orbit_scales, solve, template_from_products
 from .options import SolverOptions
 from .symmetry import MAX_SEARCH_NODES, _AutomorphismSearch, _orbit
@@ -116,9 +116,12 @@ class Graph(_Frozen):
                 continue
             tokens = line.split()
             if tokens[0] == "p":
+                if n is not None:
+                    raise InputError(f"line {lineno}: second problem line")
                 if len(tokens) < 4:
                     raise InputError(f"line {lineno}: malformed problem line")
                 n = parse_decimal(tokens[2], f"line {lineno}: the vertex count")
+                m = parse_decimal(tokens[3], f"line {lineno}: the edge count")
             elif tokens[0] == "e":
                 if n is None:
                     raise InputError(f"line {lineno}: edge before problem line")
@@ -129,17 +132,16 @@ class Graph(_Frozen):
                 raise InputError(f"line {lineno}: unknown record {tokens[0]!r}")
         if n is None:
             raise InputError("DIMACS input has no problem line")
+        if len(edges) != m:
+            raise InputError(f"problem line declares {m} edges, found {len(edges)}")
         return Graph(n, edges)
 
     @staticmethod
-    def from_file(path: str) -> "Graph":
-        """A graph file: JSON when its text starts with "{", else DIMACS."""
-        def parse(text: str) -> "Graph":
-            if text.lstrip().startswith("{"):
-                return Graph.from_json(json.loads(text))
-            return Graph.from_dimacs(text)
-
-        return read_file(path, "graph", parse)
+    def from_text(text: str) -> "Graph":
+        """A graph file's text: JSON when it starts with "{", else DIMACS."""
+        if text.lstrip().startswith("{"):
+            return Graph.from_json(json.loads(text))
+        return Graph.from_dimacs(text)
 
 
 class CombBasis(_Record):

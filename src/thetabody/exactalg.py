@@ -29,6 +29,9 @@ products of evaluation columns, which keeps the multiplication table cheap.
 For reporting, bases are kept sorted by degree ascending and by *descending*
 degrevlex inside each fixed degree (so x1^2, x1*x2, x2^2 in that order); this
 is the order in which moment-matrix rows and y-coordinates are labeled.
+
+read_file, the one reader of input files, returns what it parsed with the
+SHA-256 digest of the same bytes.
 """
 
 from __future__ import annotations
@@ -43,14 +46,22 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 
+try:  # CPython's builtin SHA-256: hashlib would load OpenSSL's libcrypto
+    from _sha2 import sha256 as _sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # an interpreter built without the builtin hashes
+        from hashlib import sha256 as _sha256
+
 # Largest point set buchberger_moller accepts.  Its exact elimination grows
 # about as the fifth power of the point count: random points with
 # coordinates p/q, |p| <= 10, 1 <= q <= 10, took 1.3 / 1.2 / 1.1 s at 64
 # in dimension 2 / 3 / 5, 9.4 s at 96 in dimension 3 (1.5^5.1 times 64) and
 # 36 s at 128 in the plane (2^4.8 times 64), on one core of a 2-CPU Xeon.
 # Evaluating the candidates in integers left these times as they were: the
-# elimination is the cost.  The cap equals geomexact.MAX_POINTS, so every
-# set the facet code accepts has a ring.
+# elimination is the cost.  geomexact's facet code takes the same cap, so
+# every set it accepts has a ring.
 MAX_BM_POINTS = 64
 
 
@@ -95,15 +106,19 @@ def parse_decimal(text, what: str) -> int:
 
 
 def read_file(path: str, what: str, parse=json.loads):
-    """parse applied to the text of a UTF-8 file.  A file that cannot be read
-    or decoded, or JSON that does not parse, is an InputError naming it."""
+    """(parse(text), digest): the one place an input file is opened.  Its
+    bytes are read once; text is them decoded as text mode would (UTF-8,
+    universal newlines) and digest their SHA-256 hex digest.  A file that
+    cannot be read or decoded, or JSON that does not parse, is an InputError
+    naming it."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
     try:
-        return parse(text)
+        return parse(text), _sha256(data).hexdigest()
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -429,10 +444,6 @@ class PointSet:
         if not rows:
             raise InputError("point set must be non-empty")
         return PointSet(len(rows[0]), rows)
-
-    @staticmethod
-    def from_file(path: str) -> "PointSet":
-        return PointSet.from_json(read_file(path, "point set"))
 
 
 def _over_lcm(values: Sequence) -> Tuple[List[int], int]:

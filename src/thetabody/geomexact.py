@@ -40,10 +40,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .exactalg import (
-    PointSet, _divide_gcd, _Elimination, _find, _Frozen, _Record, _scaled_coordinates,
-    format_rational, parse_integer)
+    MAX_BM_POINTS, PointSet, _divide_gcd, _Elimination, _find, _Frozen, _Record,
+    _scaled_coordinates, format_rational, parse_integer)
 
-MAX_POINTS = 64
 MAX_AFFINE_DIM = 8
 # Most rows the double description may hold.  Its cost grows about as the
 # cube of the row count: cyclic polytopes in dimension 8 took 0.07 / 0.5 /
@@ -184,9 +183,9 @@ def facets(points) -> List[FacetInequality]:
     ps = PointSet.coerce(points)
     if len(ps.points) < 2:
         raise InputError("facet enumeration needs at least two distinct points")
-    if len(ps.points) > MAX_POINTS:
+    if len(ps.points) > MAX_BM_POINTS:
         raise ResourceLimitError(
-            f"facet enumeration capped at {MAX_POINTS} points, got {len(ps.points)}"
+            f"facet enumeration capped at {MAX_BM_POINTS} points, got {len(ps.points)}"
         )
     rows, den = _scaled_coordinates(ps)
     frame, elim = _affine_frame(rows)

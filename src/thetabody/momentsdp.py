@@ -43,7 +43,6 @@ from .exactalg import (
     format_rational,
     parse_decimal,
     parse_integer,
-    read_file,
     to_float,
 )
 from .options import SolverOptions
@@ -301,10 +300,6 @@ class SdpProblem:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"invalid SDP problem JSON: {exc}") from exc
-
-    @staticmethod
-    def from_file(path: str) -> "SdpProblem":
-        return SdpProblem.from_json(read_file(path, "SDP"))
 
 
 def solve(problem: SdpProblem, options: Optional[SolverOptions] = None) -> SdpSolution:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import importlib
 import itertools
@@ -18,8 +19,9 @@ import pytest
 import corpus
 import thetabody
 from thetabody import __version__, geomexact
-from thetabody.cli import _digest, main
-from thetabody.exactalg import PointSet
+from thetabody.cli import main
+from thetabody.combopt import Graph
+from thetabody.exactalg import PointSet, read_file
 from thetabody.momentsdp import SdpProblem
 
 C5_DIMACS = "c five cycle\np edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
@@ -79,6 +81,8 @@ def files(tmp_path):
                   {"row": 0, "col": 1, "coeffs": {"1": 1}},
                   {"row": 1, "col": 1, "coeffs": {"0": 1}}],
     }))
+    d["k3-weights"] = tmp_path / "k3-weights.json"
+    d["k3-weights"].write_text("[2, 1, 1]")
     d["bad-graph"] = tmp_path / "bad-graph.json"
     d["bad-graph"].write_text(json.dumps({"n": 3, "edges": [[1, 4]]}))
     return d
@@ -179,7 +183,7 @@ def test_exactness_quad4(files, capsys):
 
 
 def test_exactness_computes_facets_once(files, capsys, monkeypatch):
-    points = PointSet.from_file(str(files["curve14"]))
+    points = PointSet.from_json(read_file(str(files["curve14"]), "point set")[0])
     expected = geomexact.facet_vertex_report(points).to_json()
     real, calls = geomexact.facets, []
     monkeypatch.setattr(geomexact, "facets", lambda pts: calls.append(pts) or real(pts))
@@ -510,6 +514,59 @@ def test_unreadable_file_exits_2(files, tmp_path, capsys, argv, kind):
         assert "cannot read" in err and str(bad) in err
 
 
+# a valid file for each entry of FILE_FLAGS
+VALID = {
+    "theta-graph": "c5",
+    "theta-weights": "k3-weights",
+    "exactness-points": "square",
+    "th1-points": "quad4",
+    "th1-gens": "circle",
+    "moment-dump-points": "square",
+    "solve-sdp": "disk-sdp",
+}
+
+
+@pytest.mark.parametrize("case", FILE_FLAGS)
+def test_each_input_file_is_opened_once(files, capsys, monkeypatch, case):
+    path = str(files[VALID[case]])
+    argv = [a.format(bad=path, k3=files["k3"]) for a in FILE_FLAGS[case]]
+    real_open, opened = builtins.open, []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, report, _ = run(capsys, *argv)
+    assert code == 0
+    assert opened.count(path) == 1
+    digest = hashlib.sha256(files[VALID[case]].read_bytes()).hexdigest()
+    assert digest in report["inputDigest"].values()
+
+
+@pytest.mark.parametrize("argv, owner, parser, parsed, rewritten", [
+    ("exactness --points", PointSet, "from_json",
+     json.dumps(corpus.cube(2).to_json()), json.dumps(corpus.cube(3).to_json())),
+    ("theta --graph", Graph, "from_dimacs", C5_DIMACS, K3_DIMACS),
+], ids=["points", "graph"])
+def test_digest_is_of_the_bytes_parsed(capsys, tmp_path, monkeypatch, argv, owner, parser,
+                                       parsed, rewritten):
+    """An input file rewritten while its parser runs is reported with the
+    digest of the bytes that were parsed."""
+    path = tmp_path / "input"
+    path.write_text(parsed)
+    real = getattr(owner, parser)
+
+    def rewriting(value):
+        path.write_text(rewritten)
+        return real(value)
+
+    monkeypatch.setattr(owner, parser, staticmethod(rewriting))
+    code, report, _ = run(capsys, *argv.split(), path)
+    assert code == 0 and path.read_text() == rewritten
+    assert list(report["inputDigest"].values()) == [hashlib.sha256(parsed.encode()).hexdigest()]
+
+
 MALFORMED = {
     # id: (subcommand and flags with {bad} for the file, file content)
     "syntax": (["exactness", "--points", "{bad}"], "{oops"),
@@ -539,6 +596,9 @@ MALFORMED = {
     "gens-dim": (["th1", "--gens", "{bad}", "--query", "0,0"], '{"dim": "abc", "generators": []}'),
     "gens-dim-null": (["th1", "--gens", "{bad}", "--query", "0"], '{"dim": null, "generators": []}'),
     "gens-scalar": (["th1", "--gens", "{bad}", "--query", "0,0"], '{"dim": 2, "generators": [5]}'),
+    "gens-not-list": (
+        ["th1", "--gens", "{bad}", "--query", "0,0"], '{"dim": 2, "generators": "x1^2 - x1"}'
+    ),
     "gens-object": (
         ["th1", "--gens", "{bad}", "--query", "0,0"],
         '{"dim": 2, "generators": [{"x1": 1}]}',
@@ -636,6 +696,10 @@ MALFORMED = {
     # "1_0" as 10, " 1" as 1 and a full-width "３" as 3.
     "graph-bool-n": (["theta", "--graph", "{bad}"], '{"n": true, "edges": []}'),
     "dimacs-underscore": (["theta", "--graph", "{bad}"], "p edge 1_0 1\ne 1 2\n"),
+    # the edge count is a decimal that counts the e lines, on the one p line
+    "dimacs-edge-count": (["theta", "--graph", "{bad}"], "p edge 3 x\n"),
+    "dimacs-edge-count-differs": (["theta", "--graph", "{bad}"], "p edge 3 5\ne 1 2\n"),
+    "dimacs-second-p-line": (["theta", "--graph", "{bad}"], "p edge 3 1\ne 1 2\np edge 2 1\n"),
     "dimacs-non-ascii": (["theta", "--graph", "{bad}"], "p edge ３ 1\ne 1 2\n"),
     "dimacs-fraction": (["theta", "--graph", "{bad}"], "p edge 3 1\ne 1 2.5\n"),
     "dimacs-non-ascii-endpoint": (["theta", "--graph", "{bad}"], "p edge 3 1\ne 1 ２\n"),
@@ -925,13 +989,14 @@ def test_solver_options_resolve_without_numpy(files):
 
 
 def test_digest_matches_hashlib(files, tmp_path):
-    """The builtin SHA-256 of _digest gives hashlib's hex digest, on every
+    """The builtin SHA-256 of read_file gives hashlib's hex digest, on every
     fixture, an empty file and one of many 64-byte blocks."""
     (tmp_path / "empty").write_bytes(b"")
-    (tmp_path / "long").write_bytes(bytes(range(256)) * 1001)
+    (tmp_path / "long").write_bytes("".join(map(chr, range(256))).encode() * 1001)
     paths = [*files.values(), tmp_path / "empty", tmp_path / "long"]
     for path in paths:
-        assert _digest(str(path)) == hashlib.sha256(path.read_bytes()).hexdigest(), path
+        _, digest = read_file(str(path), "any", str)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest(), path
 
 
 def test_digest_falls_back_to_hashlib(files):
@@ -939,8 +1004,8 @@ def test_digest_falls_back_to_hashlib(files):
     script = (
         "import json, sys\n"
         "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
-        "from thetabody.cli import _digest, _sha256\n"
-        "print(json.dumps([_sha256.__module__, _digest(sys.argv[1])]))\n"
+        "from thetabody.exactalg import _sha256, read_file\n"
+        "print(json.dumps([_sha256.__module__, read_file(sys.argv[1], 'graph', str)[1]]))\n"
     )
     module, digest = _fresh_process(files, script, ["c5"])
     assert module == "_hashlib"

@@ -25,7 +25,7 @@ from thetabody.combopt import (
     parse_weights,
     stable_set_theta,
 )
-from thetabody.exactalg import Monomial
+from thetabody.exactalg import Monomial, read_file
 from thetabody.momentsdp import assemble, build_theta_sdp
 from thetabody.sdpsolve import PSD_TOL, SolverOptions, solve
 
@@ -106,10 +106,10 @@ def test_graph_json_accepts_integral_floats():
 def test_graph_file_sniffing(tmp_path):
     j = tmp_path / "g.json"
     j.write_text('{"n": 3, "edges": [[1, 2]]}')
-    assert Graph.from_file(str(j)).m == 1
+    assert read_file(str(j), "graph", Graph.from_text)[0].m == 1
     d = tmp_path / "g.col"
     d.write_text("p edge 3 1\ne 1 2\n")
-    assert Graph.from_file(str(d)).m == 1
+    assert read_file(str(d), "graph", Graph.from_text)[0].m == 1
 
 
 # ---------------------------------------------------------------- enumeration

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -778,3 +780,35 @@ def test_normal_form_matches_fraction_reference(ps):
         assert ring.normal_form(poly) == {}
         poly[ring.basis[-1]] = poly.get(ring.basis[-1], 0) + 2
         assert ring.normal_form(poly) == reference_nf(poly) == {n - 1: Fraction(2)}
+
+
+# ------------------------------------------------------------------- input
+
+def _file_reads(tree):
+    """(innermost enclosing function or None, line) of every call to open or
+    to a read_text or read_bytes method."""
+    reads = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name in ("open", "read_text", "read_bytes"):
+                    reads.append((function, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else function)
+
+    visit(tree, None)
+    return reads
+
+
+def test_read_file_is_the_one_reader():
+    """No module opens a file but exactalg.read_file, so each input is read
+    once and its digest is of the bytes that were parsed."""
+    found = [
+        (path.stem, function, line)
+        for path in sorted(Path(exactalg.__file__).parent.glob("*.py"))
+        for function, line in _file_reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert [place[:2] for place in found] == [("exactalg", "read_file")], found

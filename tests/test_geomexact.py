@@ -524,6 +524,13 @@ def test_down_closed_cube_without_top_is_not_a_stable_family():
     assert report.graph.edges == ()
     assert report.matches_stable_sets is False
     assert not report.exact
+    # the subsets of size <= 2 of 5 coordinates: 16 members and no missing
+    # pair, so the empty graph's 32 stable sets pass the enumeration cap of 24
+    pts = [p for p in corpus.cube(5).points if sum(p) <= 2]
+    report = down_closed_analysis(pts)
+    assert report.down_closed and report.full_dimensional
+    assert report.graph.edges == ()
+    assert report.matches_stable_sets is False
 
 
 def test_down_closed_violations_reported():

@@ -262,6 +262,21 @@ def test_theta_sdp_over_orbits_scales_by_root_orbit_size():
         build_theta_sdp(t, objective, [0, 1, 1])
 
 
+def test_combinatorial_objective_constant_and_uncovered_variable():
+    # no ring: a constant lands on y_0, and a variable must have a y-coordinate
+    one = Fraction(1)
+    t = MomentTemplate(
+        level=1, ambient_dim=2, row_indices=[0, 1], row_labels=["1", "a"],
+        y_dim=2, y_labels=["1", "a"],
+        cells={(0, 0): {0: one}, (0, 1): {1: one}, (1, 1): {1: one}},
+        linear_index={1: 1},
+    )
+    problem = build_theta_sdp(t, {mono(0, 0): 3, mono(1, 0): "1/2"})
+    assert problem.objective == {0: 3.0, 1: 0.5}
+    with pytest.raises(InputError, match="x2 has no y-coordinate"):
+        build_theta_sdp(t, {mono(0, 1): 1})
+
+
 def test_cells_sharing_a_template_vector_share_its_reduction():
     ring = buchberger_moller(corpus.curve14())
     t = build_moment_template(ring, 2)

@@ -464,6 +464,15 @@ def test_unused_free_coordinate():
     sol = solve(problem_from(3, 4, arrow.cells, {3: 1.0}))
     assert sol.status == "Unbounded"
     assert sol.objective > 1e12
+    # from side 124 each run of the Schur blocks is one coordinate, so the
+    # unused y_2 is a run with no entries
+    cells = {(i, i): {0: 1.0} for i in range(124)}
+    cells[(0, 1)] = {1: 1.0}
+    problem = problem_from(124, 3, cells, {1: 1.0})
+    assert [j0 for j0, _, _, _ in _split_data(problem, [1, 2])[1].column_blocks(1)] == [0]
+    sol = solve(problem)
+    assert sol.status == "Optimal" and abs(sol.objective - 1.0) <= 1e-6
+    assert sol.y[2] == 0.0
 
 
 def test_schur_blocks_match_definition():
